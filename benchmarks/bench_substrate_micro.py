@@ -18,10 +18,10 @@ Two layers:
 
 The backend cells (``*_strict`` / ``*_batch`` / ``*_resident``) extend
 the series with the explicit kernel backends: event counts must match
-within each pair, and the decay-dominated gate pair carries both
-speedup gates — batch over strict, and resident over batch — armed by
-``REPRO_SUBSTRATE_MIN_SPEEDUP`` (the ``substrate-batch`` and
-``substrate-resident`` CI jobs set it).
+within each pair, and the decay-dominated gate pair carries the
+resident-over-batch speedup gate, armed by
+``REPRO_SUBSTRATE_MIN_SPEEDUP`` (the ``substrate-resident`` CI job sets
+it).
 """
 
 import csv
@@ -33,7 +33,6 @@ import pytest
 from benchmarks.conftest import emit
 from benchmarks.substrate_cells import (
     BACKEND_PAIRS,
-    GATE_PAIR,
     RESIDENT_GATE_PAIR,
     RESIDENT_PAIRS,
     SWEEP_CELLS,
@@ -201,49 +200,10 @@ def test_backend_pair_event_counts_match(pair):
     )
 
 
-#: Batch-over-strict speedup gate, activated by setting
-#: ``REPRO_SUBSTRATE_MIN_SPEEDUP`` (the substrate-batch CI job sets it;
-#: see docs/performance.md for the measured ceiling of the pure-Python
-#: backend before pinning a value).  The ratio compares strict and
-#: batch measured back-to-back in this process — machine-portable —
-#: while the committed baseline anchors the event counts and provides
-#: the reference throughput for the report.
+#: Arms the resident-over-batch speedup gate below (the
+#: ``substrate-resident`` CI job sets it; the floor itself comes from
+#: :func:`_resident_min_speedup`).
 MIN_SPEEDUP = os.environ.get("REPRO_SUBSTRATE_MIN_SPEEDUP")
-
-
-@pytest.mark.skipif(
-    MIN_SPEEDUP is None,
-    reason="speedup gate disarmed (set REPRO_SUBSTRATE_MIN_SPEEDUP)",
-)
-def test_batch_backend_meets_speedup_gate():
-    """Batch ≥ MIN_SPEEDUP × strict on the decay-dominated gate pair."""
-    baseline = load_baseline(BASELINE_CSV)
-    strict_cell, batch_cell = BACKEND_PAIRS[GATE_PAIR]
-    strict = run_cell(strict_cell, repeats=3)
-    batch = run_cell(batch_cell, repeats=3)
-    assert batch.events == strict.events
-    for result, cell in ((strict, strict_cell), (batch, batch_cell)):
-        assert result.events == baseline[cell]["events"], (
-            f"{cell}: event count {result.events} != committed baseline "
-            f"{baseline[cell]['events']}"
-        )
-    speedup = batch.events_per_sec / strict.events_per_sec
-    base_speedup = (
-        baseline[batch_cell]["events_per_sec"]
-        / baseline[strict_cell]["events_per_sec"]
-    )
-    emit(
-        f"Batch speedup gate ({GATE_PAIR})",
-        f"batch {batch.events_per_sec:,.1f} ev/s vs strict "
-        f"{strict.events_per_sec:,.1f} ev/s = {speedup:.2f}x "
-        f"(committed baseline ratio {base_speedup:.2f}x, "
-        f"gate {float(MIN_SPEEDUP):.1f}x)",
-    )
-    assert speedup >= float(MIN_SPEEDUP), (
-        f"batch backend at {speedup:.2f}x strict on {GATE_PAIR}, below "
-        f"the {float(MIN_SPEEDUP):.1f}x gate (committed baseline ratio: "
-        f"{base_speedup:.2f}x)"
-    )
 
 
 @pytest.mark.parametrize("pair", sorted(RESIDENT_PAIRS))
@@ -281,10 +241,9 @@ def _resident_min_speedup() -> float:
 def test_resident_backend_meets_speedup_gate():
     """Resident ≥ floor × batch on the decay-dominated gate pair.
 
-    Armed together with the batch gate by
-    ``REPRO_SUBSTRATE_MIN_SPEEDUP`` (the ``substrate-resident`` CI job
-    arms it for both fastloop implementations); the floor itself comes
-    from :func:`_resident_min_speedup`.  Both cells are measured
+    Armed by ``REPRO_SUBSTRATE_MIN_SPEEDUP`` (the ``substrate-resident``
+    CI job arms it for both fastloop implementations); the floor itself
+    comes from :func:`_resident_min_speedup`.  Both cells are measured
     back-to-back in this process so the ratio is machine-portable, and
     both event counts must equal the committed baseline — a resident
     "speedup" that changes the schedule is a bug, not a win.

@@ -169,9 +169,6 @@ RESIDENT_PAIRS: dict[str, tuple[str, str]] = {
     ),
 }
 
-#: The pair carrying the ``REPRO_SUBSTRATE_MIN_SPEEDUP`` gate.
-GATE_PAIR = "kernel_decay_3000"
-
 #: The RESIDENT_PAIRS entry carrying the resident speedup gate.
 RESIDENT_GATE_PAIR = "kernel_decay_3000"
 

@@ -45,6 +45,7 @@ from repro.kernel.loadavg import LoadAverage
 from repro.kernel.priorities import (
     charge_estcpu,
     decay_estcpu,
+    decay_factor,
     user_priority,
     wakeup_decay,
 )
@@ -757,8 +758,11 @@ class Kernel:
             return  # stale
         proc.sleep_handle = None
         waiters = self._channels.get(proc.wait_channel or "")
-        if waiters and proc in waiters:
-            waiters.remove(proc)
+        if waiters:
+            try:
+                waiters.remove(proc)
+            except ValueError:
+                pass
             if not waiters:
                 self._channels.pop(proc.wait_channel or "", None)
         self._finish_sleep(proc)
@@ -821,8 +825,11 @@ class Kernel:
             proc.sleep_handle = None
         if proc.wait_channel is not None:
             waiters = self._channels.get(proc.wait_channel)
-            if waiters and proc in waiters:
-                waiters.remove(proc)
+            if waiters:
+                try:
+                    waiters.remove(proc)
+                except ValueError:
+                    pass
             proc.wait_channel = None
         self._unpark(proc)  # zombie keeps the eager-path slptime/estcpu
         proc.state = ProcState.ZOMBIE
@@ -914,10 +921,24 @@ class Kernel:
             # the pass would only age sleepers — deferred to wakeup.
             self.perf_schedcpu_idle_skips += 1
         else:
+            # One fused pass: per-pass constants hoisted, decay_estcpu /
+            # user_priority inlined operation-for-operation (as in
+            # _charge_proc; tests/kernel/test_schedcpu_pass.py compares).
+            factor = decay_factor(load)
+            limit = self._estcpu_limit
+            puser = self._puser
+            estcpu_weight = self._estcpu_weight
+            nice_weight = self._nice_weight
+            maxpri = self._maxpri
+            on_runq = self._on_runq
+            runq = self.runq
+            zombie = ProcState.ZOMBIE
+            sleeping = ProcState.SLEEPING
             for proc in self.procs.values():
-                if proc.state is ProcState.ZOMBIE:
+                state = proc.state
+                if state is zombie:
                     continue
-                if proc.state is ProcState.SLEEPING or proc.stopped:
+                if state is sleeping or proc.stopped:
                     if lazy:
                         # Deferred: slptime aging and the single
                         # first-pass decay replay at _materialize_slptime.
@@ -925,19 +946,33 @@ class Kernel:
                     proc.slptime += 1
                     if proc.slptime > 1:
                         continue  # updatepri handles long sleepers on wakeup
-                new_est = decay_estcpu(self.cfg, proc.estcpu, proc.nice, load)
-                if new_est != proc.estcpu:
-                    proc.estcpu = new_est
-                    new_pri = user_priority(self.cfg, proc.estcpu, proc.nice)
-                    if proc.boost_priority is not None:
-                        new_pri = min(new_pri, proc.boost_priority)
-                    if new_pri != proc.priority:
-                        if proc.pid in self._on_runq:
-                            self.runq.remove(proc)
-                            proc.priority = new_pri
-                            self.runq.insert(proc)
-                        else:
-                            proc.priority = new_pri
+                est = proc.estcpu
+                nice = proc.nice
+                new_est = factor * est + nice
+                if new_est < 0.0:
+                    new_est = 0.0
+                elif new_est > limit:
+                    new_est = limit
+                if new_est == est:
+                    continue
+                proc.estcpu = new_est
+                pri = puser + new_est / estcpu_weight + nice_weight * nice
+                if pri < 0:
+                    pri = 0
+                elif pri > maxpri:
+                    pri = maxpri
+                else:
+                    pri = int(pri)
+                boost = proc.boost_priority
+                if boost is not None and boost < pri:
+                    pri = boost
+                if pri != proc.priority:
+                    if proc.pid in on_runq:
+                        runq.remove(proc)
+                        proc.priority = pri
+                        runq.insert(proc)
+                    else:
+                        proc.priority = pri
         self._request_resched()
         self.engine.after(
             self.cfg.schedcpu_us,

@@ -26,13 +26,18 @@ class ProcState(enum.Enum):
     ZOMBIE = "zombie"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Process:
     """Process control block.
 
     Time fields are integer microseconds of virtual time.  ``estcpu``
     follows the BSD convention: one unit per statclock tick of CPU
     consumed, decayed once per second.
+
+    Equality is identity (``eq=False``): pids are unique, so two PCBs
+    are the same process iff they are the same object, and run-queue /
+    wait-channel removals compare pointers instead of building a
+    25-field tuple per element walked.
     """
 
     pid: int

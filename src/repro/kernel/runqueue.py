@@ -69,12 +69,14 @@ class RunQueue:
                 if other_qi == qi:
                     continue
                 other = self._queues[other_qi]
-                if proc in other:
+                try:
                     other.remove(proc)
-                    if not other:
-                        self._nonempty &= ~(1 << other_qi)
-                    self._count -= 1
-                    return
+                except ValueError:
+                    continue
+                if not other:
+                    self._nonempty &= ~(1 << other_qi)
+                self._count -= 1
+                return
             raise KernelError(f"pid {proc.pid} not on any run queue") from None
         if not queue:
             self._nonempty &= ~(1 << qi)

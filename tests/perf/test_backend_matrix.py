@@ -158,3 +158,40 @@ def test_auto_backend_defers_to_strict_flag():
     assert KernelConfig().resolve_backend() == "optimized"
     assert KernelConfig(strict=True).resolve_backend() == "strict"
     assert KernelConfig(backend="batch", strict=True).resolve_backend() == "batch"
+
+
+def test_kernel_only_decay_cell_agrees_across_backends():
+    """300 spinners × 120 sim-s, no agent: the ``schedcpu`` requeue branch.
+
+    Every cell above runs under an ALPS agent; this one is the bare
+    kernel, where ``schedcpu`` moves a *queued* process to another
+    bucket ~380 times, so the scalar core's fused pass is pinned against
+    the independent numpy implementation (``batched_decay`` /
+    ``batched_user_priority``), not only against itself.
+    """
+    from repro.kernel import make_kernel
+    from repro.kernel.kconfig import KernelConfig
+    from repro.sim.engine import Engine
+    from repro.workloads.spinner import spinner_behavior
+
+    requeued: list[int] = []
+
+    def run(backend, spy=False):
+        engine = Engine(seed=0)
+        kernel = make_kernel(engine, KernelConfig(backend=backend))
+        if spy:
+            # Spinners never sleep and nothing signals them, so every
+            # run-queue removal is a schedcpu requeue.
+            remove = kernel.runq.remove
+            kernel.runq.remove = lambda proc: (requeued.append(proc.pid), remove(proc))
+        pids = [kernel.spawn(f"p{i}", spinner_behavior()).pid for i in range(300)]
+        engine.run_until(sec(120))
+        per_pid = [
+            (kernel.getrusage(pid), kernel.procs[pid].preemptions) for pid in pids
+        ]
+        return per_pid, kernel.context_switches, engine.events_processed
+
+    reference = run("strict", spy=True)
+    assert len(requeued) > 100, "cell no longer exercises the requeue branch"
+    for backend in CHALLENGERS:
+        assert run(backend) == reference, f"{backend} diverged from strict"
