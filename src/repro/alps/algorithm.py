@@ -299,9 +299,10 @@ class AlpsCore:
             # recomputes from the same inputs — so the skip is
             # unobservable (the oracle differential test pins this).
             visit = self._last_due
-            extras = [sid for sid in measured_set if sid not in visit]
-            if extras:
-                visit = visit + extras
+            if not measured_set.issubset(visit):
+                # Measured but not due: only after a restore.
+                due = set(visit)
+                visit = visit + [sid for sid in measured_set if sid not in due]
             for sid in visit:
                 st = subjects_get(sid)
                 if st is None:

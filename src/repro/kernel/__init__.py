@@ -36,8 +36,7 @@ def make_kernel(engine, config: KernelConfig = None) -> Kernel:
     struct-of-arrays :class:`repro.kernel.batch.BatchKernel`;
     ``"resident"`` maps to :class:`repro.kernel.resident.ResidentKernel`
     (arrays as the authoritative state, PCBs as views).  The batch and
-    resident modules are imported lazily so workloads that never select
-    them do not pay the numpy import.
+    resident modules are imported only when selected.
     """
     from dataclasses import replace
 

@@ -54,7 +54,7 @@ from repro.errors import KernelError
 from repro.kernel.kapi import KernelAPI
 from repro.kernel.kconfig import DEFAULT_CONFIG, KernelConfig
 from repro.kernel.kernel import _EVPRI_HOUSEKEEPING, Kernel
-from repro.kernel.priorities import decay_factor
+from repro.kernel.priorities import batched_decay, batched_user_priority
 from repro.kernel.process import Process, ProcState
 from repro.kernel.runqueue import NQS, PPQ
 from repro.sim.engine import Engine
@@ -196,41 +196,6 @@ class SoaState:
             proc.stopped = bool(self.stopped[i])
             boost = int(self.boost[i])
             proc.boost_priority = None if boost == NO_VALUE else boost
-
-
-def batched_decay(
-    estcpu: np.ndarray,
-    nice: np.ndarray,
-    load: float,
-    limit: float,
-) -> np.ndarray:
-    """One second of BSD decay over an estcpu vector.
-
-    Elementwise-identical to
-    :func:`repro.kernel.priorities.decay_estcpu`: ``f*e + nice`` as two
-    float64 ops (multiply then add, never fused), then the ``< 0 → 0``
-    and ``min(·, limit)`` clamps.  The property tests compare this
-    against the scalar function value-for-value with ``==``, not with a
-    tolerance.
-    """
-    factor = decay_factor(load)
-    new = factor * estcpu + nice
-    return np.minimum(np.where(new < 0.0, 0.0, new), limit)
-
-
-def batched_user_priority(
-    cfg: KernelConfig, estcpu: np.ndarray, nice: np.ndarray
-) -> np.ndarray:
-    """The BSD priority formula over vectors, clamped like the scalar.
-
-    Matches :func:`repro.kernel.priorities.user_priority` exactly:
-    ``puser + estcpu/weight + nice_weight*nice`` evaluated left to
-    right in float64, negative lanes clamped to 0, overlarge lanes to
-    ``maxpri``, the rest truncated toward zero as ``int()`` does.
-    """
-    pri = cfg.puser + estcpu / cfg.estcpu_weight + cfg.nice_weight * nice
-    truncated = pri.astype(np.int64)  # toward zero, like int()
-    return np.where(pri < 0, 0, np.where(pri > cfg.maxpri, cfg.maxpri, truncated))
 
 
 class ArrayRunQueue:
@@ -535,7 +500,8 @@ class BatchKernel(Kernel):
                     continue  # updatepri handles long sleepers on wakeup
             append(proc)
         if targets:
-            est = np.array([p.estcpu for p in targets], dtype=np.float64)
+            estcpu = self._estcpu
+            est = np.array([estcpu[p.slot] for p in targets], dtype=np.float64)
             nice = np.array([p.nice for p in targets], dtype=np.int64)
             new_est = batched_decay(est, nice, load, self._estcpu_limit)
             new_pri = batched_user_priority(self.cfg, new_est, nice)
@@ -563,7 +529,7 @@ class BatchKernel(Kernel):
                 new_pri_items = new_pri.tolist()
                 for i in np.nonzero(changed)[0].tolist():
                     proc = targets[i]
-                    proc.estcpu = new_est_items[i]
+                    estcpu[proc.slot] = new_est_items[i]
                     if pri_changed[i]:
                         if proc.pid in on_runq:
                             runq.remove(proc)

@@ -30,7 +30,10 @@ always consistent when a context switch is performed.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from repro.errors import (
     InvalidProcessStateError,
@@ -43,6 +46,8 @@ from repro.kernel.kapi import KernelAPI
 from repro.kernel.kconfig import DEFAULT_CONFIG, KernelConfig
 from repro.kernel.loadavg import LoadAverage
 from repro.kernel.priorities import (
+    batched_decay,
+    batched_user_priority,
     charge_estcpu,
     decay_estcpu,
     decay_factor,
@@ -78,6 +83,22 @@ class Kernel:
         self._clock = engine.clock
         self.cfg = config
         self.procs: dict[int, Process] = {}
+        # -- process-table columns, indexed by ``Process.slot`` ----------
+        # ``array``/``bytearray`` buffers: scalar paths index them at
+        # native speed, ``schedcpu`` wraps them in zero-copy numpy views
+        # for the length of one pass.  They grow in place at spawn, which
+        # Python refuses while a view is alive — no view may outlive the
+        # pass that took it.
+        #: ``estcpu``, the authoritative copy (``Process.estcpu`` is a
+        #: property over it).
+        self._estcpu = array("d")
+        #: Mirror of ``Process.nice``, written at spawn and ``renice``.
+        self._nice = array("q")
+        #: 1 for a process the per-second decay applies to directly:
+        #: alive and not parked (``park_epoch is None``).
+        self._scheduled = bytearray()
+        #: slot -> PCB, in spawn order (the order of ``procs``).
+        self._table: list[Process] = []
         self.runq = RunQueue()
         #: Per-CPU running process (None = idle).  The paper's testbed
         #: is a uniprocessor (ncpus=1, the default); SMP is an
@@ -164,7 +185,20 @@ class Kernel:
         ``start_delay`` µs."""
         pid = self._next_pid
         self._next_pid += 1
-        proc = self._make_process(pid, name, uid, nice, behavior)
+        table = self._table
+        proc = Process(
+            pid=pid,
+            name=name,
+            uid=uid,
+            nice=nice,
+            behavior=behavior,
+            slot=len(table),
+            estcpu_column=self._estcpu,
+        )
+        table.append(proc)
+        self._estcpu.append(0.0)
+        self._nice.append(nice)
+        self._scheduled.append(1)
         proc.priority = user_priority(self.cfg, 0.0, nice)
         proc.state = ProcState.SLEEPING  # embryonic until started
         proc.wait_channel = "fork"
@@ -180,17 +214,6 @@ class Kernel:
             tag=f"start:{name}",
         )
         return proc
-
-    def _make_process(
-        self, pid: int, name: str, uid: int, nice: int, behavior: Behavior
-    ) -> Process:
-        """PCB construction hook for :meth:`spawn`.
-
-        The resident backend overrides this to allocate a row in its
-        authoritative array store and return a view-PCB bound to it;
-        every other backend gets a plain :class:`Process`.
-        """
-        return Process(pid=pid, name=name, uid=uid, nice=nice, behavior=behavior)
 
     def lookup(self, pid: int) -> Process:
         """Return the live process with ``pid`` (raises if absent/zombie)."""
@@ -286,7 +309,11 @@ class Kernel:
             return old
         if proc.state is ProcState.RUNNING:
             self._charge_proc(proc)
+        # A parked process's deferred first-pass decay ran, in the eager
+        # kernel, with the nice it had then: replay it before the change.
+        self._materialize_slptime(proc)
         proc.nice = nice
+        self._nice[proc.slot] = nice
         obs = self._obs
         if obs is not None and obs.enabled:
             obs.events.emit(
@@ -299,7 +326,7 @@ class Kernel:
         # Inlined user_priority (see _charge_proc).
         pri = (
             self._puser
-            + proc.estcpu / self._estcpu_weight
+            + self._estcpu[proc.slot] / self._estcpu_weight
             + self._nice_weight * nice
         )
         if pri < 0:
@@ -401,6 +428,7 @@ class Kernel:
     def _park(self, proc: Process) -> None:
         if self._lazy and proc.park_epoch is None:
             proc.park_epoch = self._schedcpu_epoch
+            self._scheduled[proc.slot] = 0
 
     def _materialize_slptime(self, proc: Process) -> None:
         epoch = proc.park_epoch
@@ -412,11 +440,13 @@ class Kernel:
         if proc.slptime == 0:
             # Replay the one eager decay applied at the first pass after
             # parking (pass epoch+1, whose load is _load_history[epoch]).
+            slot = proc.slot
+            est = self._estcpu[slot]
             new_est = decay_estcpu(
-                self.cfg, proc.estcpu, proc.nice, self._load_history[epoch]
+                self.cfg, est, proc.nice, self._load_history[epoch]
             )
-            if new_est != proc.estcpu:
-                proc.estcpu = new_est
+            if new_est != est:
+                self._estcpu[slot] = new_est
                 new_pri = user_priority(self.cfg, new_est, proc.nice)
                 if proc.boost_priority is not None:
                     new_pri = min(new_pri, proc.boost_priority)
@@ -429,6 +459,7 @@ class Kernel:
         if proc.park_epoch is not None:
             self._materialize_slptime(proc)
             proc.park_epoch = None
+            self._scheduled[proc.slot] = 1
 
     # ------------------------------------------------------------------
     # Process start / trampoline
@@ -518,11 +549,13 @@ class Kernel:
         proc.cpu_time += consumed
         pending = proc.pending_burst_us - consumed
         proc.pending_burst_us = pending if pending > 0 else 0
-        est = proc.estcpu + consumed / self._tick_us
+        estcpu = self._estcpu
+        slot = proc.slot
+        est = estcpu[slot] + consumed / self._tick_us
         limit = self._estcpu_limit
         if est > limit:
             est = limit
-        proc.estcpu = est
+        estcpu[slot] = est
         pri = self._puser + est / self._estcpu_weight + self._nice_weight * proc.nice
         if pri < 0:
             proc.priority = 0
@@ -558,7 +591,7 @@ class Kernel:
                 proc.boost_priority = None
                 pri = (
                     self._puser
-                    + proc.estcpu / self._estcpu_weight
+                    + self._estcpu[proc.slot] / self._estcpu_weight
                     + self._nice_weight * proc.nice
                 )
                 if pri < 0:
@@ -604,15 +637,17 @@ class Kernel:
         if proc.stopped:
             return  # parked until SIGCONT
         self._unpark(proc)
+        est = self._estcpu[proc.slot]
         if proc.slptime >= 1:
-            proc.estcpu = wakeup_decay(
-                self.cfg, proc.estcpu, proc.nice, self.loadavg.value, proc.slptime
+            est = wakeup_decay(
+                self.cfg, est, proc.nice, self.loadavg.value, proc.slptime
             )
+            self._estcpu[proc.slot] = est
             proc.slptime = 0
         # Inlined user_priority (see _charge_proc).
         pri = (
             self._puser
-            + proc.estcpu / self._estcpu_weight
+            + est / self._estcpu_weight
             + self._nice_weight * proc.nice
         )
         if pri < 0:
@@ -638,7 +673,7 @@ class Kernel:
         inflight = self._clock._now - proc.run_start
         if inflight < 0:
             inflight = 0
-        est = proc.estcpu + inflight / self._tick_us
+        est = self._estcpu[proc.slot] + inflight / self._tick_us
         limit = self._estcpu_limit
         if est > limit:
             est = limit
@@ -832,6 +867,7 @@ class Kernel:
                     pass
             proc.wait_channel = None
         self._unpark(proc)  # zombie keeps the eager-path slptime/estcpu
+        self._scheduled[proc.slot] = 0
         proc.state = ProcState.ZOMBIE
         proc.exit_status = status
         self.exit_count += 1
@@ -911,68 +947,18 @@ class Kernel:
     def _on_schedcpu(self, event) -> None:
         self._charge_current()
         load = self.loadavg.value
-        lazy = self._lazy
         self.perf_schedcpu_passes += 1
-        if lazy:
+        if self._lazy:
             self._schedcpu_epoch += 1
             self._load_history.append(load)
-        if lazy and self._oncpu == 0 and not self.runq:
-            # Every non-zombie process is parked (sleeping/stopped), so
-            # the pass would only age sleepers — deferred to wakeup.
-            self.perf_schedcpu_idle_skips += 1
+            if self._oncpu == 0 and not self.runq:
+                # Every non-zombie process is parked (sleeping/stopped),
+                # so the pass would only age sleepers — deferred to wakeup.
+                self.perf_schedcpu_idle_skips += 1
+            else:
+                self._schedcpu_columns(load)
         else:
-            # One fused pass: per-pass constants hoisted, decay_estcpu /
-            # user_priority inlined operation-for-operation (as in
-            # _charge_proc; tests/kernel/test_schedcpu_pass.py compares).
-            factor = decay_factor(load)
-            limit = self._estcpu_limit
-            puser = self._puser
-            estcpu_weight = self._estcpu_weight
-            nice_weight = self._nice_weight
-            maxpri = self._maxpri
-            on_runq = self._on_runq
-            runq = self.runq
-            zombie = ProcState.ZOMBIE
-            sleeping = ProcState.SLEEPING
-            for proc in self.procs.values():
-                state = proc.state
-                if state is zombie:
-                    continue
-                if state is sleeping or proc.stopped:
-                    if lazy:
-                        # Deferred: slptime aging and the single
-                        # first-pass decay replay at _materialize_slptime.
-                        continue
-                    proc.slptime += 1
-                    if proc.slptime > 1:
-                        continue  # updatepri handles long sleepers on wakeup
-                est = proc.estcpu
-                nice = proc.nice
-                new_est = factor * est + nice
-                if new_est < 0.0:
-                    new_est = 0.0
-                elif new_est > limit:
-                    new_est = limit
-                if new_est == est:
-                    continue
-                proc.estcpu = new_est
-                pri = puser + new_est / estcpu_weight + nice_weight * nice
-                if pri < 0:
-                    pri = 0
-                elif pri > maxpri:
-                    pri = maxpri
-                else:
-                    pri = int(pri)
-                boost = proc.boost_priority
-                if boost is not None and boost < pri:
-                    pri = boost
-                if pri != proc.priority:
-                    if proc.pid in on_runq:
-                        runq.remove(proc)
-                        proc.priority = pri
-                        runq.insert(proc)
-                    else:
-                        proc.priority = pri
+            self._schedcpu_eager(load)
         self._request_resched()
         self.engine.after(
             self.cfg.schedcpu_us,
@@ -980,6 +966,96 @@ class Kernel:
             priority=_EVPRI_HOUSEKEEPING,
             tag="schedcpu",
         )
+
+    def _schedcpu_columns(self, load: float) -> None:
+        """The lazy kernel's decay pass: one in-place sweep of the columns.
+
+        Decays every directly scheduled process (parked ones replay
+        their single first-pass decay at :meth:`_materialize_slptime`)
+        with the vector forms of ``decay_estcpu`` / ``user_priority``,
+        which are bit-exact against the scalar ones, then visits only
+        the rows whose ``estcpu`` moved, in slot (= table) order like
+        :meth:`_schedcpu_eager`, for the boost ``min`` and the requeue.
+        The numpy views are locals: they must be gone before the next
+        ``spawn`` grows the buffers.
+        """
+        est = np.frombuffer(self._estcpu, dtype=np.float64)
+        nice = np.frombuffer(self._nice, dtype=np.int64)
+        new_est = batched_decay(est, nice, load, self._estcpu_limit)
+        changed = np.frombuffer(self._scheduled, dtype=np.bool_) & (new_est != est)
+        rows = np.flatnonzero(changed)
+        if not rows.size:
+            return
+        new_pri = batched_user_priority(self.cfg, new_est, nice)[rows]
+        np.copyto(est, new_est, where=changed)
+        on_runq = self._on_runq
+        runq = self.runq
+        changed_procs = map(self._table.__getitem__, rows.tolist())
+        for proc, pri in zip(changed_procs, new_pri.tolist()):
+            boost = proc.boost_priority
+            if boost is not None and boost < pri:
+                pri = boost
+            if pri != proc.priority:
+                if proc.pid in on_runq:
+                    runq.remove(proc)
+                    proc.priority = pri
+                    runq.insert(proc)
+                else:
+                    proc.priority = pri
+
+    def _schedcpu_eager(self, load: float) -> None:
+        """The eager (``strict``) decay pass, one fused scalar loop: the
+        oracle :meth:`_schedcpu_columns` is compared against.
+
+        Per-pass constants hoisted, decay_estcpu / user_priority inlined
+        operation-for-operation (as in _charge_proc;
+        tests/kernel/test_schedcpu_pass.py compares).
+        """
+        factor = decay_factor(load)
+        limit = self._estcpu_limit
+        puser = self._puser
+        estcpu_weight = self._estcpu_weight
+        nice_weight = self._nice_weight
+        maxpri = self._maxpri
+        on_runq = self._on_runq
+        runq = self.runq
+        estcpu = self._estcpu
+        zombie = ProcState.ZOMBIE
+        sleeping = ProcState.SLEEPING
+        for proc, est in zip(self._table, estcpu):
+            state = proc.state
+            if state is zombie:
+                continue
+            if state is sleeping or proc.stopped:
+                proc.slptime += 1
+                if proc.slptime > 1:
+                    continue  # updatepri handles long sleepers on wakeup
+            nice = proc.nice
+            new_est = factor * est + nice
+            if new_est < 0.0:
+                new_est = 0.0
+            elif new_est > limit:
+                new_est = limit
+            if new_est == est:
+                continue
+            estcpu[proc.slot] = new_est
+            pri = puser + new_est / estcpu_weight + nice_weight * nice
+            if pri < 0:
+                pri = 0
+            elif pri > maxpri:
+                pri = maxpri
+            else:
+                pri = int(pri)
+            boost = proc.boost_priority
+            if boost is not None and boost < pri:
+                pri = boost
+            if pri != proc.priority:
+                if proc.pid in on_runq:
+                    runq.remove(proc)
+                    proc.priority = pri
+                    runq.insert(proc)
+                else:
+                    proc.priority = pri
 
     def _on_loadavg(self, event) -> None:
         self.loadavg.sample(self.runnable_count())

@@ -6,9 +6,14 @@ Implements the classic 4.4BSD formulas (McKusick et al., ch. 4):
 * once per second: ``p_estcpu = (2*load / (2*load + 1)) * p_estcpu + p_nice``
 * on wakeup after sleeping >= 1 s: the decay filter is applied once per
   second slept, approximating the usage the process would have shed.
+
+The ``batched_*`` functions are the per-second step and the priority
+formula over numpy vectors, bit-exact against the scalar ones.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.kernel.kconfig import KernelConfig
 
@@ -66,3 +71,37 @@ def charge_estcpu(cfg: KernelConfig, estcpu: float, ran_us: int) -> float:
     """
     new = estcpu + ran_us / cfg.tick_us
     return min(new, cfg.estcpu_limit)
+
+
+def batched_decay(
+    estcpu: np.ndarray,
+    nice: np.ndarray,
+    load: float,
+    limit: float,
+) -> np.ndarray:
+    """One second of BSD decay over an estcpu vector.
+
+    Elementwise-identical to :func:`decay_estcpu`: ``f*e + nice`` as
+    two float64 ops (multiply then add, never fused), then the
+    ``< 0 → 0`` and ``min(·, limit)`` clamps.  The property tests
+    compare this against the scalar function value-for-value with
+    ``==``, not with a tolerance.
+    """
+    factor = decay_factor(load)
+    new = factor * estcpu + nice
+    return np.minimum(np.where(new < 0.0, 0.0, new), limit)
+
+
+def batched_user_priority(
+    cfg: KernelConfig, estcpu: np.ndarray, nice: np.ndarray
+) -> np.ndarray:
+    """The BSD priority formula over vectors, clamped like the scalar.
+
+    Matches :func:`user_priority` exactly: ``puser + estcpu/weight +
+    nice_weight*nice`` evaluated left to right in float64, negative
+    lanes clamped to 0, overlarge lanes to ``maxpri``, the rest
+    truncated toward zero as ``int()`` does.
+    """
+    pri = cfg.puser + estcpu / cfg.estcpu_weight + cfg.nice_weight * nice
+    truncated = pri.astype(np.int64)  # toward zero, like int()
+    return np.where(pri < 0, 0, np.where(pri > cfg.maxpri, cfg.maxpri, truncated))

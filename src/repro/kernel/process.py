@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -32,7 +33,11 @@ class Process:
 
     Time fields are integer microseconds of virtual time.  ``estcpu``
     follows the BSD convention: one unit per statclock tick of CPU
-    consumed, decayed once per second.
+    consumed, decayed once per second.  It is the one field that does
+    not live on the PCB: :attr:`estcpu` reads and writes row
+    :attr:`slot` of a float64 column — the owning kernel's (so the
+    per-second decay is one vector pass over that column), or a private
+    one-element column for a free-standing PCB.
 
     Equality is identity (``eq=False``): pids are unique, so two PCBs
     are the same process iff they are the same object, and run-queue /
@@ -53,7 +58,13 @@ class Process:
     ready_while_stopped: bool = False
 
     # -- scheduler state ------------------------------------------------
-    estcpu: float = 0.0
+    #: Row of this process in its kernel's columns: dense, in spawn
+    #: order (= process-table order), never reused after exit.
+    slot: int = 0
+    #: The column holding :attr:`estcpu` at row :attr:`slot`.
+    estcpu_column: array = field(
+        default_factory=lambda: array("d", (0.0,)), repr=False
+    )
     priority: int = 0
     #: Kernel wakeup-priority boost; set when waking from a voluntary
     #: sleep, consumed at first dispatch (4.4BSD tsleep priority).
@@ -96,6 +107,15 @@ class Process:
     tag_wake: str = ""
     #: Exit status (valid once ZOMBIE).
     exit_status: int = 0
+
+    @property
+    def estcpu(self) -> float:
+        """Decayed CPU usage estimate, in statclock ticks."""
+        return self.estcpu_column[self.slot]
+
+    @estcpu.setter
+    def estcpu(self, value: float) -> None:
+        self.estcpu_column[self.slot] = value
 
     @property
     def alive(self) -> bool:

@@ -65,8 +65,6 @@ from repro.kernel.batch import (
     ArrayRunQueue,
     BatchKernel,
     BatchKernelAPI,
-    batched_decay,
-    batched_user_priority,
 )
 from repro.errors import KernelError, SimulationError
 from repro.kernel.actions import Action, Compute, Exit, Sleep, SleepOn
@@ -77,7 +75,11 @@ from repro.kernel.kernel import (
     _EVPRI_START,
     _MAX_IMMEDIATE_ACTIONS,
 )
-from repro.kernel.priorities import user_priority, wakeup_decay
+from repro.kernel.priorities import (
+    batched_decay,
+    batched_user_priority,
+    wakeup_decay,
+)
 from repro.kernel.runqueue import NQS, PPQ
 from repro.kernel.process import Process, ProcState
 from repro.sim.engine import Engine
@@ -109,6 +111,12 @@ _COLUMNS: dict[str, tuple[str, type]] = {
     "on_runq": ("b", np.bool_),
 }
 
+#: The columns the base :class:`~repro.kernel.kernel.Kernel` owns
+#: (``_estcpu`` / ``_nice``).  A store under a kernel holds those very
+#: buffers, so they follow the kernel's growth rule — one ``append``
+#: per allocated row, in place — instead of capacity doubling.
+_KERNEL_COLUMNS = ("estcpu", "nice")
+
 
 class ResidentStore:
     """Authoritative struct-of-arrays process table.
@@ -125,25 +133,41 @@ class ResidentStore:
     ``has_channel`` mirror so blocked-detection stays vectorizable.
     Buffers grow by doubling, which *replaces* them — numpy views from
     :meth:`np_view` must therefore be taken fresh per pass, never
-    cached across an allocation.
+    cached across an allocation.  The :data:`_KERNEL_COLUMNS` grow in
+    place instead, and Python refuses that while a view of them is
+    alive.
+
+    ``estcpu``, ``nice`` and ``views`` default to fresh buffers;
+    :class:`ResidentKernel` passes the base kernel's, so there is one
+    ``estcpu`` column and one slot table, not two.
     """
 
     __slots__ = ("capacity", "n", "wait_channel", "slot_of", "views") + tuple(
         _COLUMNS
     )
 
-    def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
+    def __init__(
+        self,
+        capacity: int = _INITIAL_CAPACITY,
+        *,
+        estcpu: Optional[array] = None,
+        nice: Optional[array] = None,
+        views: Optional[list] = None,
+    ) -> None:
         self.capacity = capacity
         self.n = 0
         for name, (typecode, _) in _COLUMNS.items():
-            fill = NO_VALUE if name == "boost" else 0
-            setattr(self, name, array(typecode, [fill]) * capacity)
+            if name not in _KERNEL_COLUMNS:
+                fill = NO_VALUE if name == "boost" else 0
+                setattr(self, name, array(typecode, [fill]) * capacity)
+        self.estcpu = array("d") if estcpu is None else estcpu
+        self.nice = array("q") if nice is None else nice
         #: Wait-channel strings (row-indexed; None unless sleeping).
         self.wait_channel: list[Optional[str]] = []
         #: pid -> row index.
         self.slot_of: dict[int, int] = {}
         #: Row-indexed view PCBs (the requeue loop needs the objects).
-        self.views: list["ResidentProcess"] = []
+        self.views: list["ResidentProcess"] = [] if views is None else views
 
     def __len__(self) -> int:
         return self.n
@@ -166,6 +190,8 @@ class ResidentStore:
             self._grow()
         self.n = row + 1
         self.pids[row] = pid
+        self.estcpu.append(0.0)
+        self.nice.append(0)
         self.wait_channel.append(None)
         self.slot_of[pid] = row
         return row
@@ -173,6 +199,8 @@ class ResidentStore:
     def _grow(self) -> None:
         new_cap = self.capacity * 2
         for name, (typecode, _) in _COLUMNS.items():
+            if name in _KERNEL_COLUMNS:
+                continue
             fill = NO_VALUE if name == "boost" else 0
             old = getattr(self, name)
             new = array(typecode, [fill]) * new_cap
@@ -198,7 +226,7 @@ class ResidentProcess(Process):
     slots from the parent class.
     """
 
-    __slots__ = ("_store", "_row", "_qbucket", "_qpos")
+    __slots__ = ("_store", "_qbucket", "_qpos")
 
     @classmethod
     def attach(
@@ -218,7 +246,8 @@ class ResidentProcess(Process):
         columns; ``STATE_CODES[RUNNABLE] == 0``; boost pre-filled with
         :data:`NO_VALUE`; wait channel None), so routing eleven default
         assignments through the property setters per spawn would be
-        pure overhead — only ``nice`` actually needs an array write.
+        pure overhead — only the two kernel-owned columns, which grow
+        by one element per row, are written.
         The plain structure slots are set directly, mirroring the
         parent's field defaults (tests/kernel/test_resident_view.py
         pins a fresh view against a fresh plain Process field by
@@ -230,14 +259,15 @@ class ResidentProcess(Process):
             store._grow()
         store.n = row + 1
         store.pids[row] = pid
+        store.estcpu.append(0.0)
+        store.nice.append(nice)
         store.wait_channel.append(None)
         store.slot_of[pid] = row
         self = object.__new__(cls)
         self._store = store
-        self._row = row
+        self.slot = row
+        self.estcpu_column = store.estcpu
         store.views.append(self)
-        if nice:
-            store.nice[row] = nice
         # Plain (non-array) slots, matching Process field defaults.
         self.pid = pid
         self.name = name
@@ -257,95 +287,89 @@ class ResidentProcess(Process):
         return self
 
     # -- scheduler state (array-backed) ---------------------------------
-    @property
-    def estcpu(self) -> float:
-        return self._store.estcpu[self._row]
-
-    @estcpu.setter
-    def estcpu(self, value: float) -> None:
-        self._store.estcpu[self._row] = value
-
+    # ``estcpu`` is inherited: the parent's property reads row ``slot``
+    # of ``estcpu_column``, which attach binds to the store's column.
     @property
     def priority(self) -> int:
-        return self._store.priority[self._row]
+        return self._store.priority[self.slot]
 
     @priority.setter
     def priority(self, value: int) -> None:
-        self._store.priority[self._row] = value
+        self._store.priority[self.slot] = value
 
     @property
     def nice(self) -> int:
-        return self._store.nice[self._row]
+        return self._store.nice[self.slot]
 
     @nice.setter
     def nice(self, value: int) -> None:
-        self._store.nice[self._row] = value
+        self._store.nice[self.slot] = value
 
     @property
     def slptime(self) -> int:
-        return self._store.slptime[self._row]
+        return self._store.slptime[self.slot]
 
     @slptime.setter
     def slptime(self, value: int) -> None:
-        self._store.slptime[self._row] = value
+        self._store.slptime[self.slot] = value
 
     @property
     def cpu_time(self) -> int:
-        return self._store.cpu_time[self._row]
+        return self._store.cpu_time[self.slot]
 
     @cpu_time.setter
     def cpu_time(self, value: int) -> None:
-        self._store.cpu_time[self._row] = value
+        self._store.cpu_time[self.slot] = value
 
     @property
     def run_start(self) -> int:
-        return self._store.run_start[self._row]
+        return self._store.run_start[self.slot]
 
     @run_start.setter
     def run_start(self, value: int) -> None:
-        self._store.run_start[self._row] = value
+        self._store.run_start[self.slot] = value
 
     @property
     def pending_burst_us(self) -> int:
-        return self._store.pending_burst[self._row]
+        return self._store.pending_burst[self.slot]
 
     @pending_burst_us.setter
     def pending_burst_us(self, value: int) -> None:
-        self._store.pending_burst[self._row] = value
+        self._store.pending_burst[self.slot] = value
 
     @property
     def state(self) -> ProcState:
-        return _CODE_TO_STATE[self._store.state[self._row]]
+        return _CODE_TO_STATE[self._store.state[self.slot]]
 
     @state.setter
     def state(self, value: ProcState) -> None:
-        self._store.state[self._row] = STATE_CODES[value]
+        self._store.state[self.slot] = STATE_CODES[value]
 
     @property
     def stopped(self) -> bool:
-        return self._store.stopped[self._row] != 0
+        return self._store.stopped[self.slot] != 0
 
     @stopped.setter
     def stopped(self, value: bool) -> None:
-        self._store.stopped[self._row] = 1 if value else 0
+        self._store.stopped[self.slot] = 1 if value else 0
 
     @property
     def boost_priority(self) -> Optional[int]:
-        boost = self._store.boost[self._row]
+        boost = self._store.boost[self.slot]
         return None if boost == NO_VALUE else boost
 
     @boost_priority.setter
     def boost_priority(self, value: Optional[int]) -> None:
-        self._store.boost[self._row] = NO_VALUE if value is None else value
+        self._store.boost[self.slot] = NO_VALUE if value is None else value
 
     @property
     def wait_channel(self) -> Optional[str]:
-        return self._store.wait_channel[self._row]
+        return self._store.wait_channel[self.slot]
 
     @wait_channel.setter
     def wait_channel(self, value: Optional[str]) -> None:
         store = self._store
-        row = self._row
+        row = self.slot
         store.wait_channel[row] = value
         store.has_channel[row] = 0 if value is None else 1
 
@@ -520,24 +544,21 @@ class ResidentKernel(BatchKernel):
         config: KernelConfig = DEFAULT_CONFIG,
     ) -> None:
         super().__init__(engine, config)
-        self.store = ResidentStore()
+        self.store = ResidentStore(
+            estcpu=self._estcpu, nice=self._nice, views=self._table
+        )
         self.runq = ResidentRunQueue()  # type: ignore[assignment]  # same surface
         # Replace the plain pid set installed by Kernel.__init__ with
         # the mirroring set (empty at this point; no process exists yet).
         self._on_runq = _RunqMembership(self.store)
         self.kapi = ResidentKernelAPI(self)
 
-    def _make_process(self, pid, name, uid, nice, behavior) -> Process:
-        return ResidentProcess.attach(
-            self.store, pid=pid, name=name, uid=uid, nice=nice, behavior=behavior
-        )
-
     # ------------------------------------------------------------------
     # Row-direct scalar hot paths
     # ------------------------------------------------------------------
     # The methods below are operation-for-operation copies of the base
     # kernel's (see each original's docstring for semantics) with one
-    # change: they fetch ``store``/``proc._row`` once and index the
+    # change: they fetch ``store``/``proc.slot`` once and index the
     # column buffers directly instead of going through the view
     # properties.  A property access costs a descriptor call plus two
     # attribute loads per field; on the spawn/start storm — the scalar-
@@ -561,7 +582,8 @@ class ResidentKernel(BatchKernel):
         proc = ResidentProcess.attach(
             store, pid=pid, name=name, uid=uid, nice=nice, behavior=behavior
         )
-        row = proc._row
+        row = proc.slot
+        self._scheduled.append(1)
         # Inlined user_priority(cfg, 0.0, nice) over the hoisted scalars.
         pri = self._puser + 0.0 / self._estcpu_weight + self._nice_weight * nice
         if pri < 0:
@@ -595,7 +617,7 @@ class ResidentKernel(BatchKernel):
     def _on_start(self, event) -> None:
         proc: ResidentProcess = event.payload
         store = self.store
-        row = proc._row
+        row = proc.slot
         if store.state[row] == _ZOMBIE_CODE:
             return
         store.wait_channel[row] = None
@@ -614,7 +636,7 @@ class ResidentKernel(BatchKernel):
 
     def _setrunnable(self, proc: Process) -> None:
         store = self.store
-        row = proc._row
+        row = proc.slot
         store.state[row] = 0  # STATE_CODES[RUNNABLE]
         if store.stopped[row]:
             return  # parked until SIGCONT
@@ -623,6 +645,7 @@ class ResidentKernel(BatchKernel):
         if proc.park_epoch is not None:
             self._materialize_slptime(proc)
             proc.park_epoch = None
+            self._scheduled[row] = 1
         estcpu = store.estcpu[row]
         nice = store.nice[row]
         slptime = store.slptime[row]
@@ -674,7 +697,7 @@ class ResidentKernel(BatchKernel):
 
     def _advance(self, proc: Process, on_cpu: bool) -> None:
         store = self.store
-        row = proc._row
+        row = proc.slot
         state = store.state
         kapi = self.kapi
         for _ in range(_MAX_IMMEDIATE_ACTIONS):
@@ -726,9 +749,9 @@ class ResidentKernel(BatchKernel):
                 head = bucket[hd]
             runq._heads[qi] = hd
             store = self.store
-            best = store.priority[head._row]
+            best = store.priority[head.slot]
             # Inlined _inst_priority(proc).
-            prow = proc._row
+            prow = proc.slot
             inflight = self._clock._now - store.run_start[prow]
             if inflight < 0:
                 inflight = 0
@@ -755,7 +778,7 @@ class ResidentKernel(BatchKernel):
 
     def _inst_priority(self, proc: Process) -> int:
         store = self.store
-        row = proc._row
+        row = proc.slot
         inflight = self._clock._now - store.run_start[row]
         if inflight < 0:
             inflight = 0
@@ -776,7 +799,7 @@ class ResidentKernel(BatchKernel):
 
     def _charge_proc(self, proc: Process) -> None:
         store = self.store
-        row = proc._row
+        row = proc.slot
         now = self._clock._now
         consumed = now - store.run_start[row]
         if consumed <= 0:
@@ -806,7 +829,7 @@ class ResidentKernel(BatchKernel):
     def _on_burst_complete(self, event) -> None:
         proc: ResidentProcess = event.payload
         store = self.store
-        row = proc._row
+        row = proc.slot
         ci = proc.cpu_index
         if (
             store.state[row] != _RUNNING_CODE
@@ -838,7 +861,7 @@ class ResidentKernel(BatchKernel):
             proc = self.runq.pop_best()
             if proc is None:
                 return
-            row = proc._row
+            row = proc.slot
             pid = proc.pid
             set.discard(on_runq, pid)
             store.on_runq[row] = 0
@@ -886,7 +909,7 @@ class ResidentKernel(BatchKernel):
             proc.burst_handle = None
         self._charge_proc(proc)
         store = self.store
-        row = proc._row
+        row = proc.slot
         store.state[row] = 0  # STATE_CODES[RUNNABLE]
         proc.preemptions += 1
         proc.cpu_index = None
@@ -915,7 +938,7 @@ class ResidentKernel(BatchKernel):
         run_start = store.run_start
         priority = store.priority
         for i, proc in enumerate(self.cpus):
-            if proc is None or now <= run_start[proc._row]:
+            if proc is None or now <= run_start[proc.slot]:
                 continue
             self._charge_proc(proc)
             bits = runq._nonempty
@@ -928,7 +951,7 @@ class ResidentKernel(BatchKernel):
                     hd += 1
                     head = bucket[hd]
                 runq._heads[qi] = hd
-                if priority[head._row] < priority[proc._row]:
+                if priority[head.slot] < priority[proc.slot]:
                     self._preempt_cpu(i)
                     self._dispatch()
         self.engine.after(
@@ -945,7 +968,7 @@ class ResidentKernel(BatchKernel):
         run_start = store.run_start
         priority = store.priority
         for i, proc in enumerate(self.cpus):
-            if proc is None or not runq._count or now <= run_start[proc._row]:
+            if proc is None or not runq._count or now <= run_start[proc.slot]:
                 continue
             self._charge_proc(proc)
             bits = runq._nonempty
@@ -953,7 +976,7 @@ class ResidentKernel(BatchKernel):
                 # The best bucket index *is* best_priority >> 2, which
                 # is all the BSD bucket comparison needs.
                 qi = (bits & -bits).bit_length() - 1
-                if qi <= priority[proc._row] >> 2:
+                if qi <= priority[proc.slot] >> 2:
                     self._preempt_cpu(i)
                     self._dispatch()
         self.engine.after(

@@ -17,6 +17,7 @@ from repro.kernel.actions import Compute, Sleep
 from repro.kernel.behaviors import GeneratorBehavior
 from repro.kernel.kconfig import KernelConfig
 from repro.kernel.kernel import Kernel
+from repro.kernel.process import ProcState
 from repro.sim.engine import Engine
 from repro.units import ms, sec
 
@@ -94,3 +95,29 @@ def test_slptime_of_materialises_on_read(scripts_):
     eager_engine.run_until(sec(5))
     for pid in eager_kernel.procs:
         assert lazy_kernel.slptime_of(pid) == eager_kernel.slptime_of(pid)
+
+
+def test_renice_of_a_parked_process_replays_its_decay_with_the_old_nice():
+    """The eager kernel decays a fresh sleeper at the first pass after it
+    went to sleep, with the nice it has at that pass.  A ``renice`` that
+    arrives later must not change what the deferred replay computes."""
+    # pid 1 computes 0.4 s and sleeps 2.5 s, four times, beside two
+    # spinners; at 8.5 s it is a second into its third sleep (one pass
+    # since it parked) and the load average is above zero.
+    script = [[(40, 250)] * 4, [(40, 0)], [(40, 0)]]
+    states = []
+    for strict in (True, False):
+        engine, kernel = _build(strict, script)
+        engine.run_until(sec(8) + ms(500))
+        proc = kernel.procs[1]
+        assert proc.state is ProcState.SLEEPING and kernel.loadavg.value > 0.0
+        kernel.renice(1, 7)
+        kernel.flush_lazy_decay()
+        after_renice = (proc.estcpu, proc.priority, proc.slptime)
+        engine.run_until(sec(12))
+        kernel.flush_lazy_decay()
+        states.append(
+            (after_renice, proc.estcpu, proc.priority, engine.events_processed)
+        )
+    assert states[0] == states[1]
+    assert states[0][0][0] > 0.0  # there was usage to decay

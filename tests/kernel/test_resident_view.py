@@ -169,6 +169,7 @@ def test_fresh_view_matches_fresh_plain_process_field_by_field():
         assert type(got) is type(want), (
             f"{f.name}: view type {type(got)} != plain type {type(want)}"
         )
+    assert view.estcpu == plain.estcpu == 0.0  # a property, not a field
     assert view.alive and plain.alive
     assert view.runnable == plain.runnable
 
@@ -178,7 +179,7 @@ def test_store_grow_preserves_rows_and_refreshes_views():
     procs = _attach_n(store, 2)
     procs[0].estcpu = 1.5
     procs[1].priority = 60
-    stale = store.np_view("estcpu")
+    stale = store.np_view("priority")
     _attach_n_more = ResidentProcess.attach(
         store, pid=99, name="g", uid=0, nice=0, behavior=None
     )
@@ -190,7 +191,24 @@ def test_store_grow_preserves_rows_and_refreshes_views():
     # ...and a fresh view sees them; the pre-grow view is stale by
     # design (it aliases the replaced buffer).
     assert store.np_view("estcpu")[0] == 1.5
-    assert stale.base is not None  # still a view of the old buffer
+    assert store.np_view("priority")[1] == 60
+    stale[1] = 7
+    assert procs[1].priority == 60
+
+
+def test_kernel_columns_grow_in_place_and_refuse_a_live_view():
+    """``estcpu``/``nice`` are the base kernel's buffers: one append per
+    row, same object before and after, and no allocation while a numpy
+    view of them is alive (a replaced buffer would be a second copy)."""
+    store = ResidentStore(capacity=2)
+    estcpu, nice = store.estcpu, store.nice
+    _attach_n(store, 5)
+    assert store.estcpu is estcpu and store.nice is nice
+    assert len(estcpu) == len(nice) == store.n == 5
+    live = store.np_view("estcpu")
+    with pytest.raises(BufferError):
+        ResidentProcess.attach(store, pid=99, name="g", uid=0, nice=0, behavior=None)
+    del live
 
 
 def test_faulty_kapi_hides_measure_many_from_the_agent():

@@ -1,25 +1,37 @@
-"""One ``schedcpu`` pass equals the readable spec (property test).
+"""One ``schedcpu`` pass equals the readable spec (property tests).
 
-``Kernel._on_schedcpu`` inlines :func:`decay_estcpu` and
-:func:`user_priority` over per-pass constants.  For any population —
-any estcpu, nice, load (zero included), wakeup boost, and any mix of
-runnable / sleeping / stopped / zombie processes, eager (``strict``) or
-lazy — one pass must leave every PCB's ``(estcpu, priority, slptime)``
-exactly where the module functions put it, and the run queue must hold
-each runnable process in the bucket of its new priority.
+The kernel has two implementations of the per-second decay: the eager
+scalar loop (``strict``, the oracle) and the lazy kernel's in-place
+vector pass over the ``estcpu`` column.  For any population — table
+sizes 1…500, any estcpu, nice, load (zero included), wakeup boost, and
+any mix of runnable / sleeping / stopped / zombie processes:
+
+* one pass of either must leave every PCB's ``(estcpu, priority,
+  slptime)`` exactly where :func:`decay_estcpu` and
+  :func:`user_priority` put it, with each runnable process in the
+  run-queue bucket of its new priority;
+* two passes with a ``renice``, a SIGSTOP and a SIGCONT in between
+  (the writes to the ``nice`` mirror and the scheduled mask) must leave
+  the lazy kernel equal to the strict one field by field and bucket by
+  bucket.
 """
 
 from __future__ import annotations
+
+import random
 
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel.kconfig import KernelConfig
 from repro.kernel.kernel import Kernel
 from repro.kernel.priorities import decay_estcpu, user_priority
-from repro.kernel.process import Process, ProcState
+from repro.kernel.process import ProcState
+from repro.kernel.signals import SIGCONT, SIGKILL, SIGSTOP
 from repro.sim.engine import Engine
 
 CFG = KernelConfig()
+KINDS = ["runnable", "sleeping", "stopped", "zombie"]
+BOOSTS = [None, CFG.sleep_priority]
 
 #: estcpu values that sit on both clamps as well as inside the range.
 estcpus = st.one_of(
@@ -27,14 +39,15 @@ estcpus = st.one_of(
     st.floats(0.0, CFG.estcpu_limit, allow_nan=False),
 )
 
-pcbs = st.lists(
+#: Small tables drawn field by field, so failures shrink well.
+drawn_tables = st.lists(
     st.fixed_dictionaries(
         {
             "estcpu": estcpus,
             "nice": st.integers(-20, 20),
             "priority": st.integers(0, CFG.maxpri),
-            "boost": st.sampled_from([None, CFG.sleep_priority]),
-            "kind": st.sampled_from(["runnable", "sleeping", "stopped", "zombie"]),
+            "boost": st.sampled_from(BOOSTS),
+            "kind": st.sampled_from(KINDS),
             "slptime": st.integers(0, 3),
         }
     ),
@@ -42,7 +55,66 @@ pcbs = st.lists(
     max_size=12,
 )
 
+
+def _seeded_table(seed: int, n: int) -> list[dict]:
+    """A table of ``n`` rows from one seed: the large sizes, where a
+    field-by-field draw would spend the whole budget generating."""
+    rng = random.Random(seed)
+    limit = CFG.estcpu_limit
+    return [
+        {
+            "estcpu": rng.choice([0.0, limit, rng.uniform(0.0, limit)]),
+            "nice": rng.randint(-20, 20),
+            "priority": rng.randint(0, CFG.maxpri),
+            "boost": rng.choice(BOOSTS),
+            "kind": rng.choice(KINDS),
+            "slptime": rng.randint(0, 3),
+        }
+        for _ in range(n)
+    ]
+
+
+tables = st.one_of(
+    drawn_tables,
+    st.builds(_seeded_table, st.integers(0, 2**32 - 1), st.integers(1, 500)),
+)
+
 loads = st.one_of(st.just(0.0), st.floats(0.0, 4000.0, allow_nan=False))
+
+
+def _build(strict: bool, table: list[dict], load: float) -> Kernel:
+    """A kernel holding ``table``, every row put in its state through
+    the kernel's own transitions so park epochs, the scheduled mask and
+    the ``nice`` mirror are what a run would have left."""
+    kernel = Kernel(Engine(seed=0), KernelConfig(strict=strict))
+    kernel.loadavg._value = load
+    # Defer every reschedule (as inside an event handler) so the
+    # dispatcher does not consume a boost before the state is compared.
+    kernel._dispatch_depth = 1
+    for spec in table:
+        proc = kernel.spawn("p", None, nice=spec["nice"])  # asleep on "fork"
+        proc.estcpu = spec["estcpu"]
+        kind = spec["kind"]
+        if kind == "zombie":
+            kernel.kill(proc.pid, SIGKILL)
+        elif kind == "sleeping":
+            proc.slptime = spec["slptime"]
+        else:
+            proc.wait_channel = None
+            kernel._setrunnable(proc)
+            if kind == "stopped":
+                kernel.kill(proc.pid, SIGSTOP)
+                proc.slptime = spec["slptime"]
+        # Any stored priority/boost is legal input to the pass; a queued
+        # process is requeued so its bucket matches the forced priority.
+        proc.boost_priority = spec["boost"]
+        if proc.pid in kernel._on_runq:
+            kernel.runq.remove(proc)
+            proc.priority = spec["priority"]
+            kernel.runq.insert(proc)
+        else:
+            proc.priority = spec["priority"]
+    return kernel
 
 
 def _spec(cfg, strict, load, proc):
@@ -65,42 +137,69 @@ def _spec(cfg, strict, load, proc):
     return est, pri, slp
 
 
-@given(population=pcbs, load=loads, strict=st.booleans())
-@settings(max_examples=300, deadline=None)
-def test_one_pass_matches_decay_estcpu_and_user_priority(population, load, strict):
-    cfg = KernelConfig(strict=strict)
-    kernel = Kernel(Engine(seed=0), cfg)
-    kernel.loadavg._value = load
-    for pid, spec in enumerate(population, start=1):
-        proc = Process(pid=pid, name=f"p{pid}", uid=0, nice=spec["nice"], behavior=None)
-        proc.estcpu = spec["estcpu"]
-        proc.priority = spec["priority"]
-        proc.boost_priority = spec["boost"]
-        kind = spec["kind"]
-        if kind == "zombie":
-            proc.state = ProcState.ZOMBIE
-        elif kind == "sleeping":
-            proc.state = ProcState.SLEEPING
-            proc.slptime = spec["slptime"]
-        elif kind == "stopped":
-            proc.stopped = True
-            proc.slptime = spec["slptime"]
-        else:
-            kernel.runq.insert(proc)
-            kernel._on_runq.add(pid)
-        kernel.procs[pid] = proc
-    expected = {
-        pid: _spec(cfg, strict, load, proc) for pid, proc in kernel.procs.items()
-    }
-
-    # Defer the trailing reschedule (as inside an event handler) so the
-    # dispatcher does not consume a boost before the state is compared.
-    kernel._dispatch_depth = 1
-    kernel._on_schedcpu(None)
-
-    for pid, proc in kernel.procs.items():
-        assert (proc.estcpu, proc.priority, proc.slptime) == expected[pid], pid
+def _assert_runq_consistent(kernel: Kernel) -> None:
     assert len(kernel.runq) == len(kernel._on_runq)
     for pid in kernel._on_runq:
         proc = kernel.procs[pid]
         assert proc in kernel.runq._queues[proc.priority >> 2]
+
+
+@given(table=tables, load=loads, strict=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_matches_decay_estcpu_and_user_priority(table, load, strict):
+    kernel = _build(strict, table, load)
+    expected = {
+        pid: _spec(kernel.cfg, strict, load, proc)
+        for pid, proc in kernel.procs.items()
+    }
+
+    kernel._on_schedcpu(None)
+
+    for pid, proc in kernel.procs.items():
+        assert (proc.estcpu, proc.priority, proc.slptime) == expected[pid], pid
+    _assert_runq_consistent(kernel)
+
+
+def _fields(kernel: Kernel) -> list[tuple]:
+    return [
+        (
+            p.pid, p.estcpu, p.priority, p.nice, p.slptime,
+            p.state, p.stopped, p.boost_priority,
+        )
+        for p in kernel.procs.values()
+    ]
+
+
+def _buckets(kernel: Kernel) -> list[list[int]]:
+    return [[p.pid for p in queue] for queue in kernel.runq._queues]
+
+
+@given(
+    table=tables,
+    load=loads,
+    load2=loads,
+    picks=st.tuples(*[st.integers(0, 10_000)] * 3),
+    nice=st.integers(-20, 20),
+)
+@settings(max_examples=150, deadline=None)
+def test_vector_pass_equals_strict_loop_across_renice_stop_and_cont(
+    table, load, load2, picks, nice
+):
+    strict = _build(True, table, load)
+    lazy = _build(False, table, load)
+    live = [p.pid for p in strict.live_processes()]
+
+    for kernel in (strict, lazy):
+        kernel._on_schedcpu(None)
+        if live:
+            renice_pid, stop_pid, cont_pid = (live[i % len(live)] for i in picks)
+            kernel.renice(renice_pid, nice)
+            kernel.kill(stop_pid, SIGSTOP)
+            kernel.kill(cont_pid, SIGCONT)
+        kernel.loadavg._value = load2
+        kernel._on_schedcpu(None)
+        _assert_runq_consistent(kernel)
+
+    lazy.flush_lazy_decay()  # parked rows: replay what strict did eagerly
+    assert _fields(lazy) == _fields(strict)
+    assert _buckets(lazy) == _buckets(strict)

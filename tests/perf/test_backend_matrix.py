@@ -165,33 +165,56 @@ def test_kernel_only_decay_cell_agrees_across_backends():
 
     Every cell above runs under an ALPS agent; this one is the bare
     kernel, where ``schedcpu`` moves a *queued* process to another
-    bucket ~380 times, so the scalar core's fused pass is pinned against
-    the independent numpy implementation (``batched_decay`` /
-    ``batched_user_priority``), not only against itself.
+    bucket ~380 times, so the three implementations of the pass — the
+    strict scalar loop, the default kernel's in-place vector pass and
+    the batch/resident numpy passes — are pinned against each other.
+    A short script of renice / SIGSTOP / SIGCONT / exit / late spawn
+    runs on top, so the ``nice`` mirror, the scheduled mask and the
+    growth of the columns are part of what must agree.
     """
-    from repro.kernel import make_kernel
+    from repro.kernel import SIGCONT, SIGKILL, SIGSTOP, make_kernel
     from repro.kernel.kconfig import KernelConfig
     from repro.sim.engine import Engine
     from repro.workloads.spinner import spinner_behavior
 
-    requeued: list[int] = []
+    removed: list[int] = []
 
     def run(backend, spy=False):
         engine = Engine(seed=0)
         kernel = make_kernel(engine, KernelConfig(backend=backend))
         if spy:
-            # Spinners never sleep and nothing signals them, so every
-            # run-queue removal is a schedcpu requeue.
+            # Spinners never sleep, so but for the script's handful of
+            # signals every run-queue removal is a schedcpu requeue.
             remove = kernel.runq.remove
-            kernel.runq.remove = lambda proc: (requeued.append(proc.pid), remove(proc))
+            kernel.runq.remove = lambda proc: (removed.append(proc.pid), remove(proc))
         pids = [kernel.spawn(f"p{i}", spinner_behavior()).pid for i in range(300)]
+        engine.run_until(sec(20))
+        kernel.renice(pids[3], 10)
+        kernel.renice(pids[7], -5)
+        kernel.kill(pids[5], SIGSTOP)
+        kernel.kill(pids[6], SIGSTOP)
+        engine.run_until(sec(45))
+        kernel.kill(pids[5], SIGCONT)
+        kernel.kill(pids[9], SIGKILL)
+        pids += [
+            kernel.spawn(f"late{i}", spinner_behavior(), nice=i).pid for i in range(5)
+        ]
+        engine.run_until(sec(80))
+        kernel.renice(pids[5], 3)
+        kernel.kill(pids[6], SIGCONT)  # a minute stopped: updatepri replay
+        kernel.kill(pids[-1], SIGSTOP)
         engine.run_until(sec(120))
+        kernel.flush_lazy_decay()
         per_pid = [
-            (kernel.getrusage(pid), kernel.procs[pid].preemptions) for pid in pids
+            (
+                proc.cpu_time, proc.preemptions, proc.estcpu, proc.priority,
+                proc.nice, proc.state, proc.stopped,
+            )
+            for proc in map(kernel.procs.__getitem__, pids)
         ]
         return per_pid, kernel.context_switches, engine.events_processed
 
     reference = run("strict", spy=True)
-    assert len(requeued) > 100, "cell no longer exercises the requeue branch"
+    assert len(removed) > 100, "cell no longer exercises the requeue branch"
     for backend in CHALLENGERS:
         assert run(backend) == reference, f"{backend} diverged from strict"
