@@ -26,8 +26,9 @@ wedged in SIGSTOP).
 
 Crash *safety* (docs/resilience.md): with a journal attached via
 :meth:`AlpsAgent.attach_journal` the agent appends one checksummed
-snapshot of its scheduling state per quantum, and :meth:`restart`
-replays it — the restarted agent resumes the same cycle with its
+record of its scheduling state per quantum (what the quantum touched,
+or a full snapshot when that is not enough), and :meth:`restart`
+replays them — the restarted agent resumes the same cycle with its
 fairness debt (allowances, cycle remainder, read baselines) intact
 instead of forgiving everything that happened while it was down.  A
 corrupt or empty journal falls back to the lossy reconciliation path
@@ -56,11 +57,11 @@ from repro.kernel.actions import Action, Compute, Sleep
 from repro.kernel.signals import SIGCONT, SIGSTOP
 from repro.overload.ladder import Rung
 from repro.resilience.journal import (
-    SNAPSHOT_VERSION,
-    core_snapshot,
     drain_debt,
+    journal_quantum,
     restore_core,
     schedule_debt,
+    state_snapshot,
     validate_snapshot,
 )
 
@@ -176,6 +177,13 @@ class AlpsAgent:
         # -- crash safety (docs/resilience.md) -------------------------
         #: Write-ahead journal (repro.resilience); None = PR 1 behavior.
         self._journal: Optional["MemoryJournal"] = None
+        #: Journaled state changed outside a measurement since the last
+        #: record (baselines reset, a pid forgotten, a restart): the
+        #: next record must be a checkpoint, a delta would miss it.
+        self._journal_stale = True
+        #: The signals queued at the last record; delivering them moved
+        #: the stop-set, which the next delta must carry.
+        self._journal_signals: list[tuple[int, int]] = []
         #: Snapshot payload recovered by restart(), consumed by the
         #: RECOVERING activation.
         self._recovered: Optional[dict] = None
@@ -237,10 +245,12 @@ class AlpsAgent:
     def attach_journal(self, journal: "MemoryJournal") -> None:
         """Attach a write-ahead journal (:mod:`repro.resilience.journal`).
 
-        The agent appends one snapshot per quantum (at the end of the
-        measurement phase, before signals are delivered) and
-        :meth:`restart` replays the latest valid record.  The journal
-        object must survive the crash — it models persistent storage.
+        The agent appends one record per quantum (at the end of the
+        measurement phase, before signals are delivered) — a delta of
+        the rows a plain quantum touched, a full :meth:`snapshot_state`
+        checkpoint otherwise — and :meth:`restart` replays the recovery
+        point.  The journal object must survive the crash — it models
+        persistent storage.
         """
         self._journal = journal
 
@@ -621,27 +631,47 @@ class AlpsAgent:
 
     def snapshot_state(self, now: int) -> dict:
         """JSON-safe snapshot of all state a restart must not lose."""
-        return {
-            "v": SNAPSHOT_VERSION,
-            "kind": "snapshot",
-            "t": now,
-            "core": core_snapshot(self.core),
-            "agent": {
-                "epoch": self._epoch,
-                "last_read": {
-                    str(pid): usage for pid, usage in sorted(self._last_read.items())
-                },
-                "stopped": sorted(self._stopped_pids),
-                "cumulative": {
-                    str(sid): total
-                    for sid, total in sorted(self._cumulative.items())
-                },
-                "debt": {
-                    str(sid): owed
-                    for sid, owed in sorted(self._deferred_debt.items())
-                },
+        return state_snapshot(
+            self.core,
+            now,
+            self._stopped_pids,
+            {
+                "last_read": self._last_read,
+                "cumulative": self._cumulative,
+                "debt": self._deferred_debt,
             },
-        }
+            epoch=self._epoch,
+        )
+
+    def _journal_quantum(
+        self,
+        journal: "MemoryJournal",
+        now: int,
+        measurements: dict[int, tuple[int, bool]],
+        decisions: QuantumDecisions,
+    ) -> None:
+        """Append this quantum's record (see :func:`journal_quantum`)."""
+        signals = self._pending_signals
+        journal_quantum(
+            journal,
+            lambda: self.snapshot_state(now),
+            self.core,
+            now,
+            full=decisions.full_sweep or self._journal_stale,
+            stopped=self._stopped_pids,
+            # Delivered since the last record, or healed just now.
+            signalled=[pid for pid, _ in self._journal_signals + signals],
+            debt=self._deferred_debt,
+            touched={
+                "last_read": (
+                    self._last_read,
+                    [pid for _, pids in self._due for pid in pids],
+                ),
+                "cumulative": (self._cumulative, measurements),
+            },
+        )
+        self._journal_stale = False
+        self._journal_signals = signals
 
     def restart(self) -> None:
         """Simulate a crash-with-restart: wipe all volatile state.
@@ -670,6 +700,7 @@ class AlpsAgent:
         self.last_restart_journaled = False
         self._recovered = None
         self._deferred_debt = {}
+        self._journal_stale = True
         journal = self._journal
         if journal is None:
             return
@@ -708,6 +739,7 @@ class AlpsAgent:
             except NoSuchProcessError:
                 pass
         self._stopped_pids = set()
+        self._journal_stale = True
         return resumed
 
     # ------------------------------------------------------------------
@@ -868,10 +900,10 @@ class AlpsAgent:
                 )
         journal = self._journal
         if journal is not None:
-            # Write-ahead: the snapshot is durable before the decisions
+            # Write-ahead: the record is durable before the decisions
             # it encodes are enacted.  Appends charge no CPU and draw no
             # engine randomness, so journaling is schedule-invisible.
-            journal.append(self.snapshot_state(now))
+            self._journal_quantum(journal, now, measurements, decisions)
         if not self._pending_signals:
             self._phase = _Phase.SLEEPING
             return self._sleep_until_boundary(now)
@@ -1380,6 +1412,7 @@ class AlpsAgent:
         """Remove every per-pid record (death or departure cleanup)."""
         self._last_read.pop(pid, None)
         self._stopped_pids.discard(pid)
+        self._journal_stale = True
 
     def _retry_read(self, kapi: "KernelAPI", pid: int) -> Optional[int]:
         """Continue a getrusage whose first attempt failed transiently.
@@ -1411,6 +1444,7 @@ class AlpsAgent:
         the next successful read then starts a fresh interval (delta 0),
         which can only under-charge — safe for a recovery path.
         """
+        self._journal_stale = True
         try:
             self._last_read[pid] = kapi.getrusage(pid)
         except NoSuchProcessError:

@@ -69,6 +69,10 @@ class QuantumDecisions:
     cycle_completed: bool = False
     #: The finished cycle's record (present iff ``cycle_completed``).
     cycle_record: Optional[CycleRecord] = None
+    #: Set when this invocation swept every subject (a cycle credit, or
+    #: a membership / share change / restore since the last sweep);
+    #: otherwise only the due and measured subjects' rows were written.
+    full_sweep: bool = False
 
 
 class AlpsCore:
@@ -272,6 +276,7 @@ class AlpsCore:
         if cycles or self._dirty:
             # Full partition sweep: a cycle credit (or a membership /
             # share change since the last sweep) can flip any subject.
+            decisions.full_sweep = True
             for sid, st in subjects.items():
                 allowance = st.allowance
                 if cycles:

@@ -24,11 +24,11 @@ from repro.errors import (
 from repro.hostos import procfs
 from repro.overload.ladder import Rung
 from repro.resilience.journal import (
-    SNAPSHOT_VERSION,
-    core_snapshot,
     drain_debt,
+    journal_quantum,
     restore_core,
     schedule_debt,
+    state_snapshot,
     validate_snapshot,
 )
 
@@ -136,6 +136,13 @@ class HostAlps:
         self.recovered = False
         #: Downtime CPU debt (µs) per pid awaiting amortized repayment.
         self._deferred_debt: dict[int, int] = {}
+        #: Journaled state changed outside ``_one_quantum`` since the
+        #: last record (a run starting or winding down): the next
+        #: record must be a checkpoint, a delta would miss it.
+        self._journal_stale = True
+        #: pids signalled after the last record was written; the next
+        #: delta carries where that left them in the stop-set.
+        self._journal_signalled: list[int] = []
         #: Overload protection (docs/overload.md).  The guard's state is
         #: volatile by design: after a journaled restart protection
         #: re-engages from fresh slip evidence rather than replaying the
@@ -161,6 +168,7 @@ class HostAlps:
         """
         t_start = time.monotonic()
         own_cpu_start = time.process_time()
+        self._journal_stale = True  # baselines below, _resume_all after
         for pid in list(self.core.subjects):
             if pid in self._initial and pid in self._last_read:
                 # Journal-restored: the outage debt was already charged
@@ -271,9 +279,21 @@ class HostAlps:
             measurements[pid] = Measurement(consumed_us=consumed, blocked=blocked)
         decisions = self.core.complete_quantum(measurements)
         if self.journal is not None:
-            # Write-ahead: the snapshot is durable before the signals it
+            # Write-ahead: the record is durable before the signals it
             # encodes are sent.
-            self.journal.append(self.snapshot_state())
+            journal_quantum(
+                self.journal,
+                self.snapshot_state,
+                self.core,
+                int(time.monotonic() * 1_000_000),
+                full=decisions.full_sweep or self._journal_stale,
+                stopped=self._stopped,
+                signalled=self._journal_signalled,
+                debt=self._deferred_debt,
+                touched={"last_read": (self._last_read, due)},
+            )
+            self._journal_stale = False
+            self._journal_signalled = decisions.to_suspend + decisions.to_resume
         for pid in decisions.to_suspend:
             self._signal(pid, signal.SIGSTOP)
         for pid in decisions.to_resume:
@@ -586,25 +606,16 @@ class HostAlps:
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
         """JSON-safe snapshot of everything a restarted controller needs."""
-        return {
-            "v": SNAPSHOT_VERSION,
-            "kind": "snapshot",
-            "t": int(time.monotonic() * 1_000_000),
-            "core": core_snapshot(self.core),
-            "agent": {
-                "last_read": {
-                    str(pid): usage for pid, usage in sorted(self._last_read.items())
-                },
-                "initial": {
-                    str(pid): usage for pid, usage in sorted(self._initial.items())
-                },
-                "stopped": sorted(self._stopped),
-                "debt": {
-                    str(pid): owed
-                    for pid, owed in sorted(self._deferred_debt.items())
-                },
+        return state_snapshot(
+            self.core,
+            int(time.monotonic() * 1_000_000),
+            self._stopped,
+            {
+                "last_read": self._last_read,
+                "initial": self._initial,
+                "debt": self._deferred_debt,
             },
-        }
+        )
 
     def restore_from_journal(self) -> bool:
         """Replay the attached journal's latest snapshot, if usable.

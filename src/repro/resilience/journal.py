@@ -5,19 +5,44 @@ per-subject allowances (fairness debt), the cycle position ``tc``, the
 eligibility partition, the measurement-postponement indices, and the
 progress-read baselines.  PR 1's crash recovery re-baselines all of it,
 which silently forfeits the debt.  This module makes that state durable:
-each quantum the driver appends one *snapshot record* to a journal, and
-a restarted driver replays the journal to resume the same cycle.
+each quantum the driver appends one record to a journal, and a
+restarted driver replays the journal to resume the same cycle.
 
-Record format (text, line-oriented)::
+The journal is a checkpoint + redo log.  The paper's §3 optimisation
+measures only the subjects that could have used up their allowance, so
+a plain quantum changes one to three subject rows; writing the whole
+state for it would cost more than the quantum itself.  Two record
+kinds, one line each::
 
-    ALPSJ1 <seq> <crc32-hex8> <canonical-json-payload>\\n
+    ALPSJ1 <seq> <crc32-hex8> <canonical-json-payload>\\n     checkpoint
+    ALPSD1 <seq> <crc32-hex8> <canonical-json-delta>\\n       delta
 
-* ``seq`` is strictly increasing, so a stale record can never shadow a
-  newer one;
-* the CRC covers ``"<seq> <payload>"``, so a torn or bit-flipped tail
+* a *checkpoint* is self-contained: the driver's full
+  ``snapshot_state()`` (or any payload a caller hands
+  :meth:`MemoryJournal.append`).  It is the only kind the previous
+  format knew, so a journal written before deltas existed is a journal
+  of checkpoints and recovers unchanged;
+* a *delta* holds the new absolute values of what one plain quantum
+  touched (:func:`journal_quantum`) and means something only on top of
+  the record before it;
+* ``seq`` is strictly increasing and consumed by every *attempted*
+  append, so a stale record can never shadow a newer one and a lost
+  append leaves a visible gap;
+* the CRC covers ``"<seq> <payload>"``, so a torn or bit-flipped record
   fails closed;
 * the payload is compact sorted-keys JSON, so equal state journals to
-  equal bytes (the differential tests rely on this).
+  equal bytes.
+
+The writer (:func:`journal_quantum` with the store's
+``needs_checkpoint``) writes a checkpoint instead of a delta whenever
+the delta would not be enough or would not be safe: no checkpoint yet,
+a cycle completion or membership-grade change (every row moves), a
+chain of :data:`MAX_DELTA_CHAIN` deltas, and — the rule that keeps
+recovery as good as a journal of full snapshots — whenever the previous
+append did not land whole *as far as the writer can tell* (the fault
+hook swallowed or shortened it, ``write(2)`` came back short or
+raised).  So every record that lands has an unbroken chain behind it,
+and the newest whole record is always recoverable.
 
 Recovery (:func:`recover_journal`) scans forward and *salvages*: a
 damaged line — a torn tail, a corrupt CRC, interleaved garbage — is
@@ -25,12 +50,15 @@ skipped, and scanning resynchronises on the next record magic.  Each
 append is an independent fsync'd operation, so a record whose CRC and
 sequence number check out is trustworthy regardless of earlier damage;
 stopping at the first bad line (the classic single-writer WAL rule)
-would let one torn mid-run append shadow every later snapshot.  A torn
+would let one torn mid-run append shadow every later record.  A torn
 record also eats its newline, merging with the next append onto one
 line, so resynchronisation looks *inside* damaged lines for a record
-suffix.  Because every record is a *complete* snapshot, the newest
-surviving record is the recovery point — there is no redo log to
-replay, which is what makes skipping damage safe rather than lossy.
+suffix.  Every line is CRC-checked, but only the recovery point is
+decoded: the newest whole checkpoint folded with the deltas that follow
+it at consecutive sequence numbers.  A delta is never applied across a
+missing ``seq`` — damage the writer could not see (bit rot under a
+delta) costs the records after it up to the next checkpoint, nothing
+more.
 
 Two journal stores implement the same append surface:
 
@@ -40,24 +68,48 @@ Two journal stores implement the same append surface:
 * :class:`FileJournal` — a real ``O_APPEND`` + ``fsync`` file for
   :class:`~repro.hostos.controller.HostAlps`, compacted atomically
   (write-temp + ``os.replace``) once it accumulates enough superseded
-  snapshots.
+  records.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, MutableMapping, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Collection,
+    Iterable,
+    Mapping,
+    MutableMapping,
+    Optional,
+)
 
 from repro.errors import JournalCorruptError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.alps.algorithm import AlpsCore
+    from repro.alps.state import SubjectState
 
-#: Magic prefix naming the record format version.
+#: Magic prefix of a checkpoint record (and of every version-1 record).
 MAGIC = b"ALPSJ1"
+
+#: Magic prefix of a delta record.
+DELTA_MAGIC = b"ALPSD1"
+
+#: What both magics start with: where salvage looks for a record suffix
+#: inside a damaged line.
+_SYNC = b"ALPS"
+
+#: Deltas allowed on top of one checkpoint before the writer starts a
+#: new one.  Bounds what damage under a delta can cost and how much a
+#: recovery folds; plain quanta outnumber cycle completions by more than
+#: this only for large share totals.
+MAX_DELTA_CHAIN = 64
 
 #: Version stamp inside every snapshot payload.  Bump on incompatible
 #: payload layout changes; recovery rejects other versions as corrupt.
@@ -68,34 +120,45 @@ SNAPSHOT_VERSION = 1
 #: ``None`` (the write was lost entirely).  It may not reorder records.
 FaultHook = Callable[[bytes], Optional[bytes]]
 
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _encode(magic: bytes, seq: int, payload: Mapping[str, Any]) -> bytes:
+    body = _dumps(payload).encode()
+    crc = zlib.crc32(body, zlib.crc32(b"%d " % seq))
+    return b"%b %d %08x %b\n" % (magic, seq, crc, body)
+
 
 def encode_record(seq: int, payload: Mapping[str, Any]) -> bytes:
-    """One journal line for ``payload`` at sequence number ``seq``."""
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(f"{seq} {body}".encode())
-    return f"{MAGIC.decode()} {seq} {crc:08x} {body}\n".encode()
+    """One checkpoint line for ``payload`` at sequence number ``seq``."""
+    return _encode(MAGIC, seq, payload)
 
 
-def _decode_line(line: bytes) -> Optional[tuple[int, dict]]:
-    """Parse one journal line; None if it is damaged in any way."""
+def encode_delta(seq: int, delta: Mapping[str, Any]) -> bytes:
+    """One delta line at sequence number ``seq``."""
+    return _encode(DELTA_MAGIC, seq, delta)
+
+
+def _decode_line(line: bytes) -> Optional[tuple[bool, int, bytes]]:
+    """Check one line's framing and CRC without decoding its payload.
+
+    Returns ``(is_delta, seq, body)``, or None if the line is damaged.
+    """
     parts = line.split(b" ", 3)
-    if len(parts) != 4 or parts[0] != MAGIC:
+    if len(parts) != 4:
+        return None
+    magic = parts[0]
+    if magic != MAGIC and magic != DELTA_MAGIC:
         return None
     try:
         seq = int(parts[1])
         crc = int(parts[2], 16)
-        body = parts[3].decode()
-    except (ValueError, UnicodeDecodeError):
+    except ValueError:
         return None
-    if zlib.crc32(f"{seq} {body}".encode()) != crc:
+    body = parts[3]
+    if zlib.crc32(body, zlib.crc32(b"%d " % seq)) != crc:
         return None
-    try:
-        payload = json.loads(body)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(payload, dict):
-        return None
-    return seq, payload
+    return magic == DELTA_MAGIC, seq, body
 
 
 @dataclass(slots=True, frozen=True)
@@ -103,9 +166,14 @@ class RecoveredJournal:
     """Outcome of scanning a journal's bytes.
 
     Attributes:
-        snapshot: the newest valid record's payload (None if no record
-            survived — an empty or fully torn journal).
-        last_seq: sequence number of that record (-1 if none).
+        snapshot: the recovery point's payload — the newest whole
+            checkpoint with its gap-free delta chain folded in (None if
+            no checkpoint survived: an empty or fully torn journal).
+        last_seq: sequence number of the newest record folded into
+            ``snapshot`` (-1 if none).
+        high_seq: highest sequence number on any valid record; differs
+            from ``last_seq`` only when a delta survived past a gap.
+            New appends must number past it.
         records: valid records found.
         valid_bytes: bytes occupied by salvaged records.
         discarded_bytes: damaged or stale bytes skipped while scanning.
@@ -113,33 +181,85 @@ class RecoveredJournal:
 
     snapshot: Optional[dict]
     last_seq: int
+    high_seq: int
     records: int
     valid_bytes: int
     discarded_bytes: int
 
 
 def _salvage_line(
-    line: bytes, last_seq: int
-) -> Optional[tuple[int, dict, int]]:
-    """Decode ``line``, resynchronising past damage if necessary.
+    line: bytes, high_seq: int
+) -> Optional[tuple[bool, int, bytes, int]]:
+    """Check ``line``, resynchronising past damage if necessary.
 
     A torn record loses its trailing newline, so the *next* good append
     lands on the same line after the torn bytes.  When the line as a
-    whole fails to decode, retry from each record magic inside it — a
+    whole fails its check, retry from each record magic inside it — a
     valid CRC'd record suffix is trustworthy whatever precedes it.
-    Returns ``(seq, payload, start_offset_in_line)`` or ``None``.
+    Returns ``(is_delta, seq, body, start_offset_in_line)`` or ``None``.
     """
     decoded = _decode_line(line)
     start = 0
     while decoded is None:
-        idx = line.find(MAGIC, start + 1)
+        idx = line.find(_SYNC, start + 1)
         if idx < 0:
             return None
         decoded = _decode_line(line[idx:])
         start = idx
-    if decoded[0] <= last_seq:
+    if decoded[1] <= high_seq:
         return None  # stale or replayed record can never shadow newer state
-    return decoded[0], decoded[1], start
+    return (*decoded, start)
+
+
+def _apply_delta(snapshot: dict, delta: dict, row_of: Mapping[int, int]) -> None:
+    """Fold one :func:`journal_quantum` delta into ``snapshot``, in place.
+
+    The delta mirrors the checkpoint's layout, so most of it is a keyed
+    overwrite; the two exceptions are the stop-set (a sorted list in the
+    checkpoint, pid → stopped? here) and the debt map (carried whole,
+    absent when nothing is owed).
+    """
+    snapshot["t"] = delta["t"]
+    core = snapshot["core"]
+    changed = delta["core"]
+    rows = core["subjects"]
+    for row in changed.pop("subjects"):
+        rows[row_of[row[0]]] = row
+    core.update(changed)
+    agent = snapshot["agent"]
+    changed = delta["agent"]
+    stopped = set(agent["stopped"])
+    for pid, is_stopped in changed.pop("stopped").items():
+        if is_stopped:
+            stopped.add(int(pid))
+        else:
+            stopped.discard(int(pid))
+    agent["stopped"] = sorted(stopped)
+    agent["debt"] = changed.pop("debt", {})
+    for name, entries in changed.items():
+        agent[name].update(entries)
+
+
+def _fold(base: bytes, chain: list[bytes]) -> Optional[dict]:
+    """Decode a checkpoint body and fold its delta chain into it.
+
+    None when a CRC-valid record does not decode to what its kind
+    promises — damage beyond what the checksum models, so nothing built
+    on it is trusted.
+    """
+    try:
+        snapshot = json.loads(base)
+        if not isinstance(snapshot, dict):
+            return None
+        if chain:
+            row_of = {
+                row[0]: i for i, row in enumerate(snapshot["core"]["subjects"])
+            }
+            for body in chain:
+                _apply_delta(snapshot, json.loads(body), row_of)
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError):
+        return None
+    return snapshot
 
 
 def recover_journal(data: bytes, *, strict: bool = False) -> RecoveredJournal:
@@ -154,19 +274,27 @@ def recover_journal(data: bytes, *, strict: bool = False) -> RecoveredJournal:
     """
     offset = 0
     records = 0
-    last_seq = -1
-    snapshot: Optional[dict] = None
+    high_seq = -1
+    base: Optional[bytes] = None
+    base_seq = -1
+    chain: list[bytes] = []
     valid = 0
     size = len(data)
     while offset < size:
         newline = data.find(b"\n", offset)
         if newline < 0:
             break  # torn tail: no terminator, cannot be complete
-        decoded = _salvage_line(data[offset:newline], last_seq)
-        if decoded is not None:
-            last_seq, snapshot, start = decoded
+        salvaged = _salvage_line(data[offset:newline], high_seq)
+        if salvaged is not None:
+            is_delta, high_seq, body, start = salvaged
             records += 1
             valid += (newline - (offset + start)) + 1
+            if not is_delta:
+                base, base_seq, chain = body, high_seq, []
+            elif base is not None and high_seq == base_seq + len(chain) + 1:
+                chain.append(body)
+            # else: a delta past a gap.  Sequence numbers only grow, so
+            # no later delta can rejoin the chain either.
         offset = newline + 1
     discarded = size - valid
     if strict and discarded:
@@ -175,33 +303,101 @@ def recover_journal(data: bytes, *, strict: bool = False) -> RecoveredJournal:
             f"{records} valid record(s)",
             discarded_bytes=discarded,
         )
+    snapshot = _fold(base, chain) if base is not None else None
     return RecoveredJournal(
         snapshot=snapshot,
-        last_seq=last_seq,
+        last_seq=base_seq + len(chain) if snapshot is not None else -1,
+        high_seq=high_seq,
         records=records,
         valid_bytes=valid,
         discarded_bytes=discarded,
     )
 
 
-class MemoryJournal:
+class _Journal:
+    """The append surface and checkpoint rule both stores share.
+
+    A store supplies ``_write`` (put one encoded record, say whether it
+    landed whole), ``_read`` (all bytes) and ``_replace`` (swap the
+    contents for one record, atomically).
+    """
+
+    def __init__(self, compact_threshold: int) -> None:
+        if compact_threshold < 2:
+            raise ValueError("compact_threshold must be >= 2")
+        self.compact_threshold = compact_threshold
+        self._seq = 0
+        #: Deltas written since the last checkpoint, all landed whole;
+        #: -1 when there is nothing a delta could safely build on.
+        self._chain = -1
+        #: Appends attempted (including ones a fault swallowed).
+        self.appends = 0
+        #: Times the journal rewrote itself down to the recovery point.
+        self.compactions = 0
+
+    @property
+    def needs_checkpoint(self) -> bool:
+        """Whether the next record must be self-contained."""
+        return not 0 <= self._chain < MAX_DELTA_CHAIN
+
+    def append(self, payload: Mapping[str, Any]) -> None:
+        """Append one checkpoint (write-ahead: call before enacting).
+
+        ``payload`` is any self-contained mapping; it is the recovery
+        point for as long as it is the newest checkpoint.
+        """
+        self._put(encode_record(self._seq, payload), 0)
+
+    def append_delta(self, delta: Mapping[str, Any]) -> None:
+        """Append one :func:`journal_quantum` delta on the record before."""
+        self._put(encode_delta(self._seq, delta), self._chain + 1)
+
+    def _put(self, encoded: bytes, chain: int) -> None:
+        self._seq += 1
+        self.appends += 1
+        self._chain = -1  # stays so if the write raises or lands short
+        if self._write(encoded):
+            self._chain = chain
+        if self.appends % self.compact_threshold == 0:
+            self.compact()
+
+    def compact(self) -> None:
+        """Drop superseded records: keep the recovery point, folded
+        into one checkpoint."""
+        rec = recover_journal(self._read())
+        if rec.snapshot is None:
+            return
+        self._replace(encode_record(rec.last_seq, rec.snapshot))
+        self.compactions += 1
+
+    def recover(self, *, strict: bool = False) -> RecoveredJournal:
+        """Recovery point of the current contents."""
+        rec = recover_journal(self._read(), strict=strict)
+        # Appends after a recovery must keep sequence numbers advancing
+        # past anything the store has ever seen.
+        if rec.high_seq >= self._seq:
+            self._seq = rec.high_seq + 1
+        return rec
+
+    def _write(self, encoded: bytes) -> bool:
+        raise NotImplementedError
+
+    def _read(self) -> bytes:
+        raise NotImplementedError
+
+    def _replace(self, encoded: bytes) -> None:
+        raise NotImplementedError
+
+
+class MemoryJournal(_Journal):
     """Deterministic in-memory journal for the simulated agent.
 
     Models persistent storage that survives the agent's crash (the
     object outlives :meth:`AlpsAgent.restart`).  ``fault_hook`` lets the
-    fault injector lose or tear individual appends; everything else is
-    exact, so a journal without faults is byte-reproducible for equal
-    schedules.
+    fault injector lose or tear individual appends — one call per
+    append, whatever the record kind; everything else is exact, so a
+    journal without faults is byte-reproducible for equal schedules.
     """
-
-    __slots__ = (
-        "_buf",
-        "_seq",
-        "fault_hook",
-        "compact_threshold",
-        "appends",
-        "compactions",
-    )
 
     def __init__(
         self,
@@ -209,58 +405,37 @@ class MemoryJournal:
         fault_hook: Optional[FaultHook] = None,
         compact_threshold: int = 4096,
     ) -> None:
-        if compact_threshold < 2:
-            raise ValueError("compact_threshold must be >= 2")
+        super().__init__(compact_threshold)
         self._buf = bytearray()
-        self._seq = 0
         self.fault_hook = fault_hook
-        self.compact_threshold = compact_threshold
-        #: Appends attempted (including ones a fault hook swallowed).
-        self.appends = 0
-        #: Times the journal rewrote itself down to the latest record.
-        self.compactions = 0
 
-    def append(self, payload: Mapping[str, Any]) -> None:
-        """Append one snapshot record (write-ahead: call before enacting)."""
-        encoded = encode_record(self._seq, payload)
-        self._seq += 1
-        self.appends += 1
-        if self.fault_hook is not None:
-            faulted = self.fault_hook(encoded)
-            if faulted is None:
-                return  # write lost before reaching the store
-            encoded = faulted
-        self._buf += encoded
-        if self.appends % self.compact_threshold == 0:
-            self.compact()
+    def _write(self, encoded: bytes) -> bool:
+        hook = self.fault_hook
+        if hook is None:
+            self._buf += encoded
+            return True
+        faulted = hook(encoded)
+        if faulted is None:
+            return False  # write lost before reaching the store
+        self._buf += faulted
+        return len(faulted) == len(encoded)
 
-    def compact(self) -> None:
-        """Drop superseded records, keeping only the recovery point."""
-        rec = recover_journal(bytes(self._buf))
-        if rec.snapshot is None:
-            return
-        self._buf = bytearray(encode_record(rec.last_seq, rec.snapshot))
-        self.compactions += 1
+    def _read(self) -> bytes:
+        return bytes(self._buf)
 
-    def recover(self, *, strict: bool = False) -> RecoveredJournal:
-        """Recovery point of the current contents."""
-        rec = recover_journal(bytes(self._buf), strict=strict)
-        # Appends after a recovery must keep sequence numbers advancing
-        # past anything the store has ever seen.
-        if rec.last_seq >= self._seq:  # pragma: no cover - defensive
-            self._seq = rec.last_seq + 1
-        return rec
+    def _replace(self, encoded: bytes) -> None:
+        self._buf = bytearray(encoded)
 
     @property
     def data(self) -> bytes:
         """The raw journal bytes (tests and tooling)."""
-        return bytes(self._buf)
+        return self._read()
 
     def __len__(self) -> int:
         return len(self._buf)
 
 
-class FileJournal:
+class FileJournal(_Journal):
     """fsync'd append-only journal file for the live Linux controller.
 
     Appends are single ``write(2)`` calls on an ``O_APPEND`` descriptor
@@ -277,59 +452,57 @@ class FileJournal:
         fsync: bool = True,
         compact_threshold: int = 4096,
     ) -> None:
-        if compact_threshold < 2:
-            raise ValueError("compact_threshold must be >= 2")
+        super().__init__(compact_threshold)
         self.path = os.fspath(path)
         self.fsync = fsync
-        self.compact_threshold = compact_threshold
-        self.appends = 0
-        self.compactions = 0
-        existing = self._read_bytes()
-        self._seq = recover_journal(existing).last_seq + 1
+        self._seq = recover_journal(self._read()).high_seq + 1
         self._fd = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o600
         )
 
-    def _read_bytes(self) -> bytes:
+    def _read(self) -> bytes:
         try:
             with open(self.path, "rb") as fh:
                 return fh.read()
         except FileNotFoundError:
             return b""
 
-    def append(self, payload: Mapping[str, Any]) -> None:
-        encoded = encode_record(self._seq, payload)
-        self._seq += 1
-        self.appends += 1
-        os.write(self._fd, encoded)
-        if self.fsync:
-            os.fsync(self._fd)
-        if self.appends % self.compact_threshold == 0:
-            self.compact()
+    def _write_all(self, fd: int, encoded: bytes) -> None:
+        """One ``write(2)``; a short count gets the remainder retried once.
 
-    def compact(self) -> None:
-        rec = recover_journal(self._read_bytes())
-        if rec.snapshot is None:
-            return
+        Still short after that is raised like any other ``OSError``: the
+        record is not durable, and write-ahead means the decisions it
+        encodes must not be enacted as if it were.  ``_put`` armed the
+        checkpoint rule before calling, so whatever the driver does
+        about the error, its next record is self-contained.
+        """
+        written = os.write(fd, encoded)
+        if written < len(encoded):
+            written += os.write(fd, encoded[written:])
+        if written < len(encoded):
+            raise OSError(
+                errno.EIO,
+                f"short journal write: {written} of {len(encoded)} bytes",
+                self.path,
+            )
+        if self.fsync:
+            os.fsync(fd)
+
+    def _write(self, encoded: bytes) -> bool:
+        self._write_all(self._fd, encoded)
+        return True
+
+    def _replace(self, encoded: bytes) -> None:
         tmp = self.path + ".compact"
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         try:
-            os.write(fd, encode_record(rec.last_seq, rec.snapshot))
-            if self.fsync:
-                os.fsync(fd)
+            self._write_all(fd, encoded)
         finally:
             os.close(fd)
         os.replace(tmp, self.path)
         # Reopen: the O_APPEND descriptor still points at the old inode.
         os.close(self._fd)
         self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
-        self.compactions += 1
-
-    def recover(self, *, strict: bool = False) -> RecoveredJournal:
-        rec = recover_journal(self._read_bytes(), strict=strict)
-        if rec.last_seq >= self._seq:
-            self._seq = rec.last_seq + 1
-        return rec
 
     def close(self) -> None:
         if self._fd >= 0:
@@ -344,8 +517,21 @@ class FileJournal:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot codec for the algorithm core (shared by both drivers)
+# Snapshot and delta codec (shared by both drivers)
 # ---------------------------------------------------------------------------
+def _subject_row(sid: int, st: "SubjectState") -> list:
+    return [
+        sid,
+        st.share,
+        st.allowance,
+        1 if st.eligible else 0,
+        st.update,
+        st.consumed_this_cycle,
+        st.blocked_quanta_this_cycle,
+        st.measurements,
+    ]
+
+
 def core_snapshot(core: "AlpsCore") -> dict:
     """JSON-safe snapshot of an :class:`AlpsCore`'s scheduling state.
 
@@ -353,28 +539,100 @@ def core_snapshot(core: "AlpsCore") -> dict:
     schedule-relevant (``begin_quantum`` walks it), so restore must
     reproduce it exactly.
     """
-    from repro.alps.state import Eligibility
-
-    eligible = Eligibility.ELIGIBLE
     return {
         "count": core.count,
         "tc": core.tc,
         "cycles": core.cycles_completed,
-        "subjects": [
-            [
-                sid,
-                st.share,
-                st.allowance,
-                1 if st.state is eligible else 0,
-                st.update,
-                st.consumed_this_cycle,
-                st.blocked_quanta_this_cycle,
-                st.measurements,
-            ]
-            for sid, st in core.subjects.items()
-        ],
+        "subjects": [_subject_row(sid, st) for sid, st in core.subjects.items()],
         "due": list(core._last_due),
     }
+
+
+def state_snapshot(
+    core: "AlpsCore",
+    t: int,
+    stopped: Collection[int],
+    maps: Mapping[str, Mapping[int, int]],
+    **scalars: int,
+) -> dict:
+    """The checkpoint payload: everything a restarted driver must not lose.
+
+    ``maps`` are the driver's id-keyed tables by section name (read
+    baselines, cumulative totals, outstanding debt, …); keys become
+    strings, as JSON would make them, so the payload equals its own
+    decoded record.
+    """
+    agent: dict[str, Any] = {
+        name: {str(key): value for key, value in sorted(table.items())}
+        for name, table in maps.items()
+    }
+    agent["stopped"] = sorted(stopped)
+    agent.update(scalars)
+    return {
+        "v": SNAPSHOT_VERSION,
+        "kind": "snapshot",
+        "t": t,
+        "core": core_snapshot(core),
+        "agent": agent,
+    }
+
+
+def journal_quantum(
+    journal: "_Journal",
+    checkpoint: Callable[[], Mapping[str, Any]],
+    core: "AlpsCore",
+    t: int,
+    *,
+    full: bool,
+    stopped: Collection[int],
+    signalled: Iterable[int],
+    debt: Mapping[int, int],
+    touched: Mapping[str, tuple[Mapping[int, int], Iterable[int]]],
+) -> None:
+    """Append this quantum's record: a delta if that is enough.
+
+    Call after ``complete_quantum`` and before enacting its decisions.
+    ``full`` says the quantum was not a plain measured one — it ran the
+    full partition sweep (cycle completion, membership or share change,
+    restore) or the driver changed journaled state outside measurement
+    since its last record; then, or when the store has nothing a delta
+    could safely build on, the record is ``checkpoint()``.
+
+    Otherwise the record is built in O(changed) from what the quantum
+    touched: the core scalars, the rows of the due subjects (outside a
+    sweep ``complete_quantum`` writes no others, and the drivers
+    measure no others), the stop-set membership of ``signalled`` (the
+    pids signalled since the previous record), and for each ``touched``
+    section ``name: (table, keys)`` the table's current values at those
+    keys.
+    ``debt`` only ever holds the few subjects still repaying an outage,
+    so it rides whole while non-empty.
+    """
+    if full or journal.needs_checkpoint:
+        journal.append(checkpoint())
+        return
+    agent: dict[str, Any] = {
+        name: {key: table[key] for key in keys if key in table}
+        for name, (table, keys) in touched.items()
+    }
+    agent["stopped"] = {pid: pid in stopped for pid in signalled}
+    if debt:
+        agent["debt"] = debt
+    subjects = core.subjects
+    due = core._last_due
+    journal.append_delta(
+        {
+            "t": t,
+            "core": {
+                "count": core.count,
+                "tc": core.tc,
+                "cycles": core.cycles_completed,
+                "due": due,
+                "subjects": [_subject_row(sid, subjects[sid]) for sid in due],
+            },
+            "agent": agent,
+        }
+    )
 
 
 def restore_core(core: "AlpsCore", snap: Mapping[str, Any]) -> None:
@@ -492,14 +750,18 @@ def validate_snapshot(payload: Mapping[str, Any]) -> Mapping[str, Any]:
 
 __all__ = [
     "FileJournal",
+    "MAX_DELTA_CHAIN",
     "MemoryJournal",
     "RecoveredJournal",
     "SNAPSHOT_VERSION",
     "core_snapshot",
     "drain_debt",
+    "encode_delta",
     "encode_record",
+    "journal_quantum",
     "recover_journal",
     "restore_core",
     "schedule_debt",
+    "state_snapshot",
     "validate_snapshot",
 ]

@@ -6,8 +6,10 @@ import pytest
 
 from repro.errors import JournalCorruptError
 from repro.resilience.journal import (
+    MAX_DELTA_CHAIN,
     FileJournal,
     MemoryJournal,
+    encode_delta,
     encode_record,
     recover_journal,
 )
@@ -188,3 +190,287 @@ def test_file_journal_recovers_after_torn_tail(tmp_path):
     assert rec.snapshot == payload(2)
     assert rec.discarded_bytes > 0
     j2.close()
+
+
+# ----------------------------------------------------------------------
+# Checkpoints and deltas
+# ----------------------------------------------------------------------
+def checkpoint(rows: int = 3) -> dict:
+    """A payload shaped like a driver's ``snapshot_state()``."""
+    return {
+        "v": 1,
+        "kind": "snapshot",
+        "t": 0,
+        "core": {
+            "count": 0,
+            "tc": 100,
+            "cycles": 0,
+            "due": [],
+            "subjects": [[sid, 1, 1.0, 1, 0, 0, 0, 0] for sid in range(rows)],
+        },
+        "agent": {
+            "last_read": {str(sid): 0 for sid in range(rows)},
+            "stopped": [],
+            "debt": {},
+        },
+    }
+
+
+def delta(count: int, sid: int = 0, *, stopped=None, debt=None) -> dict:
+    """What ``journal_quantum`` writes for a quantum that measured ``sid``."""
+    agent = {
+        "last_read": {sid: 10 * count},
+        "stopped": stopped if stopped is not None else {},
+    }
+    if debt:
+        agent["debt"] = debt
+    return {
+        "t": count,
+        "core": {
+            "count": count,
+            "tc": 100 - count,
+            "cycles": 0,
+            "due": [sid],
+            "subjects": [[sid, 1, 1.0 - count / 8, 1, count + 1, count, 0, count]],
+        },
+        "agent": agent,
+    }
+
+
+def test_delta_line_has_its_own_magic():
+    assert encode_delta(7, delta(1)).startswith(b"ALPSD1 7 ")
+
+
+def test_recovery_folds_the_chain_onto_the_newest_checkpoint():
+    data = (
+        encode_record(0, checkpoint())
+        + encode_delta(1, delta(1, sid=0))
+        + encode_delta(2, delta(2, sid=2, stopped={1: True, 2: True}))
+        + encode_delta(3, delta(3, sid=0, stopped={2: False}, debt={0: 40}))
+    )
+    rec = recover_journal(data)
+    assert (rec.records, rec.last_seq, rec.high_seq) == (4, 3, 3)
+    snap = rec.snapshot
+    assert snap["t"] == 3
+    assert (snap["core"]["count"], snap["core"]["tc"]) == (3, 97)
+    assert snap["core"]["due"] == [0]
+    # Rows are replaced by sid, in place: order is schedule-relevant.
+    assert [row[0] for row in snap["core"]["subjects"]] == [0, 1, 2]
+    assert snap["core"]["subjects"][0][7] == 3
+    assert snap["core"]["subjects"][1] == [1, 1, 1.0, 1, 0, 0, 0, 0]
+    assert snap["core"]["subjects"][2][7] == 2
+    assert snap["agent"]["last_read"] == {"0": 30, "1": 0, "2": 20}
+    assert snap["agent"]["stopped"] == [1]
+    assert snap["agent"]["debt"] == {"0": 40}
+    # Debt rides whole: a delta without it means nothing is owed.
+    rec = recover_journal(data + encode_delta(4, delta(4)))
+    assert rec.snapshot["agent"]["debt"] == {}
+
+
+def test_delta_is_never_applied_across_a_missing_seq():
+    data = (
+        encode_record(0, checkpoint())
+        + encode_delta(1, delta(1))
+        # seq 2 never reached the store
+        + encode_delta(3, delta(3))
+        + encode_delta(4, delta(4))
+    )
+    rec = recover_journal(data)
+    assert rec.snapshot == recover_journal(data[: data.index(b"ALPSD1 3 ")]).snapshot
+    assert rec.snapshot["core"]["count"] == 1
+    assert rec.last_seq == 1
+    # The stranded deltas still count as seen: appends number past them.
+    assert rec.high_seq == 4
+    assert rec.records == 4
+
+
+def test_delta_without_any_checkpoint_recovers_nothing():
+    rec = recover_journal(encode_delta(0, delta(1)) + encode_delta(1, delta(2)))
+    assert rec.snapshot is None
+    assert (rec.last_seq, rec.high_seq, rec.records) == (-1, 1, 2)
+
+
+def test_newer_checkpoint_supersedes_the_older_chain():
+    newer = checkpoint()
+    newer["core"]["count"] = 50
+    data = (
+        encode_record(0, checkpoint())
+        + encode_delta(1, delta(1))
+        + encode_record(2, newer)
+        + encode_delta(3, delta(51))
+    )
+    rec = recover_journal(data)
+    assert rec.snapshot["core"]["count"] == 51
+    assert rec.last_seq == 3
+
+
+def test_undecodable_record_with_a_valid_crc_yields_no_snapshot():
+    """Damage the checksum cannot model (a writer bug, a forged line):
+    nothing is built on it, and the driver takes the lossy path."""
+    data = encode_record(0, checkpoint()) + encode_delta(1, {"t": 1})
+    assert recover_journal(data).snapshot is None
+
+
+def test_v1_full_snapshot_journal_still_recovers():
+    """A journal as written before deltas existed: one full snapshot per
+    line, framed by hand here exactly as the old writer framed it."""
+    import json
+    import zlib
+
+    payloads = []
+    lines = []
+    for seq in range(5):
+        payload = checkpoint()
+        payload["core"]["count"] = seq
+        payloads.append(payload)
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        crc = zlib.crc32(f"{seq} {body}".encode())
+        lines.append(f"ALPSJ1 {seq} {crc:08x} {body}\n".encode())
+    rec = recover_journal(b"".join(lines))
+    assert rec.records == 5
+    assert rec.snapshot == payloads[-1]
+    # And a checkpoint is still framed byte for byte the same way.
+    assert [encode_record(i, p) for i, p in enumerate(payloads)] == lines
+
+
+def test_store_asks_for_a_checkpoint_first_and_after_a_long_chain():
+    j = MemoryJournal()
+    assert j.needs_checkpoint
+    j.append(checkpoint())
+    for i in range(MAX_DELTA_CHAIN):
+        assert not j.needs_checkpoint
+        j.append_delta(delta(i + 1))
+    assert j.needs_checkpoint
+    j.append(checkpoint())
+    assert not j.needs_checkpoint
+
+
+@pytest.mark.parametrize("fate", ["lost", "torn"])
+@pytest.mark.parametrize("kind", ["checkpoint", "delta"])
+def test_store_asks_for_a_checkpoint_after_a_failed_append(fate, kind):
+    fail = [False]
+
+    def hook(encoded: bytes):
+        if not fail[0]:
+            return encoded
+        return None if fate == "lost" else encoded[: len(encoded) // 2]
+
+    j = MemoryJournal(fault_hook=hook)
+    j.append(checkpoint())
+    j.append_delta(delta(1))
+    good = recover_journal(j.data)
+    fail[0] = True
+    if kind == "delta":
+        j.append_delta(delta(2))
+    else:
+        j.append(checkpoint())
+    fail[0] = False
+    assert j.needs_checkpoint
+    # The failed append cost nothing but itself ...
+    after = recover_journal(j.data)
+    assert (after.snapshot, after.last_seq) == (good.snapshot, good.last_seq)
+    # ... and the next record, a checkpoint, is the recovery point again.
+    newer = checkpoint()
+    newer["core"]["count"] = 9
+    j.append(newer)
+    assert not j.needs_checkpoint
+    assert recover_journal(j.data).snapshot == newer
+
+
+def test_compaction_folds_the_chain_into_one_checkpoint():
+    j = MemoryJournal(compact_threshold=4)
+    j.append(checkpoint())
+    j.append_delta(delta(1))
+    j.append_delta(delta(2, sid=1))
+    before = recover_journal(j.data)
+    j.append_delta(delta(3, sid=2))  # 4th append: compacts
+    assert j.compactions == 1
+    assert j.data.count(b"\n") == 1 and j.data.startswith(b"ALPSJ1 3 ")
+    after = recover_journal(j.data)
+    assert after.snapshot["core"]["count"] == 3
+    assert after.last_seq == before.last_seq + 1
+    # The chain carries on across the compaction.
+    assert not j.needs_checkpoint
+    j.append_delta(delta(4))
+    assert recover_journal(j.data).snapshot["core"]["count"] == 4
+
+
+# ----------------------------------------------------------------------
+# FileJournal: short writes
+# ----------------------------------------------------------------------
+def test_file_journal_retries_a_short_write_once(tmp_path, monkeypatch):
+    import os
+
+    real_write = os.write
+    calls = []
+
+    def short_once(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            return real_write(fd, data[:10])
+        return real_write(fd, data)
+
+    j = FileJournal(str(tmp_path / "alps.journal"), fsync=False)
+    monkeypatch.setattr(os, "write", short_once)
+    j.append(payload(0))
+    monkeypatch.undo()
+    assert calls == [calls[0], calls[0] - 10]  # the remainder, once
+    assert not j.needs_checkpoint  # it landed whole after all
+    assert j.recover().snapshot == payload(0)
+    j.close()
+
+
+def test_file_journal_surfaces_a_write_that_stays_short(tmp_path, monkeypatch):
+    import os
+
+    real_write = os.write
+    j = FileJournal(str(tmp_path / "alps.journal"), fsync=False)
+    j.append(checkpoint())
+    j.append_delta(delta(1))
+    assert not j.needs_checkpoint
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    with pytest.raises(OSError, match="short journal write"):
+        j.append_delta(delta(2))
+    monkeypatch.undo()
+    # The writer knows: its next record must stand alone.
+    assert j.needs_checkpoint
+    assert recover_journal(j._read()).snapshot["core"]["count"] == 1
+    newer = checkpoint()
+    newer["core"]["count"] = 9
+    j.append(newer)  # lands on the torn line; salvage finds it
+    assert j.recover().snapshot == newer
+    j.close()
+
+
+def test_file_journal_write_error_also_forces_a_checkpoint(tmp_path, monkeypatch):
+    import os
+
+    def enospc(fd, data):
+        raise OSError(28, "No space left on device")
+
+    j = FileJournal(str(tmp_path / "alps.journal"), fsync=False)
+    j.append(checkpoint())
+    monkeypatch.setattr(os, "write", enospc)
+    with pytest.raises(OSError):
+        j.append_delta(delta(1))
+    monkeypatch.undo()
+    assert j.needs_checkpoint
+    j.close()
+
+
+def test_file_journal_reopened_numbers_past_stranded_deltas(tmp_path):
+    path = tmp_path / "alps.journal"
+    path.write_bytes(
+        encode_record(0, checkpoint())
+        + encode_delta(1, delta(1))
+        + encode_delta(5, delta(5))  # bit rot ate 2..4
+    )
+    j = FileJournal(str(path), fsync=False)
+    assert j.needs_checkpoint  # a fresh handle never extends an old chain
+    newer = checkpoint()
+    newer["core"]["count"] = 6
+    j.append(newer)
+    rec = j.recover()
+    assert rec.snapshot == newer
+    assert rec.last_seq == 6
+    j.close()
