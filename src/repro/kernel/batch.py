@@ -55,7 +55,7 @@ from repro.kernel.kapi import KernelAPI
 from repro.kernel.kconfig import DEFAULT_CONFIG, KernelConfig
 from repro.kernel.kernel import _EVPRI_HOUSEKEEPING, Kernel
 from repro.kernel.priorities import batched_decay, batched_user_priority
-from repro.kernel.process import Process, ProcState
+from repro.kernel.process import NO_VALUE, Process, ProcState
 from repro.kernel.runqueue import NQS, PPQ
 from repro.sim.engine import Engine
 
@@ -71,9 +71,6 @@ _CODE_TO_STATE = {code: state for state, code in STATE_CODES.items()}
 _ZOMBIE = ProcState.ZOMBIE
 _RUNNING = ProcState.RUNNING
 _SLEEPING = ProcState.SLEEPING
-
-#: Sentinel for "no boost" / "no deadline" in integer array columns.
-NO_VALUE = -1
 
 
 class SoaState:

@@ -54,7 +54,7 @@ from repro.kernel.priorities import (
     user_priority,
     wakeup_decay,
 )
-from repro.kernel.process import Process, ProcState
+from repro.kernel.process import NO_VALUE, Process, ProcState
 from repro.kernel.runqueue import RunQueue
 from repro.kernel.signals import SIGCONT, SIGKILL, SIGSTOP, signal_name
 from repro.sim.engine import Engine
@@ -94,6 +94,10 @@ class Kernel:
         self._estcpu = array("d")
         #: Mirror of ``Process.nice``, written at spawn and ``renice``.
         self._nice = array("q")
+        #: ``priority`` and ``boost_priority`` (``NO_VALUE`` = no boost
+        #: pending), authoritative like ``estcpu``.
+        self._priority = array("q")
+        self._boost = array("q")
         #: 1 for a process the per-second decay applies to directly:
         #: alive and not parked (``park_epoch is None``).
         self._scheduled = bytearray()
@@ -194,12 +198,15 @@ class Kernel:
             behavior=behavior,
             slot=len(table),
             estcpu_column=self._estcpu,
+            priority_column=self._priority,
+            boost_column=self._boost,
         )
         table.append(proc)
         self._estcpu.append(0.0)
         self._nice.append(nice)
         self._scheduled.append(1)
-        proc.priority = user_priority(self.cfg, 0.0, nice)
+        self._priority.append(user_priority(self.cfg, 0.0, nice))
+        self._boost.append(NO_VALUE)
         proc.state = ProcState.SLEEPING  # embryonic until started
         proc.wait_channel = "fork"
         proc.tag_burst = f"burst:{name}"
@@ -312,8 +319,9 @@ class Kernel:
         # A parked process's deferred first-pass decay ran, in the eager
         # kernel, with the nice it had then: replay it before the change.
         self._materialize_slptime(proc)
+        slot = proc.slot
         proc.nice = nice
-        self._nice[proc.slot] = nice
+        self._nice[slot] = nice
         obs = self._obs
         if obs is not None and obs.enabled:
             obs.events.emit(
@@ -326,15 +334,21 @@ class Kernel:
         # Inlined user_priority (see _charge_proc).
         pri = (
             self._puser
-            + self._estcpu[proc.slot] / self._estcpu_weight
+            + self._estcpu[slot] / self._estcpu_weight
             + self._nice_weight * nice
         )
         if pri < 0:
-            proc.priority = 0
+            pri = 0
         elif pri > self._maxpri:
-            proc.priority = self._maxpri
+            pri = self._maxpri
         else:
-            proc.priority = int(pri)
+            pri = int(pri)
+        # A pending wakeup boost outlives the change, as in
+        # _setrunnable (4.4BSD resetpriority rewrites p_usrpri only).
+        boost = self._boost[slot]
+        if boost != NO_VALUE and boost < pri:
+            pri = boost
+        self._priority[slot] = pri
         if on_runq:
             self.runq.insert(proc)
             self._on_runq.add(pid)
@@ -448,9 +462,10 @@ class Kernel:
             if new_est != est:
                 self._estcpu[slot] = new_est
                 new_pri = user_priority(self.cfg, new_est, proc.nice)
-                if proc.boost_priority is not None:
-                    new_pri = min(new_pri, proc.boost_priority)
-                proc.priority = new_pri  # parked, never on the run queue
+                boost = self._boost[slot]
+                if boost != NO_VALUE and boost < new_pri:
+                    new_pri = boost
+                self._priority[slot] = new_pri  # parked, so not queued
         proc.slptime += elapsed
         proc.park_epoch = self._schedcpu_epoch
         self.perf_lazy_materializations += 1
@@ -558,11 +573,11 @@ class Kernel:
         estcpu[slot] = est
         pri = self._puser + est / self._estcpu_weight + self._nice_weight * proc.nice
         if pri < 0:
-            proc.priority = 0
+            self._priority[slot] = 0
         elif pri > self._maxpri:
-            proc.priority = self._maxpri
+            self._priority[slot] = self._maxpri
         else:
-            proc.priority = int(pri)
+            self._priority[slot] = int(pri)
         proc.run_start = now
         self.total_busy_us += consumed
 
@@ -584,22 +599,23 @@ class Kernel:
             if proc is None:
                 return
             self._on_runq.discard(proc.pid)
-            if proc.boost_priority is not None:
+            slot = proc.slot
+            if self._boost[slot] != NO_VALUE:
                 # The wakeup boost is consumed at dispatch; user-mode
                 # work proceeds at the ordinary decay-usage priority.
                 # (Inlined user_priority, see _charge_proc.)
-                proc.boost_priority = None
+                self._boost[slot] = NO_VALUE
                 pri = (
                     self._puser
-                    + self._estcpu[proc.slot] / self._estcpu_weight
+                    + self._estcpu[slot] / self._estcpu_weight
                     + self._nice_weight * proc.nice
                 )
                 if pri < 0:
-                    proc.priority = 0
+                    self._priority[slot] = 0
                 elif pri > self._maxpri:
-                    proc.priority = self._maxpri
+                    self._priority[slot] = self._maxpri
                 else:
-                    proc.priority = int(pri)
+                    self._priority[slot] = int(pri)
             proc.state = ProcState.RUNNING
             proc.cpu_index = i
             self.cpus[i] = proc
@@ -637,12 +653,13 @@ class Kernel:
         if proc.stopped:
             return  # parked until SIGCONT
         self._unpark(proc)
-        est = self._estcpu[proc.slot]
+        slot = proc.slot
+        est = self._estcpu[slot]
         if proc.slptime >= 1:
             est = wakeup_decay(
                 self.cfg, est, proc.nice, self.loadavg.value, proc.slptime
             )
-            self._estcpu[proc.slot] = est
+            self._estcpu[slot] = est
             proc.slptime = 0
         # Inlined user_priority (see _charge_proc).
         pri = (
@@ -656,10 +673,10 @@ class Kernel:
             pri = self._maxpri
         else:
             pri = int(pri)
-        boost = proc.boost_priority
-        if boost is not None and boost < pri:
+        boost = self._boost[slot]
+        if boost != NO_VALUE and boost < pri:
             pri = boost
-        proc.priority = pri
+        self._priority[slot] = pri
         if proc.pid not in self._on_runq:
             self.runq.insert(proc)
             self._on_runq.add(proc.pid)
@@ -812,7 +829,7 @@ class Kernel:
         """
         proc.wait_channel = None
         proc.state = ProcState.RUNNABLE
-        proc.boost_priority = self.cfg.sleep_priority
+        self._boost[proc.slot] = self.cfg.sleep_priority
         self._advance_guarded(proc, False)
 
     # ------------------------------------------------------------------
@@ -973,9 +990,10 @@ class Kernel:
         Decays every directly scheduled process (parked ones replay
         their single first-pass decay at :meth:`_materialize_slptime`)
         with the vector forms of ``decay_estcpu`` / ``user_priority``,
-        which are bit-exact against the scalar ones, then visits only
-        the rows whose ``estcpu`` moved, in slot (= table) order like
-        :meth:`_schedcpu_eager`, for the boost ``min`` and the requeue.
+        which are bit-exact against the scalar ones, boost ``min``
+        included, then visits only the rows whose ``estcpu`` *and*
+        priority moved, in slot (= table) order like
+        :meth:`_schedcpu_eager`, to store the priority and requeue.
         The numpy views are locals: they must be gone before the next
         ``spawn`` grows the buffers.
         """
@@ -983,25 +1001,29 @@ class Kernel:
         nice = np.frombuffer(self._nice, dtype=np.int64)
         new_est = batched_decay(est, nice, load, self._estcpu_limit)
         changed = np.frombuffer(self._scheduled, dtype=np.bool_) & (new_est != est)
-        rows = np.flatnonzero(changed)
-        if not rows.size:
+        if not changed.any():
             return
-        new_pri = batched_user_priority(self.cfg, new_est, nice)[rows]
+        # Priorities are >= 0 and NO_VALUE (-1) is the largest uint64,
+        # so one unsigned ``min`` applies exactly the pending boosts.
+        new_pri = np.minimum(
+            batched_user_priority(self.cfg, new_est, nice).view(np.uint64),
+            np.frombuffer(self._boost, dtype=np.uint64),
+        )
+        moved = new_pri != np.frombuffer(self._priority, dtype=np.uint64)
+        rows = np.flatnonzero(changed & moved)
         np.copyto(est, new_est, where=changed)
+        priority = self._priority
         on_runq = self._on_runq
         runq = self.runq
-        changed_procs = map(self._table.__getitem__, rows.tolist())
-        for proc, pri in zip(changed_procs, new_pri.tolist()):
-            boost = proc.boost_priority
-            if boost is not None and boost < pri:
-                pri = boost
-            if pri != proc.priority:
-                if proc.pid in on_runq:
-                    runq.remove(proc)
-                    proc.priority = pri
-                    runq.insert(proc)
-                else:
-                    proc.priority = pri
+        table = self._table
+        for slot, pri in zip(rows.tolist(), new_pri[rows].tolist()):
+            proc = table[slot]
+            if proc.pid in on_runq:
+                runq.remove(proc)
+                priority[slot] = pri
+                runq.insert(proc)
+            else:
+                priority[slot] = pri
 
     def _schedcpu_eager(self, load: float) -> None:
         """The eager (``strict``) decay pass, one fused scalar loop: the
@@ -1020,6 +1042,8 @@ class Kernel:
         on_runq = self._on_runq
         runq = self.runq
         estcpu = self._estcpu
+        priority = self._priority
+        boosts = self._boost
         zombie = ProcState.ZOMBIE
         sleeping = ProcState.SLEEPING
         for proc, est in zip(self._table, estcpu):
@@ -1038,7 +1062,8 @@ class Kernel:
                 new_est = limit
             if new_est == est:
                 continue
-            estcpu[proc.slot] = new_est
+            slot = proc.slot
+            estcpu[slot] = new_est
             pri = puser + new_est / estcpu_weight + nice_weight * nice
             if pri < 0:
                 pri = 0
@@ -1046,16 +1071,16 @@ class Kernel:
                 pri = maxpri
             else:
                 pri = int(pri)
-            boost = proc.boost_priority
-            if boost is not None and boost < pri:
+            boost = boosts[slot]
+            if boost != NO_VALUE and boost < pri:
                 pri = boost
-            if pri != proc.priority:
+            if pri != priority[slot]:
                 if proc.pid in on_runq:
                     runq.remove(proc)
-                    proc.priority = pri
+                    priority[slot] = pri
                     runq.insert(proc)
                 else:
-                    proc.priority = pri
+                    priority[slot] = pri
 
     def _on_loadavg(self, event) -> None:
         self.loadavg.sample(self.runnable_count())

@@ -12,6 +12,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.event_queue import EventHandle
 
 
+#: "None" in an integer column (no boost, no deadline): every real
+#: value is >= 0.
+NO_VALUE = -1
+
+
 class ProcState(enum.Enum):
     """Lifecycle states of a simulated process.
 
@@ -33,11 +38,12 @@ class Process:
 
     Time fields are integer microseconds of virtual time.  ``estcpu``
     follows the BSD convention: one unit per statclock tick of CPU
-    consumed, decayed once per second.  It is the one field that does
-    not live on the PCB: :attr:`estcpu` reads and writes row
-    :attr:`slot` of a float64 column — the owning kernel's (so the
-    per-second decay is one vector pass over that column), or a private
-    one-element column for a free-standing PCB.
+    consumed, decayed once per second.  The three fields that decay
+    recomputes do not live on the PCB: :attr:`estcpu`,
+    :attr:`priority` and :attr:`boost_priority` are properties over row
+    :attr:`slot` of a column each — the owning kernel's (so the
+    per-second decay is one vector pass over those columns), or a
+    private one-element column for a free-standing PCB.
 
     Equality is identity (``eq=False``): pids are unique, so two PCBs
     are the same process iff they are the same object, and run-queue /
@@ -65,10 +71,15 @@ class Process:
     estcpu_column: array = field(
         default_factory=lambda: array("d", (0.0,)), repr=False
     )
-    priority: int = 0
-    #: Kernel wakeup-priority boost; set when waking from a voluntary
-    #: sleep, consumed at first dispatch (4.4BSD tsleep priority).
-    boost_priority: Optional[int] = None
+    #: The column holding :attr:`priority` at row :attr:`slot`.
+    priority_column: array = field(
+        default_factory=lambda: array("q", (0,)), repr=False
+    )
+    #: The column holding :attr:`boost_priority` at row :attr:`slot`,
+    #: :data:`NO_VALUE` standing for None.
+    boost_column: array = field(
+        default_factory=lambda: array("q", (NO_VALUE,)), repr=False
+    )
     #: Seconds spent sleeping/stopped (drives wakeup decay).  Under the
     #: lazy-decay fast path this is materialised on demand from
     #: :attr:`park_epoch`; read it through ``Kernel.slptime_of``.
@@ -116,6 +127,26 @@ class Process:
     @estcpu.setter
     def estcpu(self, value: float) -> None:
         self.estcpu_column[self.slot] = value
+
+    @property
+    def priority(self) -> int:
+        """Scheduling priority (0 best … ``maxpri`` worst)."""
+        return self.priority_column[self.slot]
+
+    @priority.setter
+    def priority(self, value: int) -> None:
+        self.priority_column[self.slot] = value
+
+    @property
+    def boost_priority(self) -> Optional[int]:
+        """Kernel wakeup-priority boost; set when waking from a voluntary
+        sleep, consumed at first dispatch (4.4BSD tsleep priority)."""
+        boost = self.boost_column[self.slot]
+        return None if boost == NO_VALUE else boost
+
+    @boost_priority.setter
+    def boost_priority(self, value: Optional[int]) -> None:
+        self.boost_column[self.slot] = NO_VALUE if value is None else value
 
     @property
     def alive(self) -> bool:

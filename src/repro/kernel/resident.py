@@ -60,7 +60,6 @@ import numpy as np
 
 from repro.kernel.batch import (
     _CODE_TO_STATE,
-    NO_VALUE,
     STATE_CODES,
     ArrayRunQueue,
     BatchKernel,
@@ -81,7 +80,7 @@ from repro.kernel.priorities import (
     wakeup_decay,
 )
 from repro.kernel.runqueue import NQS, PPQ
-from repro.kernel.process import Process, ProcState
+from repro.kernel.process import NO_VALUE, Process, ProcState
 from repro.sim.engine import Engine
 
 _ZOMBIE_CODE = STATE_CODES[ProcState.ZOMBIE]
@@ -112,10 +111,11 @@ _COLUMNS: dict[str, tuple[str, type]] = {
 }
 
 #: The columns the base :class:`~repro.kernel.kernel.Kernel` owns
-#: (``_estcpu`` / ``_nice``).  A store under a kernel holds those very
-#: buffers, so they follow the kernel's growth rule — one ``append``
-#: per allocated row, in place — instead of capacity doubling.
-_KERNEL_COLUMNS = ("estcpu", "nice")
+#: (``_estcpu`` / ``_nice`` / ``_priority`` / ``_boost``).  A store
+#: under a kernel holds those very buffers, so they follow the kernel's
+#: growth rule — one ``append`` per allocated row, in place — instead
+#: of capacity doubling.
+_KERNEL_COLUMNS = ("estcpu", "nice", "priority", "boost")
 
 
 class ResidentStore:
@@ -137,9 +137,9 @@ class ResidentStore:
     place instead, and Python refuses that while a view of them is
     alive.
 
-    ``estcpu``, ``nice`` and ``views`` default to fresh buffers;
+    The kernel columns and ``views`` default to fresh buffers;
     :class:`ResidentKernel` passes the base kernel's, so there is one
-    ``estcpu`` column and one slot table, not two.
+    column per field and one slot table, not two.
     """
 
     __slots__ = ("capacity", "n", "wait_channel", "slot_of", "views") + tuple(
@@ -152,16 +152,19 @@ class ResidentStore:
         *,
         estcpu: Optional[array] = None,
         nice: Optional[array] = None,
+        priority: Optional[array] = None,
+        boost: Optional[array] = None,
         views: Optional[list] = None,
     ) -> None:
         self.capacity = capacity
         self.n = 0
         for name, (typecode, _) in _COLUMNS.items():
             if name not in _KERNEL_COLUMNS:
-                fill = NO_VALUE if name == "boost" else 0
-                setattr(self, name, array(typecode, [fill]) * capacity)
+                setattr(self, name, array(typecode, [0]) * capacity)
         self.estcpu = array("d") if estcpu is None else estcpu
         self.nice = array("q") if nice is None else nice
+        self.priority = array("q") if priority is None else priority
+        self.boost = array("q") if boost is None else boost
         #: Wait-channel strings (row-indexed; None unless sleeping).
         self.wait_channel: list[Optional[str]] = []
         #: pid -> row index.
@@ -192,6 +195,8 @@ class ResidentStore:
         self.pids[row] = pid
         self.estcpu.append(0.0)
         self.nice.append(0)
+        self.priority.append(0)
+        self.boost.append(NO_VALUE)
         self.wait_channel.append(None)
         self.slot_of[pid] = row
         return row
@@ -201,9 +206,8 @@ class ResidentStore:
         for name, (typecode, _) in _COLUMNS.items():
             if name in _KERNEL_COLUMNS:
                 continue
-            fill = NO_VALUE if name == "boost" else 0
             old = getattr(self, name)
-            new = array(typecode, [fill]) * new_cap
+            new = array(typecode, [0]) * new_cap
             new[: self.n] = old[: self.n]
             setattr(self, name, new)
         self.capacity = new_cap
@@ -243,11 +247,10 @@ class ResidentProcess(Process):
 
         Deliberately bypasses the dataclass ``__init__``: the freshly
         allocated row already holds every array-backed default (zeroed
-        columns; ``STATE_CODES[RUNNABLE] == 0``; boost pre-filled with
-        :data:`NO_VALUE`; wait channel None), so routing eleven default
-        assignments through the property setters per spawn would be
-        pure overhead — only the two kernel-owned columns, which grow
-        by one element per row, are written.
+        columns; ``STATE_CODES[RUNNABLE] == 0``; wait channel None), so
+        routing eleven default assignments through the property setters
+        per spawn would be pure overhead — only the four kernel-owned
+        columns, which grow by one element per row, are written.
         The plain structure slots are set directly, mirroring the
         parent's field defaults (tests/kernel/test_resident_view.py
         pins a fresh view against a fresh plain Process field by
@@ -261,12 +264,16 @@ class ResidentProcess(Process):
         store.pids[row] = pid
         store.estcpu.append(0.0)
         store.nice.append(nice)
+        store.priority.append(0)
+        store.boost.append(NO_VALUE)
         store.wait_channel.append(None)
         store.slot_of[pid] = row
         self = object.__new__(cls)
         self._store = store
         self.slot = row
         self.estcpu_column = store.estcpu
+        self.priority_column = store.priority
+        self.boost_column = store.boost
         store.views.append(self)
         # Plain (non-array) slots, matching Process field defaults.
         self.pid = pid
@@ -287,16 +294,9 @@ class ResidentProcess(Process):
         return self
 
     # -- scheduler state (array-backed) ---------------------------------
-    # ``estcpu`` is inherited: the parent's property reads row ``slot``
-    # of ``estcpu_column``, which attach binds to the store's column.
-    @property
-    def priority(self) -> int:
-        return self._store.priority[self.slot]
-
-    @priority.setter
-    def priority(self, value: int) -> None:
-        self._store.priority[self.slot] = value
-
+    # ``estcpu``, ``priority`` and ``boost_priority`` are inherited: the
+    # parent's properties read row ``slot`` of their ``*_column``, which
+    # attach binds to the store's columns.
     @property
     def nice(self) -> int:
         return self._store.nice[self.slot]
@@ -352,15 +352,6 @@ class ResidentProcess(Process):
     @stopped.setter
     def stopped(self, value: bool) -> None:
         self._store.stopped[self.slot] = 1 if value else 0
-
-    @property
-    def boost_priority(self) -> Optional[int]:
-        boost = self._store.boost[self.slot]
-        return None if boost == NO_VALUE else boost
-
-    @boost_priority.setter
-    def boost_priority(self, value: Optional[int]) -> None:
-        self._store.boost[self.slot] = NO_VALUE if value is None else value
 
     @property
     def wait_channel(self) -> Optional[str]:
@@ -545,7 +536,11 @@ class ResidentKernel(BatchKernel):
     ) -> None:
         super().__init__(engine, config)
         self.store = ResidentStore(
-            estcpu=self._estcpu, nice=self._nice, views=self._table
+            estcpu=self._estcpu,
+            nice=self._nice,
+            priority=self._priority,
+            boost=self._boost,
+            views=self._table,
         )
         self.runq = ResidentRunQueue()  # type: ignore[assignment]  # same surface
         # Replace the plain pid set installed by Kernel.__init__ with

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.kernel.actions import Compute, Sleep
+from repro.kernel.actions import Compute, Sleep, SleepOn
 from repro.kernel.behaviors import GeneratorBehavior
 from repro.kernel.kconfig import KernelConfig
 from repro.kernel.kernel import Kernel
+from repro.kernel.signals import SIGCONT, SIGSTOP
 from repro.sim.engine import Engine
 from repro.units import ms, sec
 from repro.workloads.spinner import spinner_behavior
@@ -90,3 +91,60 @@ def test_busy_accounting_consistent():
     eng.run_until(sec(3))
     k._charge_current()
     assert k.total_busy_us == pytest.approx(sec(3), abs=ms(1))
+
+
+def _waiter(channel):
+    def gen(proc, kapi):
+        yield SleepOn(channel)
+        while True:
+            yield Compute(ms(50))
+
+    return GeneratorBehavior(gen)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_renice_keeps_a_pending_wakeup_boost_on_the_run_queue(strict):
+    """4.4BSD ``resetpriority`` rewrites ``p_usrpri`` only: a process
+    still holding its tsleep priority keeps its bucket across a renice."""
+
+    def waker(proc, kapi):
+        yield Compute(ms(100))
+        kapi.wakeup("chan")  # both waiters become runnable, boosted
+        while True:
+            yield Compute(ms(50))
+
+    eng, k = make_kernel(strict=strict)
+    k.spawn("waker", GeneratorBehavior(waker))
+    first = k.spawn("first", _waiter("chan"))
+    second = k.spawn("second", _waiter("chan"))
+    eng.run_until(ms(100))
+    # One reschedule dispatched ``first``; ``second`` waits behind it in
+    # the boosted bucket, ahead of the preempted waker.
+    boosted = k.cfg.sleep_priority
+    assert k.current is first
+    assert second.pid in k._on_runq
+    assert (second.priority, second.boost_priority) == (boosted, boosted)
+
+    assert k.renice(second.pid, 10) == 0
+    # Still boosted, so it preempts ``first`` (user priority, boost
+    # spent) instead of dropping behind the waker at PUSER + 2 * 10.
+    assert k.current is second
+    assert second.boost_priority is None
+    assert second.priority == k.cfg.puser + k.cfg.nice_weight * 10
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_renice_keeps_the_boost_of_a_process_woken_while_stopped(strict):
+    eng, k = make_kernel(strict=strict)
+    hog = k.spawn("hog", spinner_behavior())
+    napper = k.spawn("napper", _waiter("chan"))
+    eng.run_until(ms(300))
+    k.kill(napper.pid, SIGSTOP)
+    k.wakeup("chan")  # runnable but stopped: the boost stays pending
+    boosted = k.cfg.sleep_priority
+    assert napper.runnable is False and napper.boost_priority == boosted
+
+    k.renice(napper.pid, 10)
+    assert (napper.priority, napper.boost_priority) == (boosted, boosted)
+    k.kill(napper.pid, SIGCONT)
+    assert k.current is napper and hog.pid in k._on_runq

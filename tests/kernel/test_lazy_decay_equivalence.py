@@ -18,6 +18,7 @@ from repro.kernel.behaviors import GeneratorBehavior
 from repro.kernel.kconfig import KernelConfig
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import ProcState
+from repro.kernel.signals import SIGCONT, SIGSTOP
 from repro.sim.engine import Engine
 from repro.units import ms, sec
 
@@ -121,3 +122,32 @@ def test_renice_of_a_parked_process_replays_its_decay_with_the_old_nice():
         )
     assert states[0] == states[1]
     assert states[0][0][0] > 0.0  # there was usage to decay
+
+
+def test_renice_of_a_just_woken_process_keeps_its_boost_in_both_kernels():
+    """Same workload, but pid 1 is SIGSTOPped in its third sleep and the
+    sleep expires under the stop: it is runnable, boosted and — in the
+    lazy kernel — still parked when the ``renice`` arrives, so the
+    deferred decay is replayed under a pending boost."""
+    script = [[(40, 250)] * 4, [(40, 0)], [(40, 0)]]
+    states = []
+    for strict in (True, False):
+        engine, kernel = _build(strict, script)
+        engine.run_until(sec(8) + ms(500))
+        proc = kernel.procs[1]
+        kernel.kill(1, SIGSTOP)
+        engine.run_until(sec(11))
+        assert proc.state is ProcState.RUNNABLE and proc.stopped
+        assert proc.boost_priority == kernel.cfg.sleep_priority
+        kernel.renice(1, 7)
+        kernel.flush_lazy_decay()
+        after_renice = (proc.estcpu, proc.priority, proc.slptime)
+        assert proc.priority == kernel.cfg.sleep_priority
+        kernel.kill(1, SIGCONT)
+        assert kernel.current is proc  # the boost carried it past the spinners
+        engine.run_until(sec(14))
+        kernel.flush_lazy_decay()
+        states.append(
+            (after_renice, proc.estcpu, proc.priority, engine.events_processed)
+        )
+    assert states[0] == states[1]

@@ -179,7 +179,8 @@ def test_store_grow_preserves_rows_and_refreshes_views():
     procs = _attach_n(store, 2)
     procs[0].estcpu = 1.5
     procs[1].priority = 60
-    stale = store.np_view("priority")
+    procs[1].slptime = 9
+    stale = store.np_view("slptime")
     _attach_n_more = ResidentProcess.attach(
         store, pid=99, name="g", uid=0, nice=0, behavior=None
     )
@@ -187,28 +188,37 @@ def test_store_grow_preserves_rows_and_refreshes_views():
     # Values survived the buffer replacement...
     assert procs[0].estcpu == 1.5
     assert procs[1].priority == 60
+    assert procs[1].slptime == 9
     assert _attach_n_more.estcpu == 0.0
     # ...and a fresh view sees them; the pre-grow view is stale by
     # design (it aliases the replaced buffer).
     assert store.np_view("estcpu")[0] == 1.5
     assert store.np_view("priority")[1] == 60
+    assert store.np_view("slptime")[1] == 9
     stale[1] = 7
-    assert procs[1].priority == 60
+    assert procs[1].slptime == 9
 
 
 def test_kernel_columns_grow_in_place_and_refuse_a_live_view():
-    """``estcpu``/``nice`` are the base kernel's buffers: one append per
-    row, same object before and after, and no allocation while a numpy
-    view of them is alive (a replaced buffer would be a second copy)."""
-    store = ResidentStore(capacity=2)
-    estcpu, nice = store.estcpu, store.nice
-    _attach_n(store, 5)
-    assert store.estcpu is estcpu and store.nice is nice
-    assert len(estcpu) == len(nice) == store.n == 5
-    live = store.np_view("estcpu")
-    with pytest.raises(BufferError):
-        ResidentProcess.attach(store, pid=99, name="g", uid=0, nice=0, behavior=None)
-    del live
+    """``estcpu``/``nice``/``priority``/``boost`` are the base kernel's
+    buffers: one append per row, same object before and after, and no
+    allocation while a numpy view of them is alive (a replaced buffer
+    would be a second copy)."""
+    from repro.kernel.resident import _KERNEL_COLUMNS
+
+    assert _KERNEL_COLUMNS == ("estcpu", "nice", "priority", "boost")
+    for name in _KERNEL_COLUMNS:
+        store = ResidentStore(capacity=2)
+        column = getattr(store, name)
+        _attach_n(store, 5)
+        assert getattr(store, name) is column
+        assert len(column) == store.n == 5
+        live = store.np_view(name)
+        with pytest.raises(BufferError):
+            ResidentProcess.attach(
+                store, pid=99, name="g", uid=0, nice=0, behavior=None
+            )
+        del live
 
 
 def test_faulty_kapi_hides_measure_many_from_the_agent():

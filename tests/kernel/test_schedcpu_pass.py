@@ -2,14 +2,16 @@
 
 The kernel has two implementations of the per-second decay: the eager
 scalar loop (``strict``, the oracle) and the lazy kernel's in-place
-vector pass over the ``estcpu`` column.  For any population — table
-sizes 1…500, any estcpu, nice, load (zero included), wakeup boost, and
-any mix of runnable / sleeping / stopped / zombie processes:
+vector pass over the ``estcpu`` / ``priority`` / boost columns.  For any
+population — table sizes 1…500, any estcpu, nice, load (zero included),
+stored priority, wakeup boost, and any mix of runnable / sleeping /
+stopped / zombie processes:
 
 * one pass of either must leave every PCB's ``(estcpu, priority,
   slptime)`` exactly where :func:`decay_estcpu` and
-  :func:`user_priority` put it, with each runnable process in the
-  run-queue bucket of its new priority;
+  :func:`user_priority` put it, and every run-queue bucket in the order
+  table-order requeueing (remove, then append at the new bucket's tail)
+  leaves it;
 * two passes with a ``renice``, a SIGSTOP and a SIGCONT in between
   (the writes to the ``nice`` mirror and the scheduled mask) must leave
   the lazy kernel equal to the strict one field by field and bucket by
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.kernel.kconfig import KernelConfig
 from repro.kernel.kernel import Kernel
@@ -80,6 +82,37 @@ tables = st.one_of(
 )
 
 loads = st.one_of(st.just(0.0), st.floats(0.0, 4000.0, allow_nan=False))
+
+
+def _row(estcpu, priority, boost=None, kind="runnable", nice=0, slptime=0):
+    return {
+        "estcpu": estcpu, "nice": nice, "priority": priority,
+        "boost": boost, "kind": kind, "slptime": slptime,
+    }
+
+
+#: Pinned inputs for a pass that filters rows before visiting them.  At
+#: load 1.0 an estcpu of 48.0 decays to 32.0, user priority 58 (bucket
+#: 14 holds 56…59); 0.0 stays 0.0.
+TRAP_LOAD = 1.0
+BOOST = CFG.sleep_priority
+TRAPS = {
+    # New user priority == stored priority, but a smaller boost is
+    # pending (``renice`` used to leave rows like this): still moves.
+    "boost_below_unchanged_user_priority": [_row(48.0, 58, BOOST)],
+    # Stored priority above, at and below a pending boost.
+    "stored_priority_vs_boost": [
+        _row(48.0, 100, BOOST), _row(48.0, BOOST, BOOST), _row(48.0, 7, BOOST),
+    ],
+    # 57 -> 58 stays in bucket 14 yet goes behind the untouched rows.
+    "requeue_inside_one_bucket": [_row(48.0, 57), _row(0.0, 58), _row(0.0, 59)],
+    # Parked rows whose stored priority is not what their estcpu gives.
+    "parked_rows": [
+        _row(48.0, 99, BOOST, "sleeping"), _row(48.0, 99, BOOST, "stopped"),
+        _row(48.0, 99, None, "sleeping", slptime=2), _row(48.0, 99, kind="zombie"),
+    ],
+}
+TRAPS["all"] = [row for table in TRAPS.values() for row in table]
 
 
 def _build(strict: bool, table: list[dict], load: float) -> Kernel:
@@ -144,22 +177,6 @@ def _assert_runq_consistent(kernel: Kernel) -> None:
         assert proc in kernel.runq._queues[proc.priority >> 2]
 
 
-@given(table=tables, load=loads, strict=st.booleans())
-@settings(max_examples=300, deadline=None)
-def test_one_pass_matches_decay_estcpu_and_user_priority(table, load, strict):
-    kernel = _build(strict, table, load)
-    expected = {
-        pid: _spec(kernel.cfg, strict, load, proc)
-        for pid, proc in kernel.procs.items()
-    }
-
-    kernel._on_schedcpu(None)
-
-    for pid, proc in kernel.procs.items():
-        assert (proc.estcpu, proc.priority, proc.slptime) == expected[pid], pid
-    _assert_runq_consistent(kernel)
-
-
 def _fields(kernel: Kernel) -> list[tuple]:
     return [
         (
@@ -174,6 +191,51 @@ def _buckets(kernel: Kernel) -> list[list[int]]:
     return [[p.pid for p in queue] for queue in kernel.runq._queues]
 
 
+def _one_pass_traps(test):
+    for table in TRAPS.values():
+        for strict in (True, False):
+            test = example(table=table, load=TRAP_LOAD, strict=strict)(test)
+    return test
+
+
+@_one_pass_traps
+@given(table=tables, load=loads, strict=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_matches_decay_estcpu_and_user_priority(table, load, strict):
+    kernel = _build(strict, table, load)
+    expected = {
+        pid: _spec(kernel.cfg, strict, load, proc)
+        for pid, proc in kernel.procs.items()
+    }
+    # Queued rows whose priority moves leave their bucket and join the
+    # tail of the new one (even if it is the same one), in table order.
+    buckets = _buckets(kernel)
+    for pid, proc in kernel.procs.items():
+        new_pri = expected[pid][1]
+        if pid in kernel._on_runq and new_pri != proc.priority:
+            buckets[proc.priority >> 2].remove(pid)
+            buckets[new_pri >> 2].append(pid)
+
+    kernel._on_schedcpu(None)
+
+    for pid, proc in kernel.procs.items():
+        assert (proc.estcpu, proc.priority, proc.slptime) == expected[pid], pid
+    assert _buckets(kernel) == buckets
+    _assert_runq_consistent(kernel)
+
+
+def _two_pass_traps(test):
+    # One row takes all three interventions and the second pass barely
+    # decays (32.0 -> 31.996, priority 57), so the order the first pass
+    # left the other rows in is still there to compare at the end.
+    for table in TRAPS.values():
+        test = example(
+            table=table, load=TRAP_LOAD, load2=4000.0, picks=(1, 1, 1), nice=3
+        )(test)
+    return test
+
+
+@_two_pass_traps
 @given(
     table=tables,
     load=loads,
