@@ -10,7 +10,11 @@ Checks, over ``README.md`` and every markdown file under ``docs/``:
   stripped, spaces → dashes);
 * fenced ``>>>`` examples in ``docs/using_the_library.md`` and
   ``docs/share_tree.md`` pass under :mod:`doctest` (run with
-  ``PYTHONPATH=src``).
+  ``PYTHONPATH=src``);
+* every event kind emitted under ``src/repro/alps/`` or
+  ``src/repro/hostos/`` (a string literal passed to an ``emit`` or
+  ``_emit`` call) has a row in the "Event kinds" table of
+  ``docs/observability.md``.
 
 Exit status is non-zero on any failure, so CI can gate on it:
 
@@ -19,9 +23,11 @@ Exit status is non-zero on any failure, so CI can gate on it:
 
 from __future__ import annotations
 
+import ast
 import doctest
 import re
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -34,6 +40,10 @@ DOCTEST_FILES = [
     REPO / "docs" / "using_the_library.md",
     REPO / "docs" / "share_tree.md",
 ]
+
+#: Packages whose emitted event kinds must be documented, and where.
+EVENT_SOURCES = [REPO / "src" / "repro" / "alps", REPO / "src" / "repro" / "hostos"]
+EVENT_TABLE = REPO / "docs" / "observability.md"
 
 # Inline markdown links: [text](target). Images share the syntax.
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
@@ -110,12 +120,60 @@ def check_doctests() -> list[str]:
     return errors
 
 
+_KIND_RE = re.compile(r"[a-z_]+(\.[a-z_]+)+")
+
+
+def emitted_kinds(path: Path) -> set[str]:
+    """Event-kind literals passed to ``emit``/``_emit`` calls in ``path``."""
+    kinds: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name not in ("emit", "_emit"):
+            continue
+        for arg in node.args:
+            for const in ast.walk(arg):  # reaches both arms of an `a if c else b`
+                if (
+                    isinstance(const, ast.Constant)
+                    and isinstance(const.value, str)
+                    and _KIND_RE.fullmatch(const.value)
+                ):
+                    kinds.add(const.value)
+    return kinds
+
+
+def documented_kinds() -> list[str]:
+    """Kind patterns in the first column of the "Event kinds" table."""
+    section = EVENT_TABLE.read_text().split("### Event kinds", 1)[1]
+    section = section.split("\n#", 1)[0]
+    patterns: list[str] = []
+    for first_cell in re.findall(r"^\|([^|]*)\|", section, re.M):
+        patterns.extend(re.findall(r"`([^`]+)`", first_cell))
+    return patterns
+
+
+def check_event_kinds() -> list[str]:
+    documented = documented_kinds()
+    errors: list[str] = []
+    for package in EVENT_SOURCES:
+        for path in sorted(package.rglob("*.py")):
+            for kind in sorted(emitted_kinds(path)):
+                if not any(fnmatch(kind, pattern) for pattern in documented):
+                    errors.append(
+                        f"{path.relative_to(REPO)}: event kind {kind!r} has no "
+                        f"row in {EVENT_TABLE.relative_to(REPO)} (Event kinds)"
+                    )
+    return errors
+
+
 def main() -> int:
     missing = [str(p) for p in DOC_FILES + DOCTEST_FILES if not p.exists()]
     if missing:
         print("missing documentation files:", *missing, sep="\n  ")
         return 1
-    errors = check_links() + check_doctests()
+    errors = check_links() + check_doctests() + check_event_kinds()
     for err in errors:
         print(f"ERROR: {err}")
     n_links = sum(

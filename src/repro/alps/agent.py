@@ -45,21 +45,20 @@ from repro.alps.algorithm import AlpsCore, QuantumDecisions
 from repro.alps.config import AlpsConfig
 from repro.alps.costs import CostAccumulator
 from repro.alps.instrumentation import CycleLog
+from repro.alps.policy import AlpsPolicy
 from repro.alps.state import Eligibility
 from repro.alps.subjects import ProcessSubject, Subject
 from repro.errors import (
     JournalCorruptError,
     NoSuchProcessError,
-    SchedulerConfigError,
     TransientReadError,
 )
 from repro.kernel.actions import Action, Compute, Sleep
 from repro.kernel.signals import SIGCONT, SIGSTOP
-from repro.overload.ladder import Rung
 from repro.resilience.journal import (
     drain_debt,
     journal_quantum,
-    restore_core,
+    restore_state,
     schedule_debt,
     state_snapshot,
     validate_snapshot,
@@ -74,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
     from repro.overload.guard import OverloadGuard
     from repro.resilience.journal import MemoryJournal
-    from repro.sharetree.tree import ShareNode, ShareTree
+    from repro.sharetree.tree import ShareTree
 
 
 _EMPTY_SET: frozenset[int] = frozenset()
@@ -100,8 +99,8 @@ class AlpsAgent:
         if len(self.subjects) != len(subjects):
             raise ValueError("subject ids must be unique")
         # Single-process subjects, cached for the per-quantum liveness
-        # sweep (subjects are only ever removed, in _reap_dead_subjects,
-        # which also maintains this list).
+        # sweep; kept in step with membership by _admit, _release and
+        # _reap_dead_subjects.
         self._proc_subjects: list[ProcessSubject] = [
             s for s in self.subjects.values() if isinstance(s, ProcessSubject)
         ]
@@ -109,6 +108,15 @@ class AlpsAgent:
             {s.sid: s.share for s in subjects},
             config.quantum_us,
             optimized=config.optimized,
+        )
+        #: The kapi of the current entry point, which the policy's port
+        #: acts through: the agent's own activations see the surface
+        #: its behavior wrapper hands it, external callers their own.
+        self._kapi: Optional["KernelAPI"] = None
+        #: Admission, degradation and share-tree policy
+        #: (:mod:`repro.alps.policy`); ``subjects`` is its member map.
+        self.policy = AlpsPolicy(
+            self.core, self.subjects, self._admit, self._release, self._now
         )
         self._acc = CostAccumulator()
         # Hoisted scalars for the per-quantum charge arithmetic (the
@@ -132,11 +140,6 @@ class AlpsAgent:
         self._cumulative: dict[int, int] = {}
         #: The boundary the agent intended to wake at (stall detection).
         self._sleep_target = 0
-        #: Previous wake's timestamp and the intended wake-to-wake
-        #: period, for the overload layer's cadence-slip signal; -1
-        #: means no previous wake (startup, crash-restart).
-        self._last_wake_now = -1
-        self._wake_cadence_us = config.quantum_us
         #: Fractional CPU owed for recovery work (retries), folded into
         #: the next quantum's charge.
         self._deferred_cost_us = 0.0
@@ -197,24 +200,6 @@ class AlpsAgent:
         #: Downtime CPU debt (µs) per subject awaiting amortized
         #: repayment (:func:`~repro.resilience.journal.drain_debt`).
         self._deferred_debt: dict[int, int] = {}
-        # -- overload protection (docs/overload.md) --------------------
-        #: Guard composing admission control, the timer-slip monitor and
-        #: the degradation ladder; None = no overload layer (exact seed
-        #: behavior).  Schedule-invisible while the ladder sits at
-        #: NORMAL: the wake-path hook is pure bookkeeping that charges
-        #: no CPU and changes no decision until a rung engages.
-        self._overload: Optional["OverloadGuard"] = None
-        #: Subjects currently released to best-effort by the SHED rung,
-        #: kept aside (out of the core and the liveness sweep) until the
-        #: ladder walks back down and readmits them.
-        self._shed_subjects: dict[int, Subject] = {}
-        # -- hierarchical shares (docs/share_tree.md) ------------------
-        #: Share tree resolving each subject's effective share from its
-        #: ancestors' weights; None = the flat model (exact seed
-        #: behavior).  A flat-equivalent tree is schedule-invisible:
-        #: its effective shares equal the raw weights verbatim, so
-        #: every ``set_share`` it issues no-ops on a zero delta.
-        self._sharetree: Optional["ShareTree"] = None
 
     # ------------------------------------------------------------------
     # Introspection used by experiments
@@ -226,10 +211,7 @@ class AlpsAgent:
 
     def set_share(self, sid: int, share: int) -> None:
         """Reweight a subject mid-run (takes effect next quantum)."""
-        self.core.set_share(sid, share)
-        subj = self.subjects.get(sid)
-        if subj is not None:
-            subj.share = share
+        self.policy.set_share(sid, share)
 
     def cumulative_cpu_of(self, sid: int) -> int:
         """CPU (µs) consumed by subject ``sid`` since control began, as
@@ -255,23 +237,25 @@ class AlpsAgent:
         self._journal = journal
 
     # ------------------------------------------------------------------
-    # Overload protection surface (docs/overload.md)
+    # Overload protection and share-tree surface (docs/overload.md,
+    # docs/share_tree.md); the policy itself is repro.alps.policy
     # ------------------------------------------------------------------
     def attach_overload(self, guard: "OverloadGuard") -> None:
         """Attach an overload guard (:mod:`repro.overload`).
 
         Every wake feeds the guard the timer slip (actual minus
         scheduled delivery); the guard's ladder answers with the current
-        quantum stretch, measurement-postponement boost, and shed
-        decisions, which the agent enacts.  Like the journal and the
-        observer, an attached-but-idle guard is schedule-invisible.
+        quantum stretch, which the agent sleeps by, and the
+        measurement-postponement boost and shed decisions, which the
+        policy enacts.  Like the journal and the observer, an
+        attached-but-idle guard is schedule-invisible.
         """
-        self._overload = guard
+        self.policy.guard = guard
 
     @property
     def overload(self) -> Optional["OverloadGuard"]:
         """The attached overload guard, if any (obs/top surface)."""
-        return self._overload
+        return self.policy.guard
 
     @property
     def timer_slip_us(self) -> int:
@@ -281,14 +265,11 @@ class AlpsAgent:
         starvation shows up as supervisor pressure, not just as an
         overload metric.
         """
-        guard = self._overload
+        guard = self.policy.guard
         if guard is None:
             return 0
         return int(guard.slip.last_quanta * self._quantum_us)
 
-    # ------------------------------------------------------------------
-    # Hierarchical shares surface (docs/share_tree.md)
-    # ------------------------------------------------------------------
     def attach_sharetree(self, tree: "ShareTree") -> None:
         """Attach a share tree (:mod:`repro.sharetree`).
 
@@ -300,122 +281,35 @@ class AlpsAgent:
         the same schedule-invisibility discipline as the journal, the
         observer, and the overload guard.
         """
-        self._sharetree = tree
-        self.reweigh_from_tree()
+        self.policy.tree = tree
+        self.policy.reweigh()
 
     @property
     def sharetree(self) -> Optional["ShareTree"]:
         """The attached share tree, if any (obs/top surface)."""
-        return self._sharetree
+        return self.policy.tree
 
     def reweigh_from_tree(self) -> None:
-        """Re-apply the tree's effective shares to the core.
-
-        ``AlpsCore.set_share`` early-outs on a zero delta, so this is
-        free (and trace-invisible) whenever the resolved shares already
-        match — the flat-equivalence case.
-        """
-        tree = self._sharetree
-        if tree is None:
-            return
-        core_subjects = self.core.subjects
-        for sid, share in tree.effective_shares().items():
-            if sid not in core_subjects:
-                continue
-            self.core.set_share(sid, share)
-            subj = self.subjects.get(sid)
-            if subj is not None:
-                subj.share = share
+        """Re-apply the tree's effective shares to the core."""
+        self.policy.reweigh()
 
     def set_tree_weight(self, path: str, weight: int) -> None:
         """Reweight a tree node; every descendant leaf follows."""
-        tree = self._sharetree
-        if tree is None:
-            raise SchedulerConfigError("no share tree attached")
-        tree.set_weight(path, weight)
-        self.reweigh_from_tree()
+        self.policy.set_tree_weight(path, weight)
 
-    def _active_leaves_under(self, gate: "ShareNode") -> int:
-        """Admitted members of a gated subtree (its enforced count)."""
-        tree = self._sharetree
-        assert tree is not None
-        core_subjects = self.core.subjects
-        return sum(
-            1 for leaf in tree.leaves(gate) if leaf.sid in core_subjects
-        )
-
-    def _submit_tree_subject(
-        self, subject: Subject, kapi: "KernelAPI", path: str
+    def submit_subject(
+        self, subject: Subject, kapi: "KernelAPI", *, path: Optional[str] = None
     ) -> bool:
-        """Route an arrival through its subtree's admission gate.
+        """Offer a new arrival to the group through admission control.
 
-        The leaf is only created in the tree once admitted — a queued
-        arrival must not dilute its siblings' effective shares while it
-        waits.  Queue entries are ``(subject, path)`` pairs.
+        Returns True iff the subject joined the enforced set now; a
+        queued arrival joins at a later wake, a dead one never.  With a
+        share tree attached, ``path`` places the arrival in the tree
+        behind its subtree's own gate
+        (:meth:`~repro.alps.policy.AlpsPolicy.submit`).
         """
-        tree = self._sharetree
-        assert tree is not None
-        parent = tree.node(path.rpartition("/")[0])
-        gate = tree.admission_for(parent)
-        obs = self._obs
-        if gate is not None:
-            assert gate.admission is not None
-            admitted = gate.admission.submit(
-                (subject, path), self._active_leaves_under(gate)
-            )
-            if not admitted:
-                if obs is not None and obs.enabled:
-                    obs.events.emit(
-                        kapi.now, "sharetree.queued",
-                        sid=subject.sid, path=path,
-                        depth=gate.admission.depth,
-                    )
-                return False
-        tree.leaf(path, sid=subject.sid, weight=subject.share)
-        if not self._admit_subject(subject, kapi):
-            tree.remove(path)  # died before admission
-            return False
-        self.reweigh_from_tree()
-        if obs is not None and obs.enabled:
-            obs.events.emit(
-                kapi.now, "sharetree.admitted", sid=subject.sid, path=path
-            )
-        return True
-
-    def _drain_tree_admissions(self, kapi: "KernelAPI") -> float:
-        """Admit queued subtree arrivals into spare capacity (per gate)."""
-        tree = self._sharetree
-        assert tree is not None
-        npids = 0
-        admitted_any = False
-        obs = self._obs
-        for gate in tree.gates():
-            queue = gate.admission
-            if queue is None or not queue.depth:
-                continue
-            for subject, path in queue.admit_ready(
-                self._active_leaves_under(gate)
-            ):
-                try:
-                    tree.leaf(path, sid=subject.sid, weight=subject.share)
-                except SchedulerConfigError:
-                    continue  # its branch vanished while it waited
-                if not self._admit_subject(subject, kapi):
-                    tree.remove(path)
-                    continue
-                admitted_any = True
-                npids += len(subject.pids(kapi))
-                if obs is not None and obs.enabled:
-                    obs.events.emit(
-                        kapi.now, "sharetree.admitted",
-                        sid=subject.sid, path=path,
-                    )
-        if admitted_any:
-            self.reweigh_from_tree()
-        if npids == 0:
-            return 0.0
-        self.reads += npids
-        return self.cfg.costs.measure_cost(npids)
+        self._kapi = kapi
+        return self.policy.submit(subject, path)
 
     def release_subject(self, sid: int, kapi: "KernelAPI") -> Subject:
         """Withdraw a subject from this agent (cell migration).
@@ -425,209 +319,54 @@ class AlpsAgent:
         wedged between cells, and the subject object is returned for
         :meth:`adopt_subject` on the destination agent.
         """
-        subj = self.subjects.pop(sid, None)
-        if subj is None:
-            subj = self._shed_subjects.pop(sid, None)
-            if subj is not None:
-                guard = self._overload
-                if guard is not None:
-                    guard.note_departed(sid)
-                return subj  # shed: already best-effort, nothing stopped
-            raise SchedulerConfigError(f"agent does not control sid {sid}")
-        if isinstance(subj, ProcessSubject):
-            self._proc_subjects.remove(subj)
-        if sid in self.core.subjects:
-            self.core.remove_subject(sid)
-        for pid in subj.pids(kapi):
-            if pid in self._stopped_pids:
-                try:
-                    kapi.kill(pid, SIGCONT)
-                    self.signals_sent += 1
-                except NoSuchProcessError:
-                    pass
-            self._forget_pid(pid)
+        self._kapi = kapi
+        subj = self.policy.release(sid)
         self._cumulative.pop(sid, None)
         return subj
 
     def adopt_subject(self, subject: Subject, kapi: "KernelAPI") -> bool:
         """Receive a migrating subject (already admitted in its old
         cell, so admission control is deliberately bypassed)."""
-        if not self._admit_subject(subject, kapi):
-            return False
-        if self._sharetree is not None:
-            self.reweigh_from_tree()
-        return True
+        self._kapi = kapi
+        return self.policy.adopt(subject)
 
-    def submit_subject(
-        self, subject: Subject, kapi: "KernelAPI", *, path: Optional[str] = None
-    ) -> bool:
-        """Offer a new arrival to the group through admission control.
-
-        Without a guard (or with spare capacity) the subject joins the
-        enforced set immediately; otherwise it waits in the FIFO
-        admission queue and is drained at a later wake as capacity
-        frees up.  Returns True when admitted immediately.
-
-        With a share tree attached, ``path`` places the arrival in the
-        tree and routes it through its subtree's *own* admission gate
-        (nearest gated ancestor; docs/share_tree.md) instead of the
-        whole-group queue.
-        """
-        if path is not None:
-            if self._sharetree is None:
-                raise SchedulerConfigError(
-                    "submit_subject(path=...) requires an attached share tree"
-                )
-            return self._submit_tree_subject(subject, kapi, path)
-        guard = self._overload
-        if guard is None:
-            self._admit_subject(subject, kapi)
-            return True
-        admitted = guard.admission.submit(
-            subject, len(self.core.subjects), paused=guard.admission_paused
-        )
-        obs = self._obs
-        if admitted:
-            self._admit_subject(subject, kapi)
-            if obs is not None and obs.enabled:
-                obs.events.emit(kapi.now, "overload.admitted", sid=subject.sid)
-        elif obs is not None and obs.enabled:
-            obs.events.emit(
-                kapi.now, "overload.queued",
-                sid=subject.sid, depth=guard.admission.depth,
-            )
-        return admitted
-
-    def _admit_subject(self, subject: Subject, kapi: "KernelAPI") -> bool:
-        """Add a subject to the enforced set; False if it died first."""
+    # -- the policy's port (repro.alps.policy) ----------------------------
+    def _admit(self, subject: Subject) -> int:
+        """Baseline a joining subject's pids; 0 if it died first."""
+        kapi = self._kapi
         subject.refresh(kapi)
         pids = subject.pids(kapi)
         if not pids:
-            return False  # died before admission; nothing to enforce
-        sid = subject.sid
-        self.subjects[sid] = subject
+            return 0
         if isinstance(subject, ProcessSubject):
             self._proc_subjects.append(subject)
-        self.core.add_subject(sid, subject.share)
-        self._cumulative.setdefault(sid, 0)
+        self._cumulative.setdefault(subject.sid, 0)
         for pid in pids:
             self._set_baseline(kapi, pid)
-        return True
+        return len(pids)
 
-    def _drain_admissions(self, kapi: "KernelAPI") -> float:
-        """Admit queued arrivals into spare capacity; returns CPU cost."""
-        guard = self._overload
-        ready = guard.admission.admit_ready(
-            len(self.core.subjects), paused=guard.admission_paused
-        )
-        if not ready:
-            return 0.0
-        npids = 0
-        obs = self._obs
-        for subject in ready:
-            if not self._admit_subject(subject, kapi):
-                continue
-            npids += len(subject.pids(kapi))
-            if obs is not None and obs.enabled:
-                obs.events.emit(kapi.now, "overload.admitted", sid=subject.sid)
-        if npids == 0:
-            return 0.0
-        self.reads += npids
-        return self.cfg.costs.measure_cost(npids)
+    def _release(self, sid: int) -> int:
+        """Resume and forget a departing member's pids; returns how many
+        stopped ones got a SIGCONT.  Delivered at once: the pending list
+        belongs to the measurement phase."""
+        kapi = self._kapi
+        subj = self.subjects[sid]
+        if isinstance(subj, ProcessSubject):
+            self._proc_subjects.remove(subj)
+        resumed = 0
+        for pid in subj.pids(kapi):
+            if pid in self._stopped_pids:
+                resumed += 1
+                try:
+                    kapi.kill(pid, SIGCONT)
+                    self.signals_sent += 1
+                except NoSuchProcessError:
+                    pass
+            self._forget_pid(pid)
+        return resumed
 
-    def _apply_ladder(self, kapi: "KernelAPI", now: int, delta: int) -> float:
-        """Enact a ladder transition; returns the CPU cost of enactment."""
-        guard = self._overload
-        self.core.postpone_boost = guard.postpone_boost
-        obs = self._obs
-        if obs is not None and obs.enabled:
-            obs.events.emit(
-                now,
-                "overload.engage" if delta > 0 else "overload.relax",
-                rung=int(guard.rung),
-                slip_ewma_quanta=round(guard.slip.ewma_quanta, 3),
-            )
-        cost = 0.0
-        if delta > 0 and guard.rung >= Rung.SHED:
-            cost += self._shed_members(kapi, now)
-        elif delta < 0 and guard.rung < Rung.SHED and guard.shed_sids:
-            cost += self._readmit_shed(kapi, now)
-        return cost
-
-    def _shed_members(self, kapi: "KernelAPI", now: int) -> float:
-        """SHED rung: release the lowest-share tail to best-effort.
-
-        Shed subjects leave the enforced set entirely (core, liveness
-        sweep, measurement loop) and their stopped pids are resumed —
-        best-effort means the kernel schedules them, not us.
-        """
-        guard = self._overload
-        quota = guard.shed_quota(len(self.core.subjects))
-        if quota <= 0:
-            return 0.0
-        shares = {sid: st.share for sid, st in self.core.subjects.items()}
-        cost = 0.0
-        obs = self._obs
-        for sid in guard.select_shed(shares, quota):
-            subj = self.subjects.pop(sid, None)
-            if subj is None:  # pragma: no cover - raced a reap
-                continue
-            if isinstance(subj, ProcessSubject):
-                self._proc_subjects.remove(subj)
-            self.core.remove_subject(sid)
-            self._shed_subjects[sid] = subj
-            guard.note_shed(sid)
-            # Resume-all for the tail: deliver immediately (the pending
-            # list belongs to the measurement phase) and pay for it.
-            for pid in subj.pids(kapi):
-                if pid in self._stopped_pids:
-                    try:
-                        kapi.kill(pid, SIGCONT)
-                        self.signals_sent += 1
-                    except NoSuchProcessError:
-                        pass
-                    cost += self._cost_signal_us
-                self._forget_pid(pid)
-            if obs is not None and obs.enabled:
-                obs.events.emit(now, "overload.shed", sid=sid)
-        return cost
-
-    def _readmit_shed(self, kapi: "KernelAPI", now: int) -> float:
-        """Walking back below SHED: return the shed tail to enforcement.
-
-        Best-effort consumption while shed is deliberately forgiven —
-        the baseline restarts at the current reading; the subject
-        rejoins with a full allowance like any other arrival.
-        """
-        guard = self._overload
-        cost = 0.0
-        npids = 0
-        obs = self._obs
-        for sid in list(guard.shed_sids):
-            subj = self._shed_subjects.pop(sid, None)
-            if subj is None:  # pragma: no cover - bookkeeping drift
-                guard.note_departed(sid)
-                continue
-            subj.refresh(kapi)
-            pids = subj.pids(kapi)
-            if not pids:
-                guard.note_departed(sid)
-                continue
-            self.subjects[sid] = subj
-            if isinstance(subj, ProcessSubject):
-                self._proc_subjects.append(subj)
-            self.core.add_subject(sid, subj.share)
-            self._cumulative.setdefault(sid, 0)
-            for pid in pids:
-                self._set_baseline(kapi, pid)
-                npids += 1
-            guard.note_readmitted(sid)
-            if obs is not None and obs.enabled:
-                obs.events.emit(now, "overload.readmit", sid=sid)
-        if npids:
-            self.reads += npids
-            cost += self.cfg.costs.measure_cost(npids)
-        return cost
+    def _now(self) -> int:
+        return self._kapi.now
 
     def snapshot_state(self, now: int) -> dict:
         """JSON-safe snapshot of all state a restart must not lose."""
@@ -695,7 +434,7 @@ class AlpsAgent:
         self._deferred_cost_us = 0.0
         #: Downtime must not read as kernel starvation: the cadence-slip
         #: baseline restarts with the agent.
-        self._last_wake_now = -1
+        self.policy.last_wake_us = -1
         self.restarts += 1
         self.last_restart_journaled = False
         self._recovered = None
@@ -723,7 +462,7 @@ class AlpsAgent:
         """
         to_resume = set(self._stopped_pids)
         subjects = list(self.subjects.values())
-        subjects.extend(self._shed_subjects.values())
+        subjects.extend(self.policy.shed.values())
         for subj in subjects:
             for pid in subj.pids(kapi):
                 try:
@@ -767,7 +506,7 @@ class AlpsAgent:
         self._epoch = kapi.now
         # Duck-typed kapi surfaces (unit-test fakes, alternative hosts)
         # may not expose an observability handle; absence means None.
-        self._obs = getattr(kapi, "observer", None)
+        self._obs = self.policy.obs = getattr(kapi, "observer", None)
         self.core._now_fn = lambda: kapi.now
         self._cumulative = {s: 0 for s in self.subjects}
         for subj in self.subjects.values():
@@ -783,31 +522,28 @@ class AlpsAgent:
         now = kapi.now
         cost = self._cost_timer_us + self._deferred_cost_us
         self._deferred_cost_us = 0.0
-        guard = self._overload
-        if guard is not None:
-            # Starvation detection: feed the wake's timer slip to the
-            # ladder.  Slip is *cadence* slip — the actual wake-to-wake
-            # gap minus the intended period — because a deprioritised
-            # agent shows up as servicing (Compute bursts) crawling
-            # between boundaries, not as late timer delivery (wakeups
-            # carry a priority boost).  Pure bookkeeping unless a rung
-            # actually changes or queued arrivals fit —
-            # schedule-invisible while idle.
-            prev = self._last_wake_now
-            self._last_wake_now = now
-            if prev >= 0:
-                delta = guard.observe_wake(
-                    now - prev - self._wake_cadence_us, self._quantum_us
-                )
-                if delta:
-                    cost += self._apply_ladder(kapi, now, delta)
-            if guard.admission.depth and not guard.admission_paused:
-                cost += self._drain_admissions(kapi)
-        tree = self._sharetree
-        # _gates first: ungated trees (the common flat-equivalent case)
-        # must not pay a generator sum on every wake.
-        if tree is not None and tree._gates and tree.pending_admissions:
-            cost += self._drain_tree_admissions(kapi)
+        policy = self.policy
+        if policy.guard is not None or policy.tree is not None:
+            # Slip is *cadence* slip — the actual wake-to-wake gap minus
+            # the intended period — because a deprioritised agent shows
+            # up as servicing (Compute bursts) crawling between
+            # boundaries, not as late timer delivery (wakeups carry a
+            # priority boost).
+            self._kapi = kapi
+            resumed, readmitted, drained, gated = policy.wake(now)
+            if resumed:
+                # The shed's signals are one subtotal, added once:
+                # regrouping the float sum changes the charge's last
+                # bits, which the accumulator's carry turns into a
+                # different schedule.
+                shed_cost = 0.0
+                for _ in range(resumed):
+                    shed_cost += self._cost_signal_us
+                cost += shed_cost
+            for npids in (readmitted, drained, gated):
+                if npids:
+                    self.reads += npids
+                    cost += self.cfg.costs.measure_cost(npids)
         if now - self._sleep_target >= self._quantum_us:
             # At least one whole quantum overslept (the guard mirrors
             # _absorb_stall's own missed <= 0 early-out).
@@ -1102,23 +838,10 @@ class AlpsAgent:
         try:
             if payload is None:
                 raise JournalCorruptError("recovery payload missing")
-            ag = payload.get("agent", {})
-            last_read = {
-                int(pid): int(usage)
-                for pid, usage in ag.get("last_read", {}).items()
-            }
-            cumulative = {
-                int(sid): int(total)
-                for sid, total in ag.get("cumulative", {}).items()
-            }
-            deferred = {
-                int(sid): int(owed)
-                for sid, owed in ag.get("debt", {}).items()
-                if int(owed) > 0
-            }
-            epoch = int(ag.get("epoch", self._epoch))
-            restore_core(self.core, payload["core"])
-        except (JournalCorruptError, TypeError, ValueError, KeyError, AttributeError):
+            state = restore_state(
+                self.core, payload, ("last_read", "cumulative", "debt")
+            )
+        except JournalCorruptError:
             # Unusable payload: degrade to the PR 1 reconciliation pass.
             self.recovery_fallbacks += 1
             self.last_restart_journaled = False
@@ -1132,7 +855,10 @@ class AlpsAgent:
         for sid in list(self.core.subjects):
             if sid not in self.subjects:
                 self.core.remove_subject(sid)
-        self._epoch = epoch
+        self._epoch = state.get("epoch", self._epoch)
+        last_read = state["last_read"]
+        cumulative = state["cumulative"]
+        deferred = state["debt"]
         npids = 0
         stopped_now: set[int] = set()
         debts: dict[int, int] = {}
@@ -1204,7 +930,7 @@ class AlpsAgent:
 
     def _sleep_until_boundary(self, now: int) -> Sleep:
         duration = self._until_next_boundary(now)
-        guard = self._overload
+        guard = self.policy.guard
         if guard is not None:
             # STRETCH and above: skip ahead extra boundaries so the
             # agent wakes every stretch × Q.  The epoch-aligned grid is
@@ -1212,7 +938,7 @@ class AlpsAgent:
             stretch = guard.stretch_factor
             if stretch > 1:
                 duration += (stretch - 1) * self._quantum_us
-            self._wake_cadence_us = stretch * self._quantum_us
+            self.policy.cadence_us = stretch * self._quantum_us
         self._sleep_target = now + duration
         return Sleep(duration, "alpstimer")
 
@@ -1391,22 +1117,9 @@ class AlpsAgent:
         if dead is None:
             return
         for subj in dead:
-            sid = subj.sid
-            if sid in self.core.subjects:
-                self.core.remove_subject(sid)
             self._forget_pid(subj.pid)
-            del self.subjects[sid]
+        self.policy.depart([subj.sid for subj in dead])
         self._proc_subjects = [s for s in self._proc_subjects if s._alive]
-        tree = self._sharetree
-        if tree is not None:
-            # A dead leaf leaves the tree; its siblings' fractions grow
-            # recursively (flat-equivalent trees resolve to the same raw
-            # weights, so the reweigh no-ops there).
-            changed = False
-            for subj in dead:
-                changed |= tree.discard_sid(subj.sid)
-            if changed:
-                self.reweigh_from_tree()
 
     def _forget_pid(self, pid: int) -> None:
         """Remove every per-pid record (death or departure cleanup)."""

@@ -16,27 +16,27 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.alps.algorithm import AlpsCore, Measurement
 from repro.alps.instrumentation import CycleLog
+from repro.alps.policy import AlpsPolicy
+from repro.alps.subjects import ProcessSubject
 from repro.errors import (
     HostOSError,
     JournalCorruptError,
     SchedulerConfigError,
 )
 from repro.hostos import procfs
-from repro.overload.ladder import Rung
 from repro.resilience.journal import (
     drain_debt,
     journal_quantum,
-    restore_core,
+    restore_state,
     schedule_debt,
     state_snapshot,
-    validate_snapshot,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
     from repro.overload.guard import OverloadGuard
     from repro.resilience.journal import FileJournal
-    from repro.sharetree.tree import ShareNode, ShareTree
+    from repro.sharetree.tree import ShareTree
 
 
 @dataclass(slots=True)
@@ -119,7 +119,7 @@ class HostAlps:
             dict(shares),
             self.quantum_us,
             optimized=optimized,
-            now_fn=lambda: int(time.monotonic() * 1_000_000),
+            now_fn=self._now,
         )
         self._last_read: dict[int, int] = {}
         self._stopped: set[int] = set()
@@ -143,21 +143,19 @@ class HostAlps:
         #: pids signalled after the last record was written; the next
         #: delta carries where that left them in the stop-set.
         self._journal_signalled: list[int] = []
-        #: Overload protection (docs/overload.md).  The guard's state is
-        #: volatile by design: after a journaled restart protection
-        #: re-engages from fresh slip evidence rather than replaying the
-        #: pre-crash ladder position.
-        self.overload = overload
-        #: Shares of pids currently shed to best-effort (pid -> share).
-        self._shed_shares: dict[int, int] = {}
-        self._prev_wake_us: Optional[int] = None
-        self._wake_cadence_us = self.quantum_us
-        #: Hierarchical share tree (docs/share_tree.md); leaf sids are
-        #: pids on the host.  A flat-equivalent tree resolves to the raw
-        #: shares verbatim, so attaching it changes nothing.
-        self.sharetree = sharetree
-        if sharetree is not None:
-            self.reweigh_from_tree()
+        #: Admission, degradation and share-tree policy
+        #: (:mod:`repro.alps.policy`); its items are pids as subjects.
+        #: The guard's state is volatile by design: after a journaled
+        #: restart protection re-engages from fresh slip evidence rather
+        #: than replaying the pre-crash ladder position.  Tree leaf sids
+        #: are pids; a flat-equivalent tree changes nothing.
+        self.policy = AlpsPolicy(
+            self.core, self._core_members(), self._admit, self._release, self._now
+        )
+        self.policy.obs = observer
+        self.policy.guard = overload
+        self.policy.tree = sharetree
+        self.policy.reweigh()
 
     # ------------------------------------------------------------------
     def run(self, duration_s: float) -> HostAlpsReport:
@@ -178,12 +176,13 @@ class HostAlps:
             try:
                 usage = procfs.cpu_time_us(pid)
             except HostOSError:
-                self.core.remove_subject(pid)
+                self._drop_subject(pid)
                 continue
             self._last_read[pid] = usage
             self._initial[pid] = usage
         deadline = t_start + duration_s
         boundary = t_start + self.quantum_us / 1_000_000
+        guard = self.policy.guard
         try:
             while True:
                 now = time.monotonic()
@@ -193,39 +192,18 @@ class HostAlps:
                     time.sleep(boundary - now)
                 # Skip past any boundaries we overslept.
                 now = time.monotonic()
-                guard = self.overload
-                if guard is not None:
-                    # Cadence slip: the gap between consecutive wakes
-                    # minus the stride we intended when we went to sleep.
-                    # Wake *dispatch* is usually prompt even under load;
-                    # starvation shows as the whole loop iteration (reads,
-                    # signals, the sleep) taking longer than the stride.
-                    now_us = int(now * 1_000_000)
-                    prev = self._prev_wake_us
-                    self._prev_wake_us = now_us
-                    if prev is not None:
-                        delta = guard.observe_wake(
-                            now_us - prev - self._wake_cadence_us,
-                            self.quantum_us,
-                        )
-                        if delta:
-                            self._apply_ladder(delta)
-                    if guard.admission.depth and not guard.admission_paused:
-                        self._drain_admissions()
-                tree = self.sharetree
-                if (
-                    tree is not None
-                    and tree._gates
-                    and tree.pending_admissions
-                ):
-                    self._drain_tree_admissions()
+                # Cadence slip: wake *dispatch* is usually prompt even
+                # under load; starvation shows as the whole loop
+                # iteration (reads, signals, the sleep) taking longer
+                # than the stride.
+                self.policy.wake(int(now * 1_000_000))
                 q_s = self.quantum_us / 1_000_000
                 stride_s = q_s
                 if guard is not None:
                     stride_s = q_s * guard.stretch_factor
                 missed = int((now - boundary) / stride_s)
                 boundary += (missed + 1) * stride_s
-                self._wake_cadence_us = int(stride_s * 1_000_000)
+                self.policy.cadence_us = int(stride_s * 1_000_000)
                 self._one_quantum()
         finally:
             self._resume_all()
@@ -246,9 +224,7 @@ class HostAlps:
             cycle_log=self.core.cycle_log,
             consumed_us=consumed,
             controller_cpu_us=own_cpu_us,
-            overload_stats=(
-                self.overload.stats() if self.overload is not None else None
-            ),
+            overload_stats=guard.stats() if guard is not None else None,
         )
 
     # ------------------------------------------------------------------
@@ -285,7 +261,7 @@ class HostAlps:
                 self.journal,
                 self.snapshot_state,
                 self.core,
-                int(time.monotonic() * 1_000_000),
+                self._now(),
                 full=decisions.full_sweep or self._journal_stale,
                 stopped=self._stopped,
                 signalled=self._journal_signalled,
@@ -300,207 +276,64 @@ class HostAlps:
             self._signal(pid, signal.SIGCONT)
 
     # ------------------------------------------------------------------
-    # Overload protection (docs/overload.md)
+    # Admission and share tree (docs/overload.md, docs/share_tree.md);
+    # the policy itself is repro.alps.policy
     # ------------------------------------------------------------------
     def submit_pid(
         self, pid: int, share: int, *, path: Optional[str] = None
     ) -> bool:
         """Offer a new pid to the group through admission control.
 
-        Without a guard (or with spare capacity) the pid joins the
-        enforced set immediately; otherwise it waits in the FIFO
-        admission queue and drains at a later wake.  Returns True when
-        admitted immediately.
-
-        With a share tree attached, ``path`` places the arrival in the
-        tree and routes it through its subtree's *own* admission gate
-        (nearest gated ancestor; docs/share_tree.md) instead of the
-        whole-group queue — the same composition as the sim agent's
-        ``submit_subject(path=...)``.
+        Returns True iff the pid joined the enforced set now; a queued
+        arrival joins at a later wake, a dead one never.  With a share
+        tree attached, ``path`` places the arrival in the tree behind
+        its subtree's own gate — the same policy as the sim agent's
+        ``submit_subject(path=...)``
+        (:meth:`~repro.alps.policy.AlpsPolicy.submit`).
         """
         if share < 1:
             raise HostOSError(f"share must be >= 1, got {share}")
-        if path is not None:
-            if self.sharetree is None:
-                raise HostOSError(
-                    "submit_pid(path=...) requires an attached share tree"
-                )
-            return self._submit_tree_pid(pid, share, path)
-        guard = self.overload
-        if guard is None:
-            return self._admit_pid(pid, share)
-        admitted = guard.admission.submit(
-            (pid, share), len(self.core.subjects), paused=guard.admission_paused
-        )
-        if admitted:
-            self._admit_pid(pid, share)
-            self._emit_overload("overload.admitted", pid=pid)
-        else:
-            self._emit_overload(
-                "overload.queued", pid=pid, depth=guard.admission.depth
-            )
-        return admitted
-
-    def _admit_pid(self, pid: int, share: int) -> bool:
-        """Add a live pid to the enforced set; False if it is gone."""
         try:
-            usage = procfs.cpu_time_us(pid)
-        except HostOSError:
-            return False
-        self.core.add_subject(pid, share)
-        self._last_read[pid] = usage
-        self._initial.setdefault(pid, usage)
-        return True
-
-    def _drain_admissions(self) -> None:
-        """Admit queued arrivals into spare capacity."""
-        guard = self.overload
-        ready = guard.admission.admit_ready(
-            len(self.core.subjects), paused=guard.admission_paused
-        )
-        for pid, share in ready:
-            if self._admit_pid(pid, share):
-                self._emit_overload("overload.admitted", pid=pid)
-
-    # ------------------------------------------------------------------
-    # Hierarchical share tree (docs/share_tree.md)
-    # ------------------------------------------------------------------
-    def reweigh_from_tree(self) -> None:
-        """Re-apply the tree's effective shares to the core.
-
-        ``AlpsCore.set_share`` early-outs on a zero delta, so this is
-        free whenever the resolved shares already match — the
-        flat-equivalence case.
-        """
-        tree = self.sharetree
-        if tree is None:
-            return
-        core_subjects = self.core.subjects
-        for pid, share in tree.effective_shares().items():
-            if pid in core_subjects:
-                self.core.set_share(pid, share)
+            return self.policy.submit(ProcessSubject(pid, share, pid), path)
+        except SchedulerConfigError as exc:
+            raise HostOSError(str(exc)) from exc
 
     def set_tree_weight(self, path: str, weight: int) -> None:
         """Reweight a tree node; every descendant leaf follows."""
-        tree = self.sharetree
-        if tree is None:
-            raise HostOSError("no share tree attached")
-        tree.set_weight(path, weight)
-        self.reweigh_from_tree()
+        try:
+            self.policy.set_tree_weight(path, weight)
+        except SchedulerConfigError as exc:
+            raise HostOSError(str(exc)) from exc
 
-    def _active_leaves_under(self, gate: "ShareNode") -> int:
-        """Admitted members of a gated subtree (its enforced count)."""
-        tree = self.sharetree
-        assert tree is not None
-        core_subjects = self.core.subjects
-        return sum(
-            1 for leaf in tree.leaves(gate) if leaf.sid in core_subjects
-        )
+    def _core_members(self) -> dict[int, ProcessSubject]:
+        """The policy's member map for the core's pids (sid == pid)."""
+        return {
+            pid: ProcessSubject(pid, st.share, pid)
+            for pid, st in self.core.subjects.items()
+        }
 
-    def _submit_tree_pid(self, pid: int, share: int, path: str) -> bool:
-        """Route an arrival through its subtree's admission gate.
+    # -- the policy's port (repro.alps.policy) ----------------------------
+    def _admit(self, item: ProcessSubject) -> int:
+        """Baseline a joining pid; 0 if it is gone."""
+        pid = item.sid
+        try:
+            usage = procfs.cpu_time_us(pid)
+        except HostOSError:
+            return 0
+        self._last_read[pid] = usage
+        self._initial.setdefault(pid, usage)
+        return 1
 
-        The leaf is only created in the tree once admitted — a queued
-        arrival must not dilute its siblings' effective shares while
-        it waits.  Queue entries are ``(pid, share, path)`` triples.
-        """
-        tree = self.sharetree
-        assert tree is not None
-        parent = tree.node(path.rpartition("/")[0])
-        gate = tree.admission_for(parent)
-        if gate is not None:
-            assert gate.admission is not None
-            admitted = gate.admission.submit(
-                (pid, share, path), self._active_leaves_under(gate)
-            )
-            if not admitted:
-                self._emit_overload(
-                    "sharetree.queued", pid=pid, path=path,
-                    depth=gate.admission.depth,
-                )
-                return False
-        tree.leaf(path, sid=pid, weight=share)
-        if not self._admit_pid(pid, share):
-            tree.remove(path)  # died before admission
-            return False
-        self.reweigh_from_tree()
-        self._emit_overload("sharetree.admitted", pid=pid, path=path)
-        return True
+    def _release(self, pid: int) -> int:
+        """Hand a departing pid back to the kernel: resume it if stopped."""
+        if pid not in self._stopped:
+            return 0
+        if self._resume_one(pid):
+            self._stopped.discard(pid)
+        return 1
 
-    def _drain_tree_admissions(self) -> None:
-        """Admit queued subtree arrivals into spare capacity (per gate)."""
-        tree = self.sharetree
-        assert tree is not None
-        admitted_any = False
-        for gate in tree.gates():
-            queue = gate.admission
-            if queue is None or not queue.depth:
-                continue
-            for pid, share, path in queue.admit_ready(
-                self._active_leaves_under(gate)
-            ):
-                try:
-                    tree.leaf(path, sid=pid, weight=share)
-                except SchedulerConfigError:
-                    continue  # its branch vanished while it waited
-                if not self._admit_pid(pid, share):
-                    tree.remove(path)
-                    continue
-                admitted_any = True
-                self._emit_overload("sharetree.admitted", pid=pid, path=path)
-        if admitted_any:
-            self.reweigh_from_tree()
-
-    def _apply_ladder(self, delta: int) -> None:
-        """Enact a ladder transition (same order as the sim agent)."""
-        guard = self.overload
-        self.core.postpone_boost = guard.postpone_boost
-        self._emit_overload(
-            "overload.engage" if delta > 0 else "overload.relax",
-            rung=int(guard.rung),
-            slip_ewma_quanta=round(guard.slip.ewma_quanta, 3),
-        )
-        if delta > 0 and guard.rung >= Rung.SHED:
-            self._shed_members()
-        elif delta < 0 and guard.rung < Rung.SHED and guard.shed_sids:
-            self._readmit_shed()
-
-    def _shed_members(self) -> None:
-        """SHED rung: release the lowest-share tail to best-effort."""
-        guard = self.overload
-        quota = guard.shed_quota(len(self.core.subjects))
-        if quota <= 0:
-            return
-        shares = {pid: st.share for pid, st in self.core.subjects.items()}
-        for pid in guard.select_shed(shares, quota):
-            state = self.core.remove_subject(pid)
-            self._shed_shares[pid] = state.share
-            guard.note_shed(pid)
-            # Best-effort means the kernel schedules it, not us.
-            if pid in self._stopped and self._resume_one(pid):
-                self._stopped.discard(pid)
-            self._emit_overload("overload.shed", pid=pid)
-
-    def _readmit_shed(self) -> None:
-        """Walking back below SHED: return the shed tail to enforcement.
-
-        Best-effort consumption while shed is deliberately forgiven —
-        the read baseline restarts at the current procfs value and the
-        pid rejoins with a full allowance like any other arrival.
-        """
-        guard = self.overload
-        for pid in list(guard.shed_sids):
-            share = self._shed_shares.pop(pid, None)
-            if share is None or not self._admit_pid(pid, share):
-                guard.note_departed(pid)
-                continue
-            guard.note_readmitted(pid)
-            self._emit_overload("overload.readmit", pid=pid)
-
-    def _emit_overload(self, name: str, **fields) -> None:
-        obs = self.observer
-        if obs is not None and obs.enabled:
-            obs.events.emit(int(time.monotonic() * 1_000_000), name, **fields)
+    def _now(self) -> int:
+        return int(time.monotonic() * 1_000_000)
 
     def _read_stat_with_retry(self, pid: int):
         """Read ``/proc/<pid>/stat``, retrying transient failures.
@@ -521,12 +354,8 @@ class HostAlps:
 
     def _drop_subject(self, pid: int) -> None:
         """Stop scheduling ``pid`` (death or EPERM)."""
-        if pid in self.core.subjects:
-            self.core.remove_subject(pid)
+        self.policy.depart((pid,))
         self._stopped.discard(pid)
-        tree = self.sharetree
-        if tree is not None and tree.discard_sid(pid):
-            self.reweigh_from_tree()
 
     def _signal(self, pid: int, signo: int) -> None:
         try:
@@ -594,7 +423,7 @@ class HostAlps:
         obs = self.observer
         if obs is not None and obs.enabled:
             obs.events.emit(
-                int(time.monotonic() * 1_000_000),
+                self._now(),
                 "hostalps.resume_failed",
                 pid=pid,
                 attempts=self.resume_retry_budget + 1,
@@ -608,7 +437,7 @@ class HostAlps:
         """JSON-safe snapshot of everything a restarted controller needs."""
         return state_snapshot(
             self.core,
-            int(time.monotonic() * 1_000_000),
+            self._now(),
             self._stopped,
             {
                 "last_read": self._last_read,
@@ -635,32 +464,21 @@ class HostAlps:
         """
         if self.journal is None:
             return False
-        try:
-            rec = self.journal.recover()
-            if rec.snapshot is None:
-                return False
-            payload = validate_snapshot(rec.snapshot)
-            ag = payload.get("agent", {})
-            last_read = {
-                int(pid): int(usage)
-                for pid, usage in ag.get("last_read", {}).items()
-            }
-            initial = {
-                int(pid): int(usage)
-                for pid, usage in ag.get("initial", {}).items()
-            }
-            stopped = {int(pid) for pid in ag.get("stopped", [])}
-            deferred = {
-                int(pid): int(owed)
-                for pid, owed in ag.get("debt", {}).items()
-                if int(owed) > 0
-            }
-            restore_core(self.core, payload["core"])
-        except (JournalCorruptError, TypeError, ValueError, KeyError):
+        rec = self.journal.recover()
+        if rec.snapshot is None:
             return False
+        try:
+            state = restore_state(
+                self.core, rec.snapshot, ("last_read", "initial", "debt")
+            )
+        except JournalCorruptError:
+            return False
+        last_read = state["last_read"]
+        deferred = state["debt"]
         self._last_read = {}
-        self._initial = initial
-        self._stopped = stopped
+        self._initial = state["initial"]
+        self._stopped = state["stopped"]
+        self.policy.members = self._core_members()
         debts: dict[int, int] = {}
         for pid in list(self.core.subjects):
             try:
@@ -680,7 +498,7 @@ class HostAlps:
         obs = self.observer
         if obs is not None and obs.enabled:
             obs.events.emit(
-                int(time.monotonic() * 1_000_000),
+                self._now(),
                 "hostalps.recovered",
                 subjects=len(self.core.subjects),
                 records=rec.records,

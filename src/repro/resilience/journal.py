@@ -678,6 +678,42 @@ def restore_core(core: "AlpsCore", snap: Mapping[str, Any]) -> None:
         del log.records[cycles:]
 
 
+def restore_state(
+    core: "AlpsCore", payload: Mapping[str, Any], maps: Iterable[str]
+) -> dict[str, Any]:
+    """Restore ``core`` from a recovered checkpoint; decode the rest.
+
+    The one recovery-payload decoder both drivers use.  Returns the
+    ``agent`` section decoded: each table named in ``maps`` as an
+    ``{int: int}`` dict (``debt`` without settled entries), the
+    stop-set as a ``set[int]`` under ``"stopped"``, and ``"epoch"`` as
+    an int when the section has one.  Any shape error — a section or
+    table that is not a mapping, a key or value that is not an integer
+    — raises :class:`~repro.errors.JournalCorruptError` before ``core``
+    is touched, so a caller needs one ``except`` for its fallback.
+    """
+    validate_snapshot(payload)
+    section = payload.get("agent", {})
+    if not isinstance(section, Mapping):
+        raise JournalCorruptError("snapshot agent section is not a mapping")
+    state: dict[str, Any] = {}
+    try:
+        for name in maps:
+            table = section.get(name, {})
+            if not isinstance(table, Mapping):
+                raise JournalCorruptError(f"snapshot agent.{name} is not a mapping")
+            state[name] = {int(key): int(value) for key, value in table.items()}
+        state["stopped"] = {int(pid) for pid in section.get("stopped", [])}
+        if "epoch" in section:
+            state["epoch"] = int(section["epoch"])
+    except (TypeError, ValueError) as exc:
+        raise JournalCorruptError(f"unusable agent section: {exc!r}") from exc
+    if "debt" in state:
+        state["debt"] = {sid: owed for sid, owed in state["debt"].items() if owed > 0}
+    restore_core(core, payload["core"])
+    return state
+
+
 def schedule_debt(
     core: "AlpsCore",
     debts_us: Mapping[int, int],
@@ -761,6 +797,7 @@ __all__ = [
     "journal_quantum",
     "recover_journal",
     "restore_core",
+    "restore_state",
     "schedule_debt",
     "state_snapshot",
     "validate_snapshot",

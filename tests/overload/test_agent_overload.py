@@ -93,3 +93,17 @@ def test_guarded_run_reports_slip_through_the_agent_property():
     assert cw.agent.timer_slip_us == int(
         guard.slip.last_quanta * cw.agent.cfg.quantum_us
     )
+
+
+def test_dead_arrival_is_refused_without_a_guard():
+    """A subject gone before admission does not join, guard or not."""
+    cw = build_controlled_workload(
+        [1, 2], AlpsConfig(quantum_us=ms(10)), seed=0
+    )
+    cw.engine.run_until(sec(1))
+    proc = cw.kernel.spawn("doa", spinner_behavior(), uid=900)
+    cw.kernel.kill(proc.pid, 9)
+    subject = ProcessSubject(sid=100, share=1, pid=proc.pid)
+    assert not cw.agent.submit_subject(subject, cw.kernel.kapi)
+    assert 100 not in cw.agent.subjects
+    assert 100 not in cw.agent.core.subjects

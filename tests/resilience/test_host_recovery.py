@@ -13,7 +13,12 @@ import zlib
 from repro.errors import HostOSError
 from repro.hostos import procfs
 from repro.hostos.controller import HostAlps
-from repro.resilience.journal import FileJournal, encode_record, recover_journal
+from repro.resilience.journal import (
+    FileJournal,
+    core_snapshot,
+    encode_record,
+    recover_journal,
+)
 
 
 def make_journal(tmp_path) -> FileJournal:
@@ -94,6 +99,20 @@ def test_restore_returns_false_without_usable_journal(tmp_path):
         journal=FileJournal(str(path), fsync=False),
     )
     assert not alps3.restore_from_journal()
+
+
+def test_restore_treats_a_non_mapping_agent_section_as_corrupt(tmp_path):
+    """A CRC-valid checkpoint whose ``agent`` section is a list is a
+    corrupt journal — a fresh start — not a crash."""
+    path = str(tmp_path / "host.journal")
+    first = HostAlps({41: 1}, quantum_s=0.05)
+    with FileJournal(path, fsync=False) as journal:
+        journal.append({"v": 1, "core": core_snapshot(first.core), "agent": []})
+    second = HostAlps(
+        {41: 1}, quantum_s=0.05, journal=FileJournal(path, fsync=False)
+    )
+    assert not second.restore_from_journal()
+    assert not second.recovered
 
 
 # ----------------------------------------------------------------------

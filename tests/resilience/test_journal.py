@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.alps.algorithm import AlpsCore
 from repro.errors import JournalCorruptError
 from repro.resilience.journal import (
     MAX_DELTA_CHAIN,
     FileJournal,
     MemoryJournal,
+    core_snapshot,
     encode_delta,
     encode_record,
     recover_journal,
+    restore_state,
 )
 
 
@@ -474,3 +477,52 @@ def test_file_journal_reopened_numbers_past_stranded_deltas(tmp_path):
     assert rec.snapshot == newer
     assert rec.last_seq == 6
     j.close()
+
+
+# ----------------------------------------------------------------------
+# The recovery-payload decoder both drivers share
+# ----------------------------------------------------------------------
+def recovery_payload(agent) -> dict:
+    core = AlpsCore({1: 2, 2: 3}, 10_000)
+    core.count = 9
+    return {"v": 1, "core": core_snapshot(core), "agent": agent}
+
+
+def test_restore_state_decodes_maps_stop_set_and_epoch():
+    core = AlpsCore({1: 1}, 10_000)
+    state = restore_state(
+        core,
+        recovery_payload({
+            "last_read": {"5": 100},
+            "debt": {"1": 0, "2": 7},
+            "stopped": [5],
+            "epoch": 3,
+        }),
+        ("last_read", "cumulative", "debt"),
+    )
+    assert state == {
+        "last_read": {5: 100},
+        "cumulative": {},
+        "debt": {2: 7},
+        "stopped": {5},
+        "epoch": 3,
+    }
+    assert core.count == 9 and set(core.subjects) == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "agent",
+    [
+        [],
+        {"last_read": []},
+        {"last_read": {"x": 1}},
+        {"debt": {"1": "lots"}},
+        {"stopped": 5},
+        {"epoch": "soon"},
+    ],
+)
+def test_restore_state_rejects_a_malformed_agent_section(agent):
+    core = AlpsCore({1: 1}, 10_000)
+    with pytest.raises(JournalCorruptError):
+        restore_state(core, recovery_payload(agent), ("last_read", "debt"))
+    assert core.count == 0 and set(core.subjects) == {1}  # untouched

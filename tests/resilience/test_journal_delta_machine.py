@@ -164,19 +164,22 @@ class DeltaJournalMachine(RuleBasedStateMachine):
         engine = self.cw.engine
         engine.run_until(engine.now + (quanta + 2) * QUANTUM_US)
 
-    @precondition(lambda self: len(self.agent.core.subjects) > 1)
+    # The ladder steps straight through the policy: its port acts on
+    # the kapi of the agent's latest activation, so the agent must have
+    # woken at least once.
+    @precondition(
+        lambda self: self.agent.invocations and len(self.agent.core.subjects) > 1
+    )
     @rule()
     def shed(self):
-        guard = self.cw.overload
-        guard.ladder.rung = Rung.SHED
-        self.agent._apply_ladder(self.kapi, self.cw.engine.now, +1)
+        self.cw.overload.ladder.rung = Rung.SHED
+        self.agent.policy.enact(+1)
 
     @precondition(lambda self: self.cw.overload.shed_sids)
     @rule()
     def readmit(self):
-        guard = self.cw.overload
-        guard.ladder.rung = Rung.COARSEN
-        self.agent._apply_ladder(self.kapi, self.cw.engine.now, -1)
+        self.cw.overload.ladder.rung = Rung.COARSEN
+        self.agent.policy.enact(-1)
 
     @precondition(lambda self: self.journal.appends > 0)
     @rule()
