@@ -7,7 +7,8 @@ This package implements the paper's contribution:
   optimization, and blocked-process accounting), as a pure state
   machine independent of any execution substrate.
 * :mod:`~repro.alps.subjects` — the resource principals ALPS schedules:
-  single processes (Sections 2–4) or whole users (Section 5).
+  single processes (Sections 2–4), whole users or explicit pid sets
+  (Section 5).
 * :mod:`~repro.alps.agent` — the ALPS *process* for the simulated
   kernel: an unprivileged process that wakes every quantum, pays the
   Table 1 operation costs in CPU time, samples progress, and signals.
@@ -25,7 +26,7 @@ from repro.alps.config import AlpsConfig
 from repro.alps.costs import CostAccumulator, CostModel
 from repro.alps.instrumentation import CycleLog, CycleRecord
 from repro.alps.state import SubjectState
-from repro.alps.subjects import ProcessSubject, Subject, UserSubject
+from repro.alps.subjects import PidGroupSubject, ProcessSubject, Subject, UserSubject
 
 __all__ = [
     "AlpsAgent",
@@ -35,6 +36,7 @@ __all__ = [
     "CostModel",
     "CycleLog",
     "CycleRecord",
+    "PidGroupSubject",
     "ProcessSubject",
     "QuantumDecisions",
     "Subject",

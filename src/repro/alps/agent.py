@@ -669,7 +669,13 @@ class AlpsAgent:
                 continue
             consumed = 0
             live = 0
-            blocked = track_io
+            # Empty-principal rule: a subject with no member when its
+            # measurement starts is charged like a blocked one (Figure
+            # 3: allowance -= 1, tc -= Q) whatever track_io says, or it
+            # stays eligible with a positive allowance and tc never
+            # reaches 0 — the cycle is held open for everyone else.
+            empty = not pids
+            blocked = track_io or empty
             for pid in pids:
                 try:
                     usage = getrusage(pid)
@@ -691,7 +697,7 @@ class AlpsAgent:
                 last_read[pid] = usage
                 if blocked and not is_blocked(pid):
                     blocked = False
-            blocked = blocked and live > 0
+            blocked = blocked and (live > 0 or empty)
             cumulative[sid] = cumulative.get(sid, 0) + consumed
             if deferred:
                 # Post-crash repayment: charge a share-proportional
@@ -745,7 +751,8 @@ class AlpsAgent:
         for sid, pids in due:
             consumed = 0
             live = 0
-            blocked = track_io
+            empty = not pids  # the empty-principal rule, as above
+            blocked = track_io or empty
             for pid in pids:
                 reading = readings.get(pid)
                 if reading is None:
@@ -760,7 +767,7 @@ class AlpsAgent:
                 last_read[pid] = usage
                 if blocked and not blk:
                     blocked = False
-            blocked = blocked and live > 0
+            blocked = blocked and (live > 0 or empty)
             cumulative[sid] = cumulative.get(sid, 0) + consumed
             if deferred:
                 st = core_subjects.get(sid)
@@ -1064,17 +1071,13 @@ class AlpsAgent:
         """
         cost = 0.0
         discovery_stops: list[int] = []
-        for sid, subj in self.subjects.items():
-            before = set(subj.pids(kapi))
-            if not subj.refresh(kapi):
-                continue
+        for _sid, joined, left, suspended in self.policy.refresh(kapi):
             cost += self.cfg.costs.principal_refresh_us
-            after = set(subj.pids(kapi))
-            for pid in after - before:
+            for pid in joined:
                 self._set_baseline(kapi, pid)
-                if sid in self.core.subjects and not self.core.subjects[sid].eligible:
+                if suspended:
                     discovery_stops.append(pid)
-            for pid in before - after:
+            for pid in left:
                 self._forget_pid(pid)
         # Deliver discovery-time stops immediately (they are few), and
         # charge them: signals are never free.

@@ -28,7 +28,7 @@ agent turns them into Table 1 charges, the host pays in real time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import SchedulerConfigError
 from repro.overload.ladder import Rung
@@ -194,6 +194,31 @@ class AlpsPolicy:
                 changed |= tree.discard_sid(sid)
             if changed:
                 self.reweigh()
+
+    # ------------------------------------------------------------------
+    # Membership of multi-process members (Section 5)
+    # ------------------------------------------------------------------
+    def refresh(
+        self, view: Any, sids: Optional[Iterable[int]] = None
+    ) -> list[tuple[int, set[int], set[int], bool]]:
+        """Re-enumerate members' (or ``sids``') pids through ``view``.
+
+        Returns ``(sid, joined, left, suspended)`` per changed member.
+        The rule both drivers apply: baseline each joiner and, while
+        ``suspended``, stop it at discovery; forget each leaver.
+        """
+        changes = []
+        for sid in self.members if sids is None else sids:
+            item = self.members.get(sid)
+            if item is None:
+                continue
+            before = set(item.pids(view))
+            if item.refresh(view):
+                after = set(item.pids(view))
+                st = self.core.subjects.get(sid)
+                suspended = st is not None and not st.eligible
+                changes.append((sid, after - before, before - after, suspended))
+        return changes
 
     # ------------------------------------------------------------------
     # Shares

@@ -2,13 +2,16 @@
 
 Sections 2–4 of the paper schedule individual processes; Section 5
 generalises the principal to *a user* — every process owned by the user
-counts against one allocation and is stopped/resumed as a group.  Both
-are modelled here behind one small interface the agent consumes.
+counts against one allocation and is stopped/resumed as a group.  All
+are modelled here behind one small interface both drivers consume.
+Membership is read through the driver's process view (the simulated
+``KernelAPI``, or /proc on Linux): only ``pid_exists`` and ``pids_of_uid``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol
+from typing import runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.kapi import KernelAPI
@@ -87,3 +90,39 @@ class UserSubject:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UserSubject(sid={self.sid}, share={self.share}, uid={self.uid})"
+
+
+class PidGroupSubject:
+    """A principal that is an explicit set of pids sharing one allocation.
+
+    ``members``, when given, is a zero-argument callable re-enumerating
+    the set (e.g. every child of a master process); a refresh keeps only
+    the pids the process view reports as existing.
+    """
+
+    __slots__ = ("sid", "share", "members", "_pids")
+
+    def __init__(
+        self,
+        sid: int,
+        share: int,
+        pids: Iterable[int],
+        members: Optional[Callable[[], Iterable[int]]] = None,
+    ) -> None:
+        self.sid = sid
+        self.share = share
+        self.members = members
+        self._pids = sorted(pids)
+
+    def pids(self, kapi: "KernelAPI") -> list[int]:
+        return list(self._pids)
+
+    def refresh(self, kapi: "KernelAPI") -> bool:
+        found = self._pids if self.members is None else sorted(self.members())
+        new = [pid for pid in found if kapi.pid_exists(pid)]
+        changed = new != self._pids
+        self._pids = new
+        return changed
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"PidGroupSubject(sid={self.sid}, share={self.share}, pids={self._pids})"

@@ -601,86 +601,54 @@ def parse_group_spec(spec: str) -> list[tuple[int, int]]:
     return groups
 
 
-def _cmd_live_groups(spec: str, duration: float, quantum: float) -> int:
-    from repro.hostos import HostGroupAlps, spawn_spinner
-
-    try:
-        groups = parse_group_spec(spec)
-    except ValueError as exc:
-        print(exc)
-        return 2
-    procs = []
-    group_shares: dict[int, int] = {}
-    group_pids: dict[int, list[int]] = {}
-    for gid, (share, size) in enumerate(groups):
-        members = [spawn_spinner() for _ in range(size)]
-        procs.extend(members)
-        group_shares[gid] = share
-        group_pids[gid] = [p.pid for p in members]
-    try:
-        alps = HostGroupAlps(group_shares, group_pids, quantum_s=quantum)
-        print(
-            f"controlling {len(procs)} spinners in {len(groups)} groups "
-            f"for {duration:.0f}s..."
-        )
-        report = alps.run(duration)
-        by_group = alps.group_consumed(report)
-        total = sum(by_group.values()) or 1
-        total_shares = sum(group_shares.values())
-        rows = [
-            [gid, group_shares[gid], len(group_pids[gid]),
-             f"{group_shares[gid] / total_shares:.1%}",
-             f"{by_group[gid] / total:.1%}"]
-            for gid in sorted(group_shares)
-        ]
-        print(format_table(
-            ["group", "share", "members", "target", "achieved"], rows
-        ))
-        print(f"\ncycles: {report.cycles}   "
-              f"overhead: {report.overhead_fraction:.2%}")
-    finally:
-        for p in procs:
-            p.kill()
-        for p in procs:
-            p.wait()
-    return 0
-
-
 def cmd_live(
     *, shares: str, duration: float, quantum: float, groups: Optional[str] = None
 ) -> int:
+    """Schedule spinners live: one per share, or ``groups`` ('1x2,3x1')
+    of spinners sharing one allocation each."""
+    from repro.alps.subjects import PidGroupSubject
     from repro.hostos import HostAlps, spawn_spinner
 
-    if groups is not None:
-        return _cmd_live_groups(groups, duration, quantum)
-    share_list = [int(s) for s in shares.split(",") if s.strip()]
-    if not share_list or any(s <= 0 for s in share_list):
-        print("shares must be positive integers, e.g. --shares 1,2,3")
+    try:
+        spec = parse_group_spec(shares if groups is None else groups)
+        if groups is None and any(size != 1 for _, size in spec):
+            raise ValueError(shares)
+    except ValueError as exc:
+        usage = "shares must be positive integers, e.g. --shares 1,2,3"
+        print(exc if groups else usage)
         return 2
-    procs = [spawn_spinner() for _ in share_list]
+    procs = [[spawn_spinner() for _ in range(size)] for _, size in spec]
     try:
         alps = HostAlps(
-            {p.pid: s for p, s in zip(procs, share_list)}, quantum_s=quantum
+            [
+                PidGroupSubject(gid, share, [p.pid for p in group])
+                for gid, ((share, _), group) in enumerate(zip(spec, procs))
+            ],
+            quantum_s=quantum,
         )
         print(
-            f"controlling {len(procs)} spinners for {duration:.0f}s "
-            f"(quantum {quantum * 1000:.0f} ms)..."
+            f"controlling {sum(map(len, procs))} spinners "
+            + (f"in {len(spec)} groups " if groups else "")
+            + f"for {duration:.0f}s (quantum {quantum * 1000:.0f} ms)..."
         )
         report = alps.run(duration)
-        fr = report.fractions()
-        total = sum(share_list)
+        by_sid = report.consumed_by_sid
+        total = sum(by_sid.values()) or 1
+        total_shares = sum(share for share, _ in spec)
         rows = [
-            [p.pid, s, f"{s / total:.1%}", f"{fr[p.pid]:.1%}"]
-            for p, s in zip(procs, share_list)
+            ([gid, share, size] if groups else [group[0].pid, share])
+            + [f"{share / total_shares:.1%}", f"{by_sid[gid] / total:.1%}"]
+            for gid, ((share, size), group) in enumerate(zip(spec, procs))
         ]
-        print(format_table(["pid", "share", "target", "achieved"], rows))
+        head = ["group", "share", "members"] if groups else ["pid", "share"]
+        print(format_table(head + ["target", "achieved"], rows))
         print(f"\ncycles: {report.cycles}   "
               f"overhead: {report.overhead_fraction:.2%}")
     finally:
-        for p in procs:
-            p.kill()
-        for p in procs:
-            p.wait()
+        for group in procs:
+            for p in group:
+                p.kill()
+                p.wait()
     return 0
 
 

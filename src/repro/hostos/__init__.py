@@ -4,7 +4,11 @@ The paper's implementation runs on FreeBSD using getrusage/kvm and
 SIGSTOP/SIGCONT.  This backend is the Linux equivalent: CPU time and
 blocked-state come from ``/proc/<pid>/stat``, eligibility is enacted
 with real signals, and the controller is the same
-:class:`~repro.alps.algorithm.AlpsCore` used in simulation.
+:class:`~repro.alps.algorithm.AlpsCore` used in simulation.  One
+driver, :class:`HostAlps`, schedules single pids or the simulator's
+multi-process :mod:`~repro.alps.subjects` (a user, a pid set — the
+paper's Section 5 principals), whose membership it reads from /proc
+through a :class:`~repro.hostos.controller.ProcView`.
 
 Calibration note: Python's sampling-loop timing is the weak point of a
 live reproduction (jitter of the interpreter and of ``time.sleep`` is
@@ -14,7 +18,6 @@ feeds the Table 1 micro-benchmarks.
 """
 
 from repro.hostos.controller import HostAlps, HostAlpsReport
-from repro.hostos.groups import HostGroupAlps
 from repro.hostos.procfs import (
     cpu_time_us,
     is_alive,
@@ -27,7 +30,6 @@ from repro.hostos.spawn import spawn_io_child, spawn_spinner
 __all__ = [
     "HostAlps",
     "HostAlpsReport",
-    "HostGroupAlps",
     "cpu_time_us",
     "is_alive",
     "is_blocked",

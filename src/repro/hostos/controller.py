@@ -3,7 +3,8 @@
 Drives the same :class:`~repro.alps.algorithm.AlpsCore` as the
 simulator, but against live processes: progress comes from
 ``/proc/<pid>/stat``, eligibility is enacted with SIGSTOP/SIGCONT, and
-the quantum timer is an absolute-deadline sleep loop.
+the quantum timer is an absolute-deadline sleep loop.  It schedules the
+simulated agent's :mod:`~repro.alps.subjects` (Section 5 principals).
 """
 
 from __future__ import annotations
@@ -12,18 +13,18 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from repro.alps.algorithm import AlpsCore, Measurement
 from repro.alps.instrumentation import CycleLog
 from repro.alps.policy import AlpsPolicy
-from repro.alps.subjects import ProcessSubject
+from repro.alps.subjects import ProcessSubject, Subject
 from repro.errors import (
     HostOSError,
     JournalCorruptError,
     SchedulerConfigError,
 )
-from repro.hostos import procfs
+from repro.hostos import procfs, scan
 from repro.resilience.journal import (
     drain_debt,
     journal_quantum,
@@ -39,6 +40,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sharetree.tree import ShareTree
 
 
+class ProcView:
+    """/proc as the process view :mod:`repro.alps.subjects` read
+    membership through, blind to the ``excluded`` pids."""
+
+    __slots__ = ("excluded",)
+
+    def __init__(self, excluded: set[int]) -> None:
+        self.excluded = excluded
+
+    def pid_exists(self, pid: int) -> bool:
+        return pid not in self.excluded and procfs.is_alive(pid)
+
+    def pids_of_uid(self, uid: int) -> list[int]:
+        return [p for p in scan.pids_of_uid(uid) if p not in self.excluded]
+
+
+def _proc_sids(members: Mapping[int, Subject]) -> dict[int, int]:
+    return {
+        s.pid: sid for sid, s in members.items() if isinstance(s, ProcessSubject)
+    }
+
+
 @dataclass(slots=True)
 class HostAlpsReport:
     """Outcome of a live run."""
@@ -48,6 +71,9 @@ class HostAlpsReport:
     cycle_log: CycleLog
     #: CPU time (µs) each controlled pid consumed during the run.
     consumed_us: dict[int, int]
+    #: CPU time (µs) measured against each subject, summed quantum by
+    #: quantum: a member that exits or leaves mid-run keeps its share.
+    consumed_by_sid: dict[int, int]
     #: The controller's own CPU time (µs) — the overhead numerator.
     controller_cpu_us: int
     #: Overload-guard counters (None when no guard was attached).
@@ -69,7 +95,15 @@ class HostAlpsReport:
 
 
 class HostAlps:
-    """User-level proportional-share scheduler over real pids.
+    """User-level proportional-share scheduler over real processes.
+
+    ``subjects`` are :mod:`~repro.alps.subjects` (a process, a user, a
+    pid set), or a ``{pid: share}`` mapping meaning one
+    :class:`~repro.alps.subjects.ProcessSubject` per pid, sid == pid.
+    Membership is re-enumerated every ``refresh_s`` seconds; it never
+    includes the controller or its ancestors, which nothing would resume.
+    A pid someone else stopped (``^Z``, a debugger) counts as blocked and
+    is neither stopped nor resumed.
 
     Note: quanta below ~20 ms are dominated by Python/sleep jitter and
     by the tick resolution of /proc CPU accounting; the simulator is
@@ -78,8 +112,8 @@ class HostAlps:
     Robustness (docs/fault_model.md): transient procfs read errors are
     retried within ``read_retry_budget`` before a pid is declared dead;
     ``_signal`` discriminates a vanished process (ESRCH — forget it)
-    from one we may not signal (EPERM — stop scheduling it, it cannot
-    be controlled); and exit always runs :meth:`_resume_all`, which
+    from one we may not signal (EPERM — stop scheduling the pid, it
+    cannot be controlled); and exit always runs :meth:`_resume_all`, which
     resumes by *kernel truth* (any controlled pid in procfs state
     ``T``), not just the controller's own stop-set, so a crash between
     a SIGSTOP and its bookkeeping cannot wedge a process.
@@ -87,11 +121,12 @@ class HostAlps:
 
     def __init__(
         self,
-        shares: Mapping[int, int],
+        subjects: Union[Mapping[int, int], Sequence[Subject]],
         *,
         quantum_s: float = 0.05,
         optimized: bool = True,
         track_io: bool = True,
+        refresh_s: float = 1.0,
         read_retry_budget: int = 2,
         resume_retry_budget: int = 3,
         journal: Optional["FileJournal"] = None,
@@ -99,24 +134,30 @@ class HostAlps:
         overload: Optional["OverloadGuard"] = None,
         sharetree: Optional["ShareTree"] = None,
     ) -> None:
+        if isinstance(subjects, Mapping):
+            subjects = [
+                ProcessSubject(pid, share, pid) for pid, share in subjects.items()
+            ]
+        members = {subj.sid: subj for subj in subjects}
+        if len(members) != len(subjects):
+            raise HostOSError("subject ids must be unique")
         if quantum_s <= 0:
             raise HostOSError(f"quantum must be positive, got {quantum_s}")
-        if read_retry_budget < 0:
-            raise HostOSError(
-                f"read_retry_budget must be >= 0, got {read_retry_budget}"
-            )
-        if resume_retry_budget < 0:
-            raise HostOSError(
-                f"resume_retry_budget must be >= 0, got {resume_retry_budget}"
-            )
+        if refresh_s <= 0:
+            raise HostOSError(f"refresh_s must be positive, got {refresh_s}")
+        budgets = {"read": read_retry_budget, "resume": resume_retry_budget}
+        for name, budget in budgets.items():
+            if budget < 0:
+                raise HostOSError(f"{name}_retry_budget must be >= 0, got {budget}")
         self.quantum_us = int(quantum_s * 1_000_000)
         self.track_io = track_io
+        self.refresh_s = refresh_s
         self.read_retry_budget = read_retry_budget
         self.resume_retry_budget = resume_retry_budget
         self.journal = journal
         self.observer = observer
         self.core = AlpsCore(
-            dict(shares),
+            {sid: subj.share for sid, subj in members.items()},
             self.quantum_us,
             optimized=optimized,
             now_fn=self._now,
@@ -124,8 +165,17 @@ class HostAlps:
         self._last_read: dict[int, int] = {}
         self._stopped: set[int] = set()
         self._initial: dict[int, int] = {}
+        #: CPU (µs) measured per subject over the run (the report's
+        #: ``consumed_by_sid``).
+        self._cumulative: dict[int, int] = {}
         #: pids dropped because the controller may not signal them (EPERM).
         self.uncontrollable: set[int] = set()
+        #: pids no subject may hold: the controller and its ancestors,
+        #: and the uncontrollable ones.
+        self._excluded = set(scan.ancestors(os.getpid()))
+        self.view = ProcView(self._excluded)
+        #: pid -> sid of each single-process member (death finds it in O(1)).
+        self._proc_sids = _proc_sids(members)
         #: Transient procfs reads that needed a retry (statistics).
         self.read_retries = 0
         #: SIGCONTs retried after a transient EINTR/EAGAIN failure.
@@ -134,7 +184,7 @@ class HostAlps:
         self.resume_failures = 0
         #: Whether state was replayed from the journal (crash recovery).
         self.recovered = False
-        #: Downtime CPU debt (µs) per pid awaiting amortized repayment.
+        #: Downtime CPU debt (µs) per subject awaiting amortized repayment.
         self._deferred_debt: dict[int, int] = {}
         #: Journaled state changed outside ``_one_quantum`` since the
         #: last record (a run starting or winding down): the next
@@ -144,13 +194,13 @@ class HostAlps:
         #: delta carries where that left them in the stop-set.
         self._journal_signalled: list[int] = []
         #: Admission, degradation and share-tree policy
-        #: (:mod:`repro.alps.policy`); its items are pids as subjects.
+        #: (:mod:`repro.alps.policy`); ``members`` is its member map.
         #: The guard's state is volatile by design: after a journaled
         #: restart protection re-engages from fresh slip evidence rather
         #: than replaying the pre-crash ladder position.  Tree leaf sids
-        #: are pids; a flat-equivalent tree changes nothing.
+        #: are subject sids; a flat-equivalent tree changes nothing.
         self.policy = AlpsPolicy(
-            self.core, self._core_members(), self._admit, self._release, self._now
+            self.core, members, self._admit, self._release, self._now
         )
         self.policy.obs = observer
         self.policy.guard = overload
@@ -167,20 +217,19 @@ class HostAlps:
         t_start = time.monotonic()
         own_cpu_start = time.process_time()
         self._journal_stale = True  # baselines below, _resume_all after
-        for pid in list(self.core.subjects):
-            if pid in self._initial and pid in self._last_read:
-                # Journal-restored: the outage debt was already charged
-                # (capped) at restore time, and _initial keeps lifetime
-                # consumption accounting spanning the crash.
-                continue
-            try:
-                usage = procfs.cpu_time_us(pid)
-            except HostOSError:
-                self._drop_subject(pid)
-                continue
-            self._last_read[pid] = usage
-            self._initial[pid] = usage
+        for sid, subj in list(self.policy.members.items()):
+            self._cumulative.setdefault(sid, 0)
+            for pid in self._pids_of(subj):
+                if pid in self._initial and pid in self._last_read:
+                    # Journal-restored: the outage debt was already
+                    # charged (capped) at restore time, and _initial keeps
+                    # lifetime consumption accounting spanning the crash.
+                    continue
+                if not self._baseline(pid):
+                    self._forget_pid(pid)
+        self._refresh_principals()
         deadline = t_start + duration_s
+        next_refresh = t_start + self.refresh_s
         boundary = t_start + self.quantum_us / 1_000_000
         guard = self.policy.guard
         try:
@@ -204,6 +253,9 @@ class HostAlps:
                 missed = int((now - boundary) / stride_s)
                 boundary += (missed + 1) * stride_s
                 self.policy.cadence_us = int(stride_s * 1_000_000)
+                if now >= next_refresh:
+                    self._refresh_principals()
+                    next_refresh = now + self.refresh_s
                 self._one_quantum()
         finally:
             self._resume_all()
@@ -223,6 +275,7 @@ class HostAlps:
             cycles=self.core.cycles_completed,
             cycle_log=self.core.cycle_log,
             consumed_us=consumed,
+            consumed_by_sid=dict(self._cumulative),
             controller_cpu_us=own_cpu_us,
             overload_stats=guard.stats() if guard is not None else None,
         )
@@ -230,29 +283,49 @@ class HostAlps:
     # ------------------------------------------------------------------
     def _one_quantum(self) -> None:
         due = self.core.begin_quantum()
+        members = self.policy.members
+        core_subjects = self.core.subjects
+        last_read = self._last_read
+        stopped = self._stopped
         measurements: dict[int, Measurement] = {}
-        for pid in due:
-            stat = self._read_stat_with_retry(pid)
-            if stat is None:
-                # Process died: remove it from scheduling.
-                self._drop_subject(pid)
+        due_pids: list[int] = []
+        shrunk: list[int] = []
+        for sid in due:
+            pids = self._pids_of(members[sid])
+            due_pids.extend(pids)
+            consumed = 0
+            live = 0
+            # The empty-principal rule (AlpsAgent._measure_classic): no
+            # member when the measurement starts means blocked.
+            empty = not pids
+            blocked = self.track_io or empty
+            for pid in pids:
+                stat = self._read_stat_with_retry(pid)
+                if stat is None:
+                    self._forget_pid(pid)  # died (a lone pid takes its subject)
+                    shrunk.append(sid)
+                    continue
+                live += 1
+                usage = stat.cpu_time_us
+                delta = usage - last_read.get(pid, usage)
+                if delta > 0:  # never charge a backwards-running counter
+                    consumed += delta
+                last_read[pid] = usage
+                state = stat.state
+                if state not in ("S", "D") and (state != "T" or pid in stopped):
+                    blocked = False  # runnable, or stopped only by us
+            if sid not in core_subjects:
                 continue
-            usage = stat.cpu_time_us
-            consumed = usage - self._last_read.get(pid, usage)
-            if consumed < 0:
-                consumed = 0  # never charge a backwards-running counter
-            self._last_read[pid] = usage
+            blocked = blocked and (live > 0 or empty)
+            self._cumulative[sid] = self._cumulative.get(sid, 0) + consumed
             if self._deferred_debt:
                 # Post-crash repayment: a share-proportional sliver of
                 # the outage debt rides on top of measured consumption.
-                st = self.core.subjects.get(pid)
-                if st is not None:
-                    consumed += drain_debt(
-                        self._deferred_debt, pid, st.share,
-                        self.quantum_us, self.core.total_shares,
-                    )
-            blocked = self.track_io and stat.state in ("S", "D")
-            measurements[pid] = Measurement(consumed_us=consumed, blocked=blocked)
+                consumed += drain_debt(
+                    self._deferred_debt, sid, core_subjects[sid].share,
+                    self.quantum_us, self.core.total_shares,
+                )
+            measurements[sid] = Measurement(consumed_us=consumed, blocked=blocked)
         decisions = self.core.complete_quantum(measurements)
         if self.journal is not None:
             # Write-ahead: the record is durable before the signals it
@@ -266,14 +339,39 @@ class HostAlps:
                 stopped=self._stopped,
                 signalled=self._journal_signalled,
                 debt=self._deferred_debt,
-                touched={"last_read": (self._last_read, due)},
+                touched={
+                    "last_read": (last_read, due_pids),
+                    "cumulative": (self._cumulative, measurements),
+                },
             )
             self._journal_stale = False
-            self._journal_signalled = decisions.to_suspend + decisions.to_resume
-        for pid in decisions.to_suspend:
-            self._signal(pid, signal.SIGSTOP)
-        for pid in decisions.to_resume:
-            self._signal(pid, signal.SIGCONT)
+        signalled: list[int] = []
+        for sid in decisions.to_suspend:
+            for pid in self._pids_of(members[sid]):
+                if self._stop(pid):
+                    signalled.append(pid)
+        for sid in decisions.to_resume:
+            for pid in self._pids_of(members[sid]):
+                if pid in stopped:  # never one someone else stopped
+                    self._signal(pid, signal.SIGCONT)
+                    signalled.append(pid)
+        self._journal_signalled = signalled
+        if shrunk:
+            # A member died: take it out of its subject now, so an
+            # emptied subject is measured as empty from the next quantum.
+            self._refresh_principals(shrunk)
+
+    def _refresh_principals(self, sids: Optional[Sequence[int]] = None) -> None:
+        """Apply :meth:`AlpsPolicy.refresh`'s rule to all (or ``sids``)
+        subjects; a leaver we stopped is also resumed."""
+        for _sid, joined, left, suspended in self.policy.refresh(self.view, sids):
+            self._journal_stale = True
+            for pid in joined:
+                if self._baseline(pid) and suspended:
+                    self._stop(pid)
+            for pid in left:
+                if pid not in self._stopped or self._resume_one(pid):
+                    self._forget_pid(pid)
 
     # ------------------------------------------------------------------
     # Admission and share tree (docs/overload.md, docs/share_tree.md);
@@ -305,35 +403,38 @@ class HostAlps:
         except SchedulerConfigError as exc:
             raise HostOSError(str(exc)) from exc
 
-    def _core_members(self) -> dict[int, ProcessSubject]:
-        """The policy's member map for the core's pids (sid == pid)."""
-        return {
-            pid: ProcessSubject(pid, st.share, pid)
-            for pid, st in self.core.subjects.items()
-        }
-
     # -- the policy's port (repro.alps.policy) ----------------------------
-    def _admit(self, item: ProcessSubject) -> int:
-        """Baseline a joining pid; 0 if it is gone."""
-        pid = item.sid
-        try:
-            usage = procfs.cpu_time_us(pid)
-        except HostOSError:
-            return 0
-        self._last_read[pid] = usage
-        self._initial.setdefault(pid, usage)
-        return 1
+    def _admit(self, subj: Subject) -> int:
+        """Enumerate and baseline a joining subject's pids; 0 if none is left."""
+        subj.refresh(self.view)
+        self._proc_sids.update(_proc_sids({subj.sid: subj}))
+        return sum(self._baseline(pid) for pid in self._pids_of(subj))
 
-    def _release(self, pid: int) -> int:
-        """Hand a departing pid back to the kernel: resume it if stopped."""
-        if pid not in self._stopped:
-            return 0
-        if self._resume_one(pid):
-            self._stopped.discard(pid)
-        return 1
+    def _release(self, sid: int) -> int:
+        """Hand a departing subject back to the kernel: resume its stopped pids."""
+        stopped = self._stopped.intersection(self.policy.members[sid].pids(self.view))
+        for pid in stopped:
+            if self._resume_one(pid):
+                self._stopped.discard(pid)
+        return len(stopped)
 
     def _now(self) -> int:
         return int(time.monotonic() * 1_000_000)
+
+    def _pids_of(self, subj: Subject) -> list[int]:
+        """A subject's pids, less any excluded since its last refresh."""
+        return [p for p in subj.pids(self.view) if p not in self._excluded]
+
+    def _baseline(self, pid: int) -> bool:
+        """Start measuring ``pid`` from its current reading; False if gone."""
+        try:
+            usage = procfs.cpu_time_us(pid)
+        except HostOSError:
+            return False
+        self._last_read[pid] = usage
+        self._initial.setdefault(pid, usage)
+        self._journal_stale = True
+        return True
 
     def _read_stat_with_retry(self, pid: int):
         """Read ``/proc/<pid>/stat``, retrying transient failures.
@@ -352,10 +453,25 @@ class HostAlps:
                     self.read_retries += 1
         return None
 
-    def _drop_subject(self, pid: int) -> None:
-        """Stop scheduling ``pid`` (death or EPERM)."""
-        self.policy.depart((pid,))
+    def _stop(self, pid: int) -> bool:
+        """SIGSTOP ``pid`` unless it is gone or someone else stopped it
+        (then resuming it is not ours to do either)."""
+        try:
+            if procfs.proc_state(pid) == "T" and pid not in self._stopped:
+                return False
+        except HostOSError:
+            return False
+        self._signal(pid, signal.SIGSTOP)
+        return True
+
+    def _forget_pid(self, pid: int) -> None:
+        """Stop tracking a dead, departed or unsignallable pid; a
+        single-process subject leaves with it."""
+        self._journal_stale |= pid in self._stopped or pid in self._proc_sids
         self._stopped.discard(pid)
+        sid = self._proc_sids.pop(pid, None)
+        if sid is not None:
+            self.policy.depart([sid])
 
     def _signal(self, pid: int, signo: int) -> None:
         try:
@@ -365,7 +481,8 @@ class HostAlps:
             return
         except PermissionError:  # EPERM: alive but not ours to control
             self.uncontrollable.add(pid)
-            self._drop_subject(pid)
+            self._excluded.add(pid)
+            self._forget_pid(pid)
             return
         if signo == signal.SIGSTOP:
             self._stopped.add(pid)
@@ -375,10 +492,11 @@ class HostAlps:
     def _resume_all(self) -> None:
         """Resume every process this controller may have stopped.
 
-        Consults kernel truth in addition to the stop-set: any pid the
-        controller ever scheduled that sits in procfs state ``T`` gets
-        a SIGCONT, covering pids stopped right before an exception (or
-        under bookkeeping lost to a crash).
+        Consults kernel truth in addition to the stop-set: a
+        single-process member in procfs state ``T`` gets a SIGCONT,
+        covering pids stopped right before an exception (or under
+        bookkeeping lost to a crash).  A multi-process subject's own
+        ``^Z``'d jobs are not ours: its members rely on the stop-set.
 
         A transient ``kill(2)`` failure (EINTR, EAGAIN — e.g. a signal
         mid-syscall, or a momentarily full signal queue) is retried with
@@ -388,8 +506,7 @@ class HostAlps:
         as a ``hostalps.resume_failed`` obs event, and stays in the
         stop-set so a later pass (or journaled restart) tries again.
         """
-        candidates = set(self._stopped) | set(self._initial)
-        candidates.update(self.core.subjects)
+        candidates = self._stopped.union(self._proc_sids)
         for pid in candidates:
             if pid not in self._stopped:
                 try:
@@ -442,6 +559,7 @@ class HostAlps:
             {
                 "last_read": self._last_read,
                 "initial": self._initial,
+                "cumulative": self._cumulative,
                 "debt": self._deferred_debt,
             },
         )
@@ -469,7 +587,9 @@ class HostAlps:
             return False
         try:
             state = restore_state(
-                self.core, rec.snapshot, ("last_read", "initial", "debt")
+                self.core,
+                rec.snapshot,
+                ("last_read", "initial", "cumulative", "debt"),
             )
         except JournalCorruptError:
             return False
@@ -477,20 +597,32 @@ class HostAlps:
         deferred = state["debt"]
         self._last_read = {}
         self._initial = state["initial"]
+        self._cumulative = state["cumulative"]
         self._stopped = state["stopped"]
-        self.policy.members = self._core_members()
+        # The journaled core is the membership: a sid it lacks departed,
+        # and one the constructor lacks joined through submit_pid.
+        members = self.policy.members
+        for sid in [sid for sid in members if sid not in self.core.subjects]:
+            del members[sid]
+        for sid, st in self.core.subjects.items():
+            members.setdefault(sid, ProcessSubject(sid, st.share, sid))
+        self._proc_sids = _proc_sids(members)
+        self._refresh_principals()
         debts: dict[int, int] = {}
-        for pid in list(self.core.subjects):
-            try:
-                usage = procfs.cpu_time_us(pid)
-            except HostOSError:
-                self._drop_subject(pid)
-                self._initial.pop(pid, None)
-                continue
-            base = last_read.get(pid)
-            if base is not None and usage > base:
-                debts[pid] = usage - base
-            self._last_read[pid] = usage
+        for sid, subj in list(members.items()):
+            debt = 0
+            for pid in self._pids_of(subj):
+                try:
+                    usage = procfs.cpu_time_us(pid)
+                except HostOSError:
+                    self._initial.pop(pid, None)
+                    self._forget_pid(pid)
+                    continue
+                base = last_read.get(pid)
+                if base is not None and usage > base:
+                    debt += usage - base
+                self._last_read[pid] = usage
+            debts[sid] = debt
         debt_us = schedule_debt(self.core, debts, deferred)
         self._deferred_debt = deferred
         self._stopped = {pid for pid in self._stopped if procfs.is_alive(pid)}

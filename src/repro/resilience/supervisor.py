@@ -410,6 +410,7 @@ class SupervisedHostAlps:
                 cycles=0,
                 cycle_log=CycleLog(),
                 consumed_us={},
+                consumed_by_sid={},
                 controller_cpu_us=0,
             )
         return report

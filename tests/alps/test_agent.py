@@ -123,3 +123,31 @@ def test_agent_overhead_accounted_to_its_process():
     alps_cpu = cw.kernel.getrusage(cw.alps_proc.pid)
     assert alps_cpu > 0
     assert alps_cpu < sec(5) * 0.02  # well under 2 %
+
+
+def test_empty_user_does_not_hold_the_cycle_open():
+    """Both of user 100's spinners die: user 200's spinner, the only
+    runnable process left, must keep getting CPU and cycles must keep
+    completing.  An empty principal measured ``(0, blocked=False)``
+    stays eligible with a positive allowance, ``tc`` never reaches 0,
+    and the survivor stays SIGSTOPped for good (0.000 s, 0 cycles).
+    Charged like a blocked subject instead, the empty 3-share user
+    still paces each cycle, so the survivor gets ~10 %, not all of it.
+    """
+    engine = Engine(seed=0)
+    kernel = Kernel(engine)
+    doomed = [kernel.spawn(f"u1-{i}", spinner_behavior(), uid=100) for i in range(2)]
+    survivor = kernel.spawn("u2", spinner_behavior(), uid=200)
+    subjects = [
+        UserSubject(sid=0, share=3, uid=100),
+        UserSubject(sid=1, share=1, uid=200),
+    ]
+    _, agent = spawn_alps(kernel, subjects, AlpsConfig(quantum_us=ms(10)))
+    engine.run_until(sec(2))
+    for proc in doomed:
+        kernel.kill(proc.pid, SIGKILL)
+    cpu_before = kernel.getrusage(survivor.pid)
+    cycles_before = agent.core.cycles_completed
+    engine.run_until(sec(12))
+    assert kernel.getrusage(survivor.pid) - cpu_before >= sec(0.5)
+    assert agent.core.cycles_completed - cycles_before >= 50

@@ -10,6 +10,7 @@ import json
 import os
 import zlib
 
+from repro.alps.subjects import PidGroupSubject
 from repro.errors import HostOSError
 from repro.hostos import procfs
 from repro.hostos.controller import HostAlps
@@ -213,9 +214,9 @@ def test_host_restores_from_a_v1_full_snapshot_journal(tmp_path, monkeypatch):
     for seq in range(4):
         first.core.count = seq
         first._last_read = {41: 1_000 + seq, 42: 5_000 + seq}
-        body = json.dumps(
-            first.snapshot_state(), sort_keys=True, separators=(",", ":")
-        )
+        snapshot = first.snapshot_state()
+        del snapshot["agent"]["cumulative"]  # not written back then
+        body = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
         crc = zlib.crc32(f"{seq} {body}".encode())
         lines.append(f"ALPSJ1 {seq} {crc:08x} {body}\n".encode())
     path.write_bytes(b"".join(lines))
@@ -228,3 +229,64 @@ def test_host_restores_from_a_v1_full_snapshot_journal(tmp_path, monkeypatch):
     assert second.restore_from_journal()
     assert second.core.count == 3
     assert second._deferred_debt == {41: 500}
+
+
+def groups() -> list[PidGroupSubject]:
+    return [PidGroupSubject(0, 1, [41, 42]), PidGroupSubject(1, 3, [43])]
+
+
+def test_restore_sums_a_groups_outage_debt_on_its_sid(tmp_path, monkeypatch):
+    journal = make_journal(tmp_path)
+    first = HostAlps(groups(), quantum_s=0.05, journal=journal)
+    first._last_read = {41: 1_000, 42: 5_000, 43: 7_000}
+    journal.append(first.snapshot_state())
+    journal.close()
+    patched_procfs(monkeypatch, {41: 1_800, 42: 6_200, 43: 7_000})
+    second = HostAlps(
+        groups(),
+        quantum_s=0.05,
+        journal=FileJournal(str(tmp_path / "host.journal"), fsync=False),
+    )
+    assert second.restore_from_journal()
+    assert second._deferred_debt == {0: 2_000}
+    assert second._last_read == {41: 1_800, 42: 6_200, 43: 7_000}
+
+
+def test_group_journal_round_trip(tmp_path, monkeypatch):
+    """Deltas carry the due subjects' *pids*: after every quantum the
+    file folds to the controller's state, and a fresh controller over
+    the same subjects recovers it."""
+    path = str(tmp_path / "host.journal")
+    usages = {41: 0, 42: 0, 43: 0}
+    scripted_host(monkeypatch, usages)
+    journal = FileJournal(path, fsync=False)
+    first = HostAlps(groups(), quantum_s=0.01, journal=journal)
+    first._last_read = dict(usages)
+    first._initial = dict(usages)
+    at_write: list[dict] = []
+    real_write = journal._write
+
+    def write(encoded: bytes) -> bool:
+        at_write.append(without_clock(first.snapshot_state()))
+        return real_write(encoded)
+
+    journal._write = write
+    for _ in range(40):
+        first._one_quantum()
+        got = dict(recover_journal(journal._read()).snapshot)
+        del got["t"]
+        assert got == at_write[-1]
+    kinds = [line[:6] for line in journal._read().splitlines()]
+    assert kinds.count(b"ALPSD1") > kinds.count(b"ALPSJ1")
+    journal.close()
+
+    second = HostAlps(groups(), quantum_s=0.01, journal=FileJournal(path, fsync=False))
+    assert second.restore_from_journal()
+    assert second.core.count == first.core.count
+    assert second.core.tc == first.core.tc
+    assert second._stopped == first._stopped
+    assert second._cumulative == first._cumulative == {
+        0: first._last_read[41] + first._last_read[42],
+        1: first._last_read[43],
+    }
+    second.journal.close()

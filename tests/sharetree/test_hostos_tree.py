@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,10 +49,15 @@ def test_tree_submit_places_the_pid_and_reweighs():
     tree.group("g", 2)
     tree.leaf("g/a", sid=os.getpid(), weight=1)
     alps = HostAlps({os.getpid(): 1}, quantum_s=0.05, sharetree=tree)
-    child = os.getppid()  # any live pid we can read from /proc
-    assert alps.submit_pid(child, 1, path="g/b")
-    assert tree.find_sid(child) is not None
-    assert alps.core.subjects[child].share == tree.effective_shares()[child]
+    proc = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    try:
+        child = proc.pid
+        assert alps.submit_pid(child, 1, path="g/b")
+        assert tree.find_sid(child) is not None
+        assert alps.core.subjects[child].share == tree.effective_shares()[child]
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 def test_set_tree_weight_reweighs_the_core():
