@@ -45,6 +45,7 @@ from repro.alps.algorithm import AlpsCore, QuantumDecisions
 from repro.alps.config import AlpsConfig
 from repro.alps.costs import CostAccumulator
 from repro.alps.instrumentation import CycleLog
+from repro.alps.measure import measure_due
 from repro.alps.policy import AlpsPolicy
 from repro.alps.state import Eligibility
 from repro.alps.subjects import ProcessSubject, Subject
@@ -56,7 +57,6 @@ from repro.errors import (
 from repro.kernel.actions import Action, Compute, Sleep
 from repro.kernel.signals import SIGCONT, SIGSTOP
 from repro.resilience.journal import (
-    drain_debt,
     journal_quantum,
     restore_state,
     schedule_debt,
@@ -456,9 +456,16 @@ class AlpsAgent:
 
     def shutdown(self, kapi: "KernelAPI") -> int:
         """Resume every controlled process left stopped; returns the
-        number resumed.  Mirrors ``HostAlps._resume_all``: consults
-        kernel truth, not just the agent's own stop-set, so a wedged
-        subject (lost bookkeeping, delayed SIGSTOP) is released too.
+        number resumed.
+
+        Consults kernel truth, not just the agent's own stop-set, so a
+        wedged subject (lost bookkeeping, delayed SIGSTOP) is released
+        too — every pid of every member and shed subject found stopped.
+        ``HostAlps._resume_all`` trusts kernel truth only for
+        single-process members: on a real host a stopped member of a
+        multi-process subject may be a user's own ``^Z``'d job, which is
+        not the controller's to resume; in the simulator nothing but
+        the agent stops a process.
         """
         to_resume = set(self._stopped_pids)
         subjects = list(self.subjects.values())
@@ -590,30 +597,29 @@ class AlpsAgent:
     def _do_apply(self, kapi: "KernelAPI") -> Action:
         """Measurement CPU spent: read progress now and run the algorithm.
 
-        This is the agent's hottest loop (one read per controlled pid
-        per quantum): the first getrusage attempt is inlined and the
-        rare transient-failure path lives in :meth:`_retry_read`; the
-        blocked vote short-circuits once any pid is found runnable
-        (``is_blocked`` is a side-effect-free, fault-transparent
-        inspection, so skipping calls is schedule-invisible).
+        The reads are :func:`~repro.alps.measure.measure_due` over this
+        kapi; a dead pid is forgotten (the next wake's liveness sweep
+        takes its subject out of the core).
         """
         now = kapi.now  # no events fire inside next_action: read once
         self.sampling_delays_us.append(now - self._wake_boundary)
-        # Batched measurement fast path: only the batch backend's kapi
-        # (repro.kernel.batch.BatchKernelAPI) advertises ``measure_many``.
-        # Fault wrappers deliberately do not forward it — the injector
-        # must see every individual read to keep its per-call RNG draw
-        # order — so faulted and classic kapis take the per-pid loop.
-        measure_many = getattr(kapi, "measure_many", None)
-        stopped_cache: Optional[dict[int, Optional[bool]]] = None
-        if measure_many is not None:
-            measurements, stopped_cache = self._measure_batched(measure_many)
-        else:
-            measurements = self._measure_classic(kapi)
+        measurements, anomalies = measure_due(
+            self._due,
+            self.core,
+            read=kapi.getrusage,
+            retry=lambda pid: self._retry_read(kapi, pid),
+            is_blocked=kapi.is_blocked,
+            dead=lambda sid, pid: self._forget_pid(pid),
+            last_read=self._last_read,
+            cumulative=self._cumulative,
+            debt=self._deferred_debt,
+            track_io=self.cfg.track_io,
+        )
+        self.anomalies += anomalies
         decisions = self.core.complete_quantum(measurements)
         if self.cfg.enforce_invariants:
             self.core.check_runtime_invariants()
-        self._pending_signals = self._signals_for(kapi, decisions, stopped_cache)
+        self._pending_signals = self._signals_for(kapi, decisions)
         obs = self._obs
         if obs is not None and obs.enabled:
             events = obs.events
@@ -646,138 +652,6 @@ class AlpsAgent:
         self._phase = _Phase.SIGNALING
         cost = self._cost_signal_us * len(self._pending_signals)
         return Compute(self._acc.charge(cost))
-
-    def _measure_classic(self, kapi: "KernelAPI") -> dict[int, tuple[int, bool]]:
-        """Per-pid measurement loop (the reference semantics).
-
-        One getrusage per due pid, the blocked vote short-circuited via
-        ``is_blocked``, dead pids forgotten in iteration order,
-        transient failures retried.  :meth:`_measure_batched` must stay
-        behaviorally identical to this loop — the backend matrix pins
-        the resulting schedules byte-for-byte.
-        """
-        measurements: dict[int, tuple[int, bool]] = {}
-        core_subjects = self.core.subjects
-        last_read = self._last_read
-        cumulative = self._cumulative
-        deferred = self._deferred_debt
-        getrusage = kapi.getrusage
-        is_blocked = kapi.is_blocked
-        track_io = self.cfg.track_io
-        for sid, pids in self._due:
-            if sid not in core_subjects:
-                continue
-            consumed = 0
-            live = 0
-            # Empty-principal rule: a subject with no member when its
-            # measurement starts is charged like a blocked one (Figure
-            # 3: allowance -= 1, tc -= Q) whatever track_io says, or it
-            # stays eligible with a positive allowance and tc never
-            # reaches 0 — the cycle is held open for everyone else.
-            empty = not pids
-            blocked = track_io or empty
-            for pid in pids:
-                try:
-                    usage = getrusage(pid)
-                except NoSuchProcessError:
-                    self._forget_pid(pid)
-                    continue
-                except TransientReadError:
-                    usage = self._retry_read(kapi, pid)
-                    if usage is None:
-                        continue
-                live += 1
-                delta = usage - last_read.get(pid, usage)
-                if delta < 0:
-                    # Accounting ran backwards; tolerate, don't corrupt
-                    # allowances with negative charges.
-                    self.anomalies += 1
-                    delta = 0
-                consumed += delta
-                last_read[pid] = usage
-                if blocked and not is_blocked(pid):
-                    blocked = False
-            blocked = blocked and (live > 0 or empty)
-            cumulative[sid] = cumulative.get(sid, 0) + consumed
-            if deferred:
-                # Post-crash repayment: charge a share-proportional
-                # sliver of the downtime debt on top of the measured
-                # consumption (never touches the clean path — deferred
-                # is empty unless a journaled recovery scheduled debt).
-                st = core_subjects.get(sid)
-                if st is not None:
-                    consumed += drain_debt(
-                        deferred, sid, st.share,
-                        self.core.quantum_us, self.core.total_shares,
-                    )
-            # A bare tuple, not Measurement: the NamedTuple constructor
-            # costs several times a tuple display, and complete_quantum
-            # unpacks positionally so both are accepted.
-            measurements[sid] = (consumed, blocked)
-        return measurements
-
-    def _measure_batched(
-        self, measure_many
-    ) -> tuple[dict[int, tuple[int, bool]], dict[int, Optional[bool]]]:
-        """One-call measurement over every due pid (batch backend only).
-
-        Behaviorally identical to :meth:`_measure_classic`: same
-        per-pid readings (``measure_many`` reuses the getrusage
-        arithmetic), same dead-pid forgetting, same blocked vote per
-        subject.  Additionally returns a pid → stopped cache for the
-        wedge-healing pass: no events fire inside one agent activation,
-        so kernel state cannot change between the measurement and
-        :meth:`_signals_for` reading it — the cached values equal what
-        per-pid ``is_stopped`` calls would return.  ``None`` in the
-        cache marks a pid found dead (already forgotten here).
-        """
-        measurements: dict[int, tuple[int, bool]] = {}
-        stopped_cache: dict[int, Optional[bool]] = {}
-        core_subjects = self.core.subjects
-        last_read = self._last_read
-        cumulative = self._cumulative
-        deferred = self._deferred_debt
-        track_io = self.cfg.track_io
-        due = [(sid, pids) for sid, pids in self._due if sid in core_subjects]
-        readings: dict[int, tuple[int, bool]] = {}
-        all_pids = [pid for _, pids in due for pid in pids]
-        for pid, usage, blk, stopped in measure_many(all_pids):
-            if usage is None:
-                self._forget_pid(pid)
-                stopped_cache[pid] = None
-            else:
-                readings[pid] = (usage, blk)
-                stopped_cache[pid] = stopped
-        for sid, pids in due:
-            consumed = 0
-            live = 0
-            empty = not pids  # the empty-principal rule, as above
-            blocked = track_io or empty
-            for pid in pids:
-                reading = readings.get(pid)
-                if reading is None:
-                    continue  # dead; forgotten above
-                usage, blk = reading
-                live += 1
-                delta = usage - last_read.get(pid, usage)
-                if delta < 0:
-                    self.anomalies += 1
-                    delta = 0
-                consumed += delta
-                last_read[pid] = usage
-                if blocked and not blk:
-                    blocked = False
-            blocked = blocked and (live > 0 or empty)
-            cumulative[sid] = cumulative.get(sid, 0) + consumed
-            if deferred:
-                st = core_subjects.get(sid)
-                if st is not None:
-                    consumed += drain_debt(
-                        deferred, sid, st.share,
-                        self.core.quantum_us, self.core.total_shares,
-                    )
-            measurements[sid] = (consumed, blocked)
-        return measurements, stopped_cache
 
     def _do_deliver(self, kapi: "KernelAPI") -> Action:
         """Signal CPU spent: deliver the queued signals, verify, retry."""
@@ -885,7 +759,11 @@ class AlpsAgent:
                 except NoSuchProcessError:
                     continue
                 except TransientReadError:
-                    usage = self._retry_read(kapi, pid)
+                    try:
+                        usage = self._retry_read(kapi, pid)
+                    except NoSuchProcessError:
+                        self._forget_pid(pid)
+                        usage = None
                 if usage is not None:
                     base = last_read.get(pid)
                     if base is not None and usage > base:
@@ -1006,11 +884,10 @@ class AlpsAgent:
         # eligibility transition gets another chance.
 
     def _signals_for(
-        self,
-        kapi: "KernelAPI",
-        decisions: QuantumDecisions,
-        stopped_cache: Optional[dict[int, Optional[bool]]] = None,
+        self, kapi: "KernelAPI", decisions: QuantumDecisions
     ) -> list[tuple[int, int]]:
+        """SIGSTOP/SIGCONT per transition, plus wedge healing — the
+        agent's own rule (docs/algorithm.md, "Two drivers, one fold")."""
         signals: list[tuple[int, int]] = []
         to_suspend = decisions.to_suspend
         suspend = set(to_suspend) if to_suspend else _EMPTY_SET
@@ -1040,17 +917,6 @@ class AlpsAgent:
             if st is None or st.state is not eligible or sid in suspend:
                 continue
             for pid in pids:
-                if stopped_cache is not None:
-                    # Batched path: stopped-ness was read in the same
-                    # activation (no intervening events, so it cannot
-                    # have changed); None marks a pid found dead and
-                    # already forgotten during measurement.
-                    stopped = stopped_cache.get(pid)
-                    if stopped:
-                        signals.append((pid, SIGCONT))
-                        self._stopped_pids.add(pid)  # make delivery resume it
-                        self.heals += 1
-                    continue
                 try:
                     if is_stopped(pid):
                         signals.append((pid, SIGCONT))
@@ -1134,20 +1000,18 @@ class AlpsAgent:
         """Continue a getrusage whose first attempt failed transiently.
 
         Performs up to ``read_retry_budget`` further attempts, charging
-        each retry's CPU into the next quantum.  Returns None when the
-        pid is gone or the budget is exhausted; in the latter case the
-        baseline is left untouched so the next successful read charges
-        the full elapsed consumption — a skipped measurement defers
-        accounting, it never loses it.
+        each retry's CPU into the next quantum.  Raises
+        :class:`NoSuchProcessError` when the pid turns out gone, and
+        returns None when the budget is exhausted, leaving the baseline
+        untouched so the next successful read charges the full elapsed
+        consumption — a skipped measurement defers accounting, it never
+        loses it.
         """
         for _ in range(self.cfg.read_retry_budget):
             self.read_retries += 1
             self._deferred_cost_us += self.cfg.costs.measure_per_proc_us
             try:
                 return kapi.getrusage(pid)
-            except NoSuchProcessError:
-                self._forget_pid(pid)
-                return None
             except TransientReadError:
                 continue
         self.read_failures += 1

@@ -7,8 +7,8 @@ with real signals, and the controller is the same
 :class:`~repro.alps.algorithm.AlpsCore` used in simulation.  One
 driver, :class:`HostAlps`, schedules single pids or the simulator's
 multi-process :mod:`~repro.alps.subjects` (a user, a pid set — the
-paper's Section 5 principals), whose membership it reads from /proc
-through a :class:`~repro.hostos.controller.ProcView`.
+paper's Section 5 principals).  It makes every OS call through one
+port, :class:`~repro.hostos.port.ProcfsHost`, which a test replaces.
 
 Calibration note: Python's sampling-loop timing is the weak point of a
 live reproduction (jitter of the interpreter and of ``time.sleep`` is
@@ -18,6 +18,7 @@ feeds the Table 1 micro-benchmarks.
 """
 
 from repro.hostos.controller import HostAlps, HostAlpsReport
+from repro.hostos.port import ProcfsHost
 from repro.hostos.procfs import (
     cpu_time_us,
     is_alive,
@@ -30,6 +31,7 @@ from repro.hostos.spawn import spawn_io_child, spawn_spinner
 __all__ = [
     "HostAlps",
     "HostAlpsReport",
+    "ProcfsHost",
     "cpu_time_us",
     "is_alive",
     "is_blocked",

@@ -4,29 +4,32 @@ Drives the same :class:`~repro.alps.algorithm.AlpsCore` as the
 simulator, but against live processes: progress comes from
 ``/proc/<pid>/stat``, eligibility is enacted with SIGSTOP/SIGCONT, and
 the quantum timer is an absolute-deadline sleep loop.  It schedules the
-simulated agent's :mod:`~repro.alps.subjects` (Section 5 principals).
+simulated agent's :mod:`~repro.alps.subjects` (Section 5 principals),
+measures them with the agent's own fold (:mod:`repro.alps.measure`),
+and makes every OS call through one host port
+(:class:`~repro.hostos.port.ProcfsHost`).
 """
 
 from __future__ import annotations
 
-import os
 import signal
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
-from repro.alps.algorithm import AlpsCore, Measurement
+from repro.alps.algorithm import AlpsCore, QuantumDecisions
 from repro.alps.instrumentation import CycleLog
+from repro.alps.measure import measure_due
 from repro.alps.policy import AlpsPolicy
 from repro.alps.subjects import ProcessSubject, Subject
 from repro.errors import (
     HostOSError,
     JournalCorruptError,
+    NoSuchProcessError,
     SchedulerConfigError,
+    TransientReadError,
 )
-from repro.hostos import procfs, scan
+from repro.hostos.port import ProcfsHost
 from repro.resilience.journal import (
-    drain_debt,
     journal_quantum,
     restore_state,
     schedule_debt,
@@ -41,19 +44,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class ProcView:
-    """/proc as the process view :mod:`repro.alps.subjects` read
-    membership through, blind to the ``excluded`` pids."""
+    """The host's process table as the view :mod:`repro.alps.subjects`
+    read membership through, blind to the ``excluded`` pids."""
 
-    __slots__ = ("excluded",)
+    __slots__ = ("host", "excluded")
 
-    def __init__(self, excluded: set[int]) -> None:
+    def __init__(self, host: ProcfsHost, excluded: set[int]) -> None:
+        self.host = host
         self.excluded = excluded
 
     def pid_exists(self, pid: int) -> bool:
-        return pid not in self.excluded and procfs.is_alive(pid)
+        return pid not in self.excluded and self.host.pid_exists(pid)
 
     def pids_of_uid(self, uid: int) -> list[int]:
-        return [p for p in scan.pids_of_uid(uid) if p not in self.excluded]
+        return [p for p in self.host.pids_of_uid(uid) if p not in self.excluded]
 
 
 def _proc_sids(members: Mapping[int, Subject]) -> dict[int, int]:
@@ -103,18 +107,21 @@ class HostAlps:
     Membership is re-enumerated every ``refresh_s`` seconds; it never
     includes the controller or its ancestors, which nothing would resume.
     A pid someone else stopped (``^Z``, a debugger) counts as blocked and
-    is neither stopped nor resumed.
+    is neither stopped nor resumed.  Every OS call goes through ``host``
+    (default :class:`~repro.hostos.port.ProcfsHost`, the real Linux
+    host), where a zombie counts as dead.
 
     Note: quanta below ~20 ms are dominated by Python/sleep jitter and
     by the tick resolution of /proc CPU accounting; the simulator is
     the instrument for quantitative claims (see package docstring).
 
-    Robustness (docs/fault_model.md): transient procfs read errors are
-    retried within ``read_retry_budget`` before a pid is declared dead;
+    Robustness (docs/fault_model.md): a procfs read that fails while
+    the pid exists is retried within ``read_retry_budget``, then skipped
+    for the quantum with its baseline kept, as in the simulated agent;
     ``_signal`` discriminates a vanished process (ESRCH — forget it)
     from one we may not signal (EPERM — stop scheduling the pid, it
-    cannot be controlled); and exit always runs :meth:`_resume_all`, which
-    resumes by *kernel truth* (any controlled pid in procfs state
+    cannot be controlled); and exit always runs :meth:`_resume_all`,
+    which resumes by *kernel truth* (any single-process member in state
     ``T``), not just the controller's own stop-set, so a crash between
     a SIGSTOP and its bookkeeping cannot wedge a process.
     """
@@ -133,6 +140,7 @@ class HostAlps:
         observer: Optional["Observer"] = None,
         overload: Optional["OverloadGuard"] = None,
         sharetree: Optional["ShareTree"] = None,
+        host: Optional[ProcfsHost] = None,
     ) -> None:
         if isinstance(subjects, Mapping):
             subjects = [
@@ -156,6 +164,7 @@ class HostAlps:
         self.resume_retry_budget = resume_retry_budget
         self.journal = journal
         self.observer = observer
+        self.host = host if host is not None else ProcfsHost()
         self.core = AlpsCore(
             {sid: subj.share for sid, subj in members.items()},
             self.quantum_us,
@@ -172,8 +181,10 @@ class HostAlps:
         self.uncontrollable: set[int] = set()
         #: pids no subject may hold: the controller and its ancestors,
         #: and the uncontrollable ones.
-        self._excluded = set(scan.ancestors(os.getpid()))
-        self.view = ProcView(self._excluded)
+        self._excluded = set(self.host.ancestors())
+        self.view = ProcView(self.host, self._excluded)
+        #: State letter of the pid last read (its blocked vote).
+        self._state = "R"
         #: pid -> sid of each single-process member (death finds it in O(1)).
         self._proc_sids = _proc_sids(members)
         #: Transient procfs reads that needed a retry (statistics).
@@ -214,8 +225,9 @@ class HostAlps:
         All controlled processes are resumed (SIGCONT) on the way out,
         even if the run raises.
         """
-        t_start = time.monotonic()
-        own_cpu_start = time.process_time()
+        host = self.host
+        t_start = host.clock()
+        own_cpu_start = host.cpu_time()
         self._journal_stale = True  # baselines below, _resume_all after
         for sid, subj in list(self.policy.members.items()):
             self._cumulative.setdefault(sid, 0)
@@ -228,104 +240,79 @@ class HostAlps:
                 if not self._baseline(pid):
                     self._forget_pid(pid)
         self._refresh_principals()
-        deadline = t_start + duration_s
-        next_refresh = t_start + self.refresh_s
-        boundary = t_start + self.quantum_us / 1_000_000
+        q = self.quantum_us
+        deadline = t_start + int(duration_s * 1_000_000)
+        refresh_us = int(self.refresh_s * 1_000_000)
+        next_refresh = t_start + refresh_us
+        boundary = t_start + q
         guard = self.policy.guard
         try:
             while True:
-                now = time.monotonic()
+                now = host.clock()
                 if now >= deadline:
                     break
                 if boundary > now:
-                    time.sleep(boundary - now)
+                    host.sleep(boundary - now)
                 # Skip past any boundaries we overslept.
-                now = time.monotonic()
+                now = host.clock()
                 # Cadence slip: wake *dispatch* is usually prompt even
                 # under load; starvation shows as the whole loop
                 # iteration (reads, signals, the sleep) taking longer
                 # than the stride.
-                self.policy.wake(int(now * 1_000_000))
-                q_s = self.quantum_us / 1_000_000
-                stride_s = q_s
-                if guard is not None:
-                    stride_s = q_s * guard.stretch_factor
-                missed = int((now - boundary) / stride_s)
-                boundary += (missed + 1) * stride_s
-                self.policy.cadence_us = int(stride_s * 1_000_000)
+                self.policy.wake(now)
+                stride = q if guard is None else q * guard.stretch_factor
+                boundary += (max(0, (now - boundary) // stride) + 1) * stride
+                self.policy.cadence_us = stride
                 if now >= next_refresh:
                     self._refresh_principals()
-                    next_refresh = now + self.refresh_s
+                    next_refresh = now + refresh_us
                 self._one_quantum()
         finally:
             self._resume_all()
-        t_end = time.monotonic()
-        own_cpu_us = int((time.process_time() - own_cpu_start) * 1_000_000)
+        t_end = host.clock()
         consumed = {}
         for pid, start in self._initial.items():
             try:
-                final = procfs.cpu_time_us(pid)
+                final = host.stat(pid)[0]  # a zombie's counter is final
             except HostOSError:
-                # Process died mid-run: its last successful reading is
-                # the best (and an under-) estimate of what it consumed.
+                # Reaped mid-run: its last successful reading is the
+                # best (and an under-) estimate of what it consumed.
                 final = self._last_read.get(pid, start)
             consumed[pid] = final - start
         return HostAlpsReport(
-            duration_s=t_end - t_start,
+            duration_s=(t_end - t_start) / 1_000_000,
             cycles=self.core.cycles_completed,
             cycle_log=self.core.cycle_log,
             consumed_us=consumed,
             consumed_by_sid=dict(self._cumulative),
-            controller_cpu_us=own_cpu_us,
+            controller_cpu_us=host.cpu_time() - own_cpu_start,
             overload_stats=guard.stats() if guard is not None else None,
         )
 
     # ------------------------------------------------------------------
-    def _one_quantum(self) -> None:
-        due = self.core.begin_quantum()
+    def _one_quantum(self) -> QuantumDecisions:
+        """One invocation: measure the due subjects, decide, journal,
+        signal.  Returns the core's decisions."""
         members = self.policy.members
-        core_subjects = self.core.subjects
-        last_read = self._last_read
-        stopped = self._stopped
-        measurements: dict[int, Measurement] = {}
-        due_pids: list[int] = []
+        due = [(sid, self._pids_of(members[sid])) for sid in self.core.begin_quantum()]
         shrunk: list[int] = []
-        for sid in due:
-            pids = self._pids_of(members[sid])
-            due_pids.extend(pids)
-            consumed = 0
-            live = 0
-            # The empty-principal rule (AlpsAgent._measure_classic): no
-            # member when the measurement starts means blocked.
-            empty = not pids
-            blocked = self.track_io or empty
-            for pid in pids:
-                stat = self._read_stat_with_retry(pid)
-                if stat is None:
-                    self._forget_pid(pid)  # died (a lone pid takes its subject)
-                    shrunk.append(sid)
-                    continue
-                live += 1
-                usage = stat.cpu_time_us
-                delta = usage - last_read.get(pid, usage)
-                if delta > 0:  # never charge a backwards-running counter
-                    consumed += delta
-                last_read[pid] = usage
-                state = stat.state
-                if state not in ("S", "D") and (state != "T" or pid in stopped):
-                    blocked = False  # runnable, or stopped only by us
-            if sid not in core_subjects:
-                continue
-            blocked = blocked and (live > 0 or empty)
-            self._cumulative[sid] = self._cumulative.get(sid, 0) + consumed
-            if self._deferred_debt:
-                # Post-crash repayment: a share-proportional sliver of
-                # the outage debt rides on top of measured consumption.
-                consumed += drain_debt(
-                    self._deferred_debt, sid, core_subjects[sid].share,
-                    self.quantum_us, self.core.total_shares,
-                )
-            measurements[sid] = Measurement(consumed_us=consumed, blocked=blocked)
+
+        def dead(sid: int, pid: int) -> None:
+            self._forget_pid(pid)  # a lone pid takes its subject with it
+            shrunk.append(sid)
+
+        measurements, _ = measure_due(
+            due,
+            self.core,
+            read=self._read,
+            retry=self._retry_read,
+            is_blocked=self._is_blocked,
+            dead=dead,
+            last_read=self._last_read,
+            cumulative=self._cumulative,
+            debt=self._deferred_debt,
+            track_io=self.track_io,
+        )
         decisions = self.core.complete_quantum(measurements)
         if self.journal is not None:
             # Write-ahead: the record is durable before the signals it
@@ -340,7 +327,9 @@ class HostAlps:
                 signalled=self._journal_signalled,
                 debt=self._deferred_debt,
                 touched={
-                    "last_read": (last_read, due_pids),
+                    "last_read": (
+                        self._last_read, [pid for _, pids in due for pid in pids]
+                    ),
                     "cumulative": (self._cumulative, measurements),
                 },
             )
@@ -352,7 +341,7 @@ class HostAlps:
                     signalled.append(pid)
         for sid in decisions.to_resume:
             for pid in self._pids_of(members[sid]):
-                if pid in stopped:  # never one someone else stopped
+                if pid in self._stopped:  # never one someone else stopped
                     self._signal(pid, signal.SIGCONT)
                     signalled.append(pid)
         self._journal_signalled = signalled
@@ -360,6 +349,7 @@ class HostAlps:
             # A member died: take it out of its subject now, so an
             # emptied subject is measured as empty from the next quantum.
             self._refresh_principals(shrunk)
+        return decisions
 
     def _refresh_principals(self, sids: Optional[Sequence[int]] = None) -> None:
         """Apply :meth:`AlpsPolicy.refresh`'s rule to all (or ``sids``)
@@ -419,7 +409,7 @@ class HostAlps:
         return len(stopped)
 
     def _now(self) -> int:
-        return int(time.monotonic() * 1_000_000)
+        return self.host.clock()
 
     def _pids_of(self, subj: Subject) -> list[int]:
         """A subject's pids, less any excluded since its last refresh."""
@@ -428,7 +418,7 @@ class HostAlps:
     def _baseline(self, pid: int) -> bool:
         """Start measuring ``pid`` from its current reading; False if gone."""
         try:
-            usage = procfs.cpu_time_us(pid)
+            usage = self.host.read(pid)[0]
         except HostOSError:
             return False
         self._last_read[pid] = usage
@@ -436,28 +426,39 @@ class HostAlps:
         self._journal_stale = True
         return True
 
-    def _read_stat_with_retry(self, pid: int):
-        """Read ``/proc/<pid>/stat``, retrying transient failures.
+    def _read(self, pid: int) -> int:
+        """The fold's reader: ``pid``'s CPU time (µs), keeping its state
+        for the blocked vote that follows."""
+        try:
+            usage, self._state = self.host.read(pid)
+        except HostOSError:
+            if self.host.pid_exists(pid):
+                raise TransientReadError(pid) from None
+            raise NoSuchProcessError(pid) from None
+        return usage
 
-        A read that fails while the pid still exists (EAGAIN-style
-        glitch, torn read) is retried up to ``read_retry_budget``
-        times; only a pid that is actually gone returns None.
-        """
-        for attempt in range(self.read_retry_budget + 1):
+    def _retry_read(self, pid: int) -> Optional[int]:
+        """Retry a read that failed while its pid existed, up to
+        ``read_retry_budget`` times; None once the budget is spent."""
+        for _ in range(self.read_retry_budget):
+            self.read_retries += 1
             try:
-                return procfs.read_proc_stat(pid)
-            except HostOSError:
-                if not procfs.is_alive(pid):
-                    return None
-                if attempt < self.read_retry_budget:
-                    self.read_retries += 1
+                return self._read(pid)
+            except TransientReadError:
+                continue
         return None
+
+    def _is_blocked(self, pid: int) -> bool:
+        """The state just read votes blocked: asleep, or stopped by
+        someone else (one we stopped would run once resumed)."""
+        state = self._state
+        return state in ("S", "D") or (state == "T" and pid not in self._stopped)
 
     def _stop(self, pid: int) -> bool:
         """SIGSTOP ``pid`` unless it is gone or someone else stopped it
         (then resuming it is not ours to do either)."""
         try:
-            if procfs.proc_state(pid) == "T" and pid not in self._stopped:
+            if self.host.read(pid)[1] == "T" and pid not in self._stopped:
                 return False
         except HostOSError:
             return False
@@ -475,7 +476,7 @@ class HostAlps:
 
     def _signal(self, pid: int, signo: int) -> None:
         try:
-            os.kill(pid, signo)
+            self.host.kill(pid, signo)
         except ProcessLookupError:  # ESRCH: gone — forget it
             self._stopped.discard(pid)
             return
@@ -498,19 +499,18 @@ class HostAlps:
         bookkeeping lost to a crash).  A multi-process subject's own
         ``^Z``'d jobs are not ours: its members rely on the stop-set.
 
-        A transient ``kill(2)`` failure (EINTR, EAGAIN — e.g. a signal
-        mid-syscall, or a momentarily full signal queue) is retried with
-        bounded backoff rather than swallowed: a SIGCONT lost on the way
-        out wedges the process forever.  A pid still unresumed after the
-        retry budget is counted in :attr:`resume_failures` and reported
-        as a ``hostalps.resume_failed`` obs event, and stays in the
-        stop-set so a later pass (or journaled restart) tries again.
+        A transient ``kill(2)`` failure (EINTR, EAGAIN) is retried with
+        bounded backoff, not swallowed: a SIGCONT lost on the way out
+        wedges the process forever.  A pid still unresumed after the
+        budget is counted in :attr:`resume_failures`, reported as a
+        ``hostalps.resume_failed`` event, and stays in the stop-set so a
+        later pass (or journaled restart) tries again.
         """
         candidates = self._stopped.union(self._proc_sids)
         for pid in candidates:
             if pid not in self._stopped:
                 try:
-                    if procfs.proc_state(pid) != "T":
+                    if self.host.read(pid)[1] != "T":
                         continue
                 except HostOSError:
                     continue
@@ -524,18 +524,18 @@ class HostAlps:
         gone, or not ours to signal); False when the retry budget ran
         out with the failure still transient.
         """
-        delay_s = 0.001
+        delay_us = 1_000
         for attempt in range(self.resume_retry_budget + 1):
             try:
-                os.kill(pid, signal.SIGCONT)
+                self.host.kill(pid, signal.SIGCONT)
                 return True
             except (ProcessLookupError, PermissionError):
                 return True  # gone, or not ours: nothing left to recover
             except (InterruptedError, BlockingIOError):
                 if attempt < self.resume_retry_budget:
                     self.resume_retries += 1
-                    time.sleep(delay_s)
-                    delay_s = min(delay_s * 2, 0.05)
+                    self.host.sleep(delay_us)
+                    delay_us = min(delay_us * 2, 50_000)
         self.resume_failures += 1
         obs = self.observer
         if obs is not None and obs.enabled:
@@ -613,7 +613,7 @@ class HostAlps:
             debt = 0
             for pid in self._pids_of(subj):
                 try:
-                    usage = procfs.cpu_time_us(pid)
+                    usage = self.host.read(pid)[0]
                 except HostOSError:
                     self._initial.pop(pid, None)
                     self._forget_pid(pid)
@@ -625,7 +625,7 @@ class HostAlps:
             debts[sid] = debt
         debt_us = schedule_debt(self.core, debts, deferred)
         self._deferred_debt = deferred
-        self._stopped = {pid for pid in self._stopped if procfs.is_alive(pid)}
+        self._stopped = {pid for pid in self._stopped if self.host.pid_exists(pid)}
         self.recovered = True
         obs = self.observer
         if obs is not None and obs.enabled:

@@ -4,8 +4,8 @@ The paper's Section 5 implementation used FreeBSD's
 ``kvm_getprocs(KERN_PROC_UID)`` to enumerate a user's processes once
 per second.  On Linux the equivalent is a /proc scan; these helpers
 provide it for :class:`~repro.alps.subjects.UserSubject` membership on
-:class:`~repro.hostos.controller.HostAlps` (through its
-:class:`~repro.hostos.controller.ProcView`), for
+:class:`~repro.hostos.controller.HostAlps` (through its host port,
+:class:`~repro.hostos.port.ProcfsHost`), for
 :class:`~repro.alps.subjects.PidGroupSubject` ``members`` callables,
 and for ad-hoc tooling.
 """

@@ -15,13 +15,6 @@ struct-of-arrays state:
   elementwise float64 — operation-for-operation the same IEEE ops the
   eager scalar loop performs — so the results are bit-identical, not
   merely close (pinned by tests/kernel/test_batch_properties.py).
-* **Batched measurement.**  :meth:`BatchKernel.measure_many` answers an
-  ALPS agent's whole per-quantum read set (getrusage + blocked +
-  stopped for every due pid) in one call over the process table,
-  instead of three kapi round-trips per pid.  The agent uses it only
-  when the kapi advertises it (:class:`BatchKernelAPI`), so fault
-  wrappers — which must see every individual read to keep their RNG
-  draw order — transparently fall back to the classic loop.
 * **Bitmap run-queue selection.**  :class:`ArrayRunQueue` is a drop-in
   replacement for :class:`~repro.kernel.runqueue.RunQueue` backed by
   flat per-bucket arrays with head offsets and a single occupancy
@@ -51,7 +44,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import KernelError
-from repro.kernel.kapi import KernelAPI
 from repro.kernel.kconfig import DEFAULT_CONFIG, KernelConfig
 from repro.kernel.kernel import _EVPRI_HOUSEKEEPING, Kernel
 from repro.kernel.priorities import batched_decay, batched_user_priority
@@ -67,10 +59,6 @@ STATE_CODES: dict[ProcState, int] = {
     ProcState.ZOMBIE: 3,
 }
 _CODE_TO_STATE = {code: state for state, code in STATE_CODES.items()}
-
-_ZOMBIE = ProcState.ZOMBIE
-_RUNNING = ProcState.RUNNING
-_SLEEPING = ProcState.SLEEPING
 
 
 class SoaState:
@@ -323,63 +311,6 @@ class ArrayRunQueue:
         return False
 
 
-class BatchKernelAPI(KernelAPI):
-    """Kernel API surface that additionally offers batched reads.
-
-    The agent feature-tests ``measure_many`` with ``getattr``: only
-    this class (and deliberate test fakes) expose it.  Fault-injection
-    wrappers (:class:`repro.faults.injector.FaultyKernelAPI`) do *not*
-    forward it, so a faulted agent always walks the classic per-pid
-    loop and the injector sees every read in the original order.
-    """
-
-    __slots__ = ()
-
-    def measure_many(
-        self, pids: Sequence[int]
-    ) -> list[tuple[int, Optional[int], bool, bool]]:
-        """Batched READ-PROGRESS: ``(pid, usage, blocked, stopped)`` rows.
-
-        ``usage`` is None when the pid is dead (the per-pid call would
-        have raised :class:`~repro.errors.NoSuchProcessError`); blocked
-        and stopped are then False.  Row order follows ``pids``.
-
-        Inlined copy of :meth:`BatchKernel.measure_many` over the slot
-        references, per the facade's inlining discipline (one call per
-        quantum instead of one per pid is the point of the batch read —
-        a delegation would give half the win back).  Must stay
-        behaviorally identical to the kernel-side original.
-        """
-        procs = self._procs
-        now = self._clock._now
-        zombie = _ZOMBIE
-        running = _RUNNING
-        sleeping = _SLEEPING
-        rows: list[tuple[int, Optional[int], bool, bool]] = []
-        append = rows.append
-        for pid in pids:
-            proc = procs.get(pid)
-            if proc is None or proc.state is zombie:
-                append((pid, None, False, False))
-                continue
-            state = proc.state
-            cpu = proc.cpu_time
-            if state is running:
-                run_start = proc.run_start
-                if now > run_start:
-                    cpu += now - run_start
-            append(
-                (
-                    pid,
-                    cpu,
-                    state is sleeping and proc.wait_channel is not None,
-                    proc.stopped,
-                )
-            )
-        self._kernel.perf_batch_rows += len(rows)
-        return rows
-
-
 class BatchKernel(Kernel):
     """Struct-of-arrays batch-stepped kernel (``backend="batch"``)."""
 
@@ -394,11 +325,8 @@ class BatchKernel(Kernel):
         # arrays never hold lazily-stale values.
         self._lazy = False
         self.runq = ArrayRunQueue()  # type: ignore[assignment]  # same surface
-        self.kapi = BatchKernelAPI(self)
         #: Batch passes performed (perf counter; see perf_snapshot).
         self.perf_batch_passes = 0
-        #: Rows answered by measure_many (perf counter).
-        self.perf_batch_rows = 0
         engine.enable_fused_stepping()
 
     # ------------------------------------------------------------------
@@ -411,50 +339,7 @@ class BatchKernel(Kernel):
     def perf_snapshot(self) -> dict[str, int]:
         snap = super().perf_snapshot()
         snap["kernel.batch_passes"] = self.perf_batch_passes
-        snap["kernel.batch_rows"] = self.perf_batch_rows
         return snap
-
-    # ------------------------------------------------------------------
-    # Batched measurement
-    # ------------------------------------------------------------------
-    def measure_many(
-        self, pids: Sequence[int]
-    ) -> list[tuple[int, Optional[int], bool, bool]]:
-        """One-pass getrusage + blocked + stopped for many pids.
-
-        Must stay behaviorally identical to the per-pid kapi calls
-        (``getrusage`` / ``is_blocked`` / ``is_stopped``): same usage
-        arithmetic including the in-flight run interval, dead pids
-        reported as ``usage=None`` instead of raising.
-        """
-        procs = self.procs
-        now = self._clock._now
-        zombie = ProcState.ZOMBIE
-        running = ProcState.RUNNING
-        sleeping = ProcState.SLEEPING
-        rows: list[tuple[int, Optional[int], bool, bool]] = []
-        append = rows.append
-        for pid in pids:
-            proc = procs.get(pid)
-            if proc is None or proc.state is zombie:
-                append((pid, None, False, False))
-                continue
-            state = proc.state
-            cpu = proc.cpu_time
-            if state is running:
-                run_start = proc.run_start
-                if now > run_start:
-                    cpu += now - run_start
-            append(
-                (
-                    pid,
-                    cpu,
-                    state is sleeping and proc.wait_channel is not None,
-                    proc.stopped,
-                )
-            )
-        self.perf_batch_rows += len(rows)
-        return rows
 
     # ------------------------------------------------------------------
     # Vectorized per-second decay (the schedcpu batch pass)

@@ -12,9 +12,6 @@ thin views — properties reading and writing their row — so:
 * the per-``schedcpu`` gather/scatter round trip (~0.5 µs/row, the
   floor the batch backend hit at paper scale) disappears entirely:
   the decay pass masks, decays, and writes back *in place*;
-* :meth:`ResidentKernel.measure_many` answers the agent's whole
-  per-quantum read set with fancy-indexed array reads instead of a
-  per-pid Python loop;
 * run-queue membership is mirrored into a boolean column
   (:class:`_RunqMembership`) as it changes, so the decay pass needs no
   membership set lookups at all.
@@ -54,7 +51,7 @@ the compiled-dispatch story (:mod:`repro.sim.fastloop`).
 from __future__ import annotations
 
 from array import array
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -63,7 +60,6 @@ from repro.kernel.batch import (
     STATE_CODES,
     ArrayRunQueue,
     BatchKernel,
-    BatchKernelAPI,
 )
 from repro.errors import KernelError, SimulationError
 from repro.kernel.actions import Action, Compute, Exit, Sleep, SleepOn
@@ -505,27 +501,6 @@ class _RunqMembership(set):
             store.on_runq[row] = 0
 
 
-class ResidentKernelAPI(BatchKernelAPI):
-    """Batch API surface over the resident kernel.
-
-    ``measure_many`` delegates to the kernel's vectorized
-    implementation — one fancy-indexed pass instead of a per-pid loop.
-    The delegation (vs. the batch facade's inlining) is deliberate:
-    the whole read set is one call per quantum either way, and the
-    vectorized body is not worth duplicating.  Fault wrappers still
-    hide this method, so a faulted agent walks the classic per-pid
-    loop with its original RNG draw order (pinned by
-    tests/kernel/test_resident_view.py).
-    """
-
-    __slots__ = ()
-
-    def measure_many(
-        self, pids: Sequence[int]
-    ) -> list[tuple[int, Optional[int], bool, bool]]:
-        return self._kernel.measure_many(pids)
-
-
 class ResidentKernel(BatchKernel):
     """Array-resident struct-of-arrays kernel (``backend="resident"``)."""
 
@@ -546,7 +521,6 @@ class ResidentKernel(BatchKernel):
         # Replace the plain pid set installed by Kernel.__init__ with
         # the mirroring set (empty at this point; no process exists yet).
         self._on_runq = _RunqMembership(self.store)
-        self.kapi = ResidentKernelAPI(self)
 
     # ------------------------------------------------------------------
     # Row-direct scalar hot paths
@@ -980,55 +954,6 @@ class ResidentKernel(BatchKernel):
             priority=_EVPRI_HOUSEKEEPING,
             tag="roundrobin",
         )
-
-    # ------------------------------------------------------------------
-    # Vectorized measurement (no per-pid loop)
-    # ------------------------------------------------------------------
-    def measure_many(
-        self, pids: Sequence[int]
-    ) -> list[tuple[int, Optional[int], bool, bool]]:
-        """Fancy-indexed READ-PROGRESS over the resident arrays.
-
-        Behaviorally identical to the per-pid kapi calls and to the
-        batch backend's loop: same usage arithmetic including the
-        in-flight run interval, dead pids reported as ``usage=None``.
-        ``.tolist()`` materialises plain Python ints/bools so numpy
-        scalars never reach the agent's cycle log.
-        """
-        store = self.store
-        count = len(pids)
-        if count == 0 or store.n == 0:
-            rows_out = [(pid, None, False, False) for pid in pids]
-            self.perf_batch_rows += len(rows_out)
-            return rows_out
-        slot_of = store.slot_of
-        rows = np.fromiter(
-            (slot_of.get(pid, -1) for pid in pids), dtype=np.int64, count=count
-        )
-        safe = np.where(rows >= 0, rows, 0)
-        state = store.np_view("state")[safe]
-        alive = (rows >= 0) & (state != _ZOMBIE_CODE)
-        cpu = store.np_view("cpu_time")[safe]
-        now = self._clock._now
-        inflight = now - store.np_view("run_start")[safe]
-        charge = (state == _RUNNING_CODE) & (inflight > 0)
-        usage = np.where(charge, cpu + inflight, cpu).tolist()
-        blocked = (
-            alive
-            & (state == _SLEEPING_CODE)
-            & store.np_view("has_channel")[safe]
-        ).tolist()
-        stopped = (alive & store.np_view("stopped")[safe]).tolist()
-        alive_list = alive.tolist()
-        out: list[tuple[int, Optional[int], bool, bool]] = []
-        append = out.append
-        for i, pid in enumerate(pids):
-            if alive_list[i]:
-                append((pid, usage[i], blocked[i], stopped[i]))
-            else:
-                append((pid, None, False, False))
-        self.perf_batch_rows += len(out)
-        return out
 
     # ------------------------------------------------------------------
     # In-place vectorized per-second decay (no gather, no scatter)

@@ -143,8 +143,8 @@ def fingerprint_run(
     ``fault_plan`` runs the workload under deterministic fault
     injection.  Faulted runs are *not* expected to match clean runs;
     they must match each other across backends — the injector wraps the
-    kapi, hiding the batched-measurement surface, so every backend
-    replays the identical per-call fault RNG draw sequence.  The
+    kapi every backend's agent reads through, so every backend replays
+    the identical per-call fault RNG draw sequence.  The
     injector's realized fault trace is appended to the fingerprint's
     trace bytes so a divergence in fault realization fails the
     comparison even if the schedule happens to agree.

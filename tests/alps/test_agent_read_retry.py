@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from repro.alps.agent import AlpsAgent
 from repro.alps.config import AlpsConfig
+from repro.alps.measure import measure_due
 from repro.alps.subjects import ProcessSubject
 from repro.errors import NoSuchProcessError, TransientReadError
 
@@ -70,13 +71,26 @@ def test_retry_read_zero_budget_fails_immediately():
 
 def test_retry_read_discriminates_gone_from_transient():
     """A pid that vanishes mid-retry is death, not a transient glitch:
-    its per-pid records go and no failure is counted against the
-    retry machinery."""
+    the measurement fold hears of it, its per-pid records go, and no
+    failure is counted against the retry machinery."""
     agent = make_agent(budget=3)
     agent._last_read[100] = 777
     agent._stopped_pids.add(100)
-    kapi = RetryKapi([TransientReadError(100), NoSuchProcessError(100)])
-    assert agent._retry_read(kapi, 100) is None
+    kapi = RetryKapi([TransientReadError(100), TransientReadError(100),
+                      NoSuchProcessError(100)])
+    measurements, _ = measure_due(
+        [(0, [100])],
+        agent.core,
+        read=kapi.getrusage,
+        retry=lambda pid: agent._retry_read(kapi, pid),
+        is_blocked=lambda pid: False,
+        dead=lambda sid, pid: agent._forget_pid(pid),
+        last_read=agent._last_read,
+        cumulative=agent._cumulative,
+        debt={},
+        track_io=True,
+    )
+    assert measurements == {0: (0, False)}  # no live pid: not blocked
     assert agent.read_failures == 0
     assert 100 not in agent._last_read
     assert 100 not in agent._stopped_pids

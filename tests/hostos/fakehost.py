@@ -1,120 +1,95 @@
-"""A scripted one-CPU host behind procfs, ``os.kill`` and HostAlps's clock.
+"""The simulated kernel behind ``HostAlps``'s host port.
 
-``HostAlps.run`` against it needs no real process and no real sleep:
-each ``time.sleep`` of the controller advances a virtual clock and
-splits that interval's CPU equally among the runnable pids (alive, not
-SIGSTOPped, not sleeping).  Signals move pids in and out of
-``stopped``, which procfs shows as state ``T``.  ``controller`` is the
-pid chain the controller sees as itself and its ancestors.
+:class:`FakeHost` is a :class:`~repro.hostos.port.ProcfsHost` whose raw
+OS calls land in a :class:`~repro.kernel.kernel.Kernel` instead of
+Linux: ``sleep`` advances the engine, ``stat`` answers from the PCB
+(``R``/``S``/``T``/``Z``, CPU in µs), ``kill`` delivers the signal, and
+the clock is the engine's.  The port's own rules — a zombie is dead,
+above all — are inherited, not re-implemented, so ``HostAlps.run``
+over it exercises them with no real process and no real sleep.
+Flaky reads, EPERM or EINTR are small overrides of a method.
 """
 
 from __future__ import annotations
 
-import os
 import signal
-import time
-from types import SimpleNamespace
 from typing import Callable
 
-from repro.errors import HostOSError
-from repro.hostos import controller, procfs, scan
+from repro.errors import HostOSError, NoSuchProcessError
+from repro.hostos.port import ProcfsHost
+from repro.kernel import KernelConfig, make_kernel
+from repro.kernel.actions import SleepOn
+from repro.kernel.behaviors import behavior
+from repro.kernel.kernel import Kernel
+from repro.kernel.process import ProcState
+from repro.kernel.signals import SIGCONT, SIGKILL, SIGSTOP
+from repro.sim.engine import Engine
+from repro.workloads.spinner import spinner_behavior
+
+#: Host signal numbers -> the simulated kernel's.
+SIGNALS = {signal.SIGSTOP: SIGSTOP, signal.SIGCONT: SIGCONT, signal.SIGKILL: SIGKILL}
 
 
-class FakeHost:
-    def __init__(self, monkeypatch) -> None:
-        self.now = 100.0
-        self.usage: dict[int, int] = {}
-        self.uid: dict[int, int] = {}
-        self.sleeping: set[int] = set()
-        self.stopped: set[int] = set()
+def pcb_stat(kernel: Kernel, pid: int) -> tuple[int, str]:
+    """``(cpu_us, state)`` of ``pid`` from its PCB, as /proc would show it."""
+    proc = kernel.procs.get(pid)
+    if proc is None:
+        raise HostOSError(f"no such process {pid}")
+    if proc.state is ProcState.ZOMBIE:
+        return proc.cpu_time, "Z"
+    if proc.stopped:
+        state = "T"
+    elif proc.state is ProcState.SLEEPING and proc.wait_channel is not None:
+        state = "S"  # blocked exactly when the agent's kapi says so
+    else:
+        state = "R"
+    return kernel.getrusage(pid), state
+
+
+@behavior
+def sleeper(proc, kapi):
+    """Blocked for good on a wait channel nobody wakes."""
+    yield SleepOn("forever")
+
+
+class FakeHost(ProcfsHost):
+    def __init__(self, seed: int = 0) -> None:
+        self.engine = Engine(seed=seed)
+        self.kernel = make_kernel(self.engine, KernelConfig())
+        #: The pid chain the controller sees as itself and its ancestors.
         self.controller: list[int] = []
-        #: ``(now, pid, signo)`` for every delivered signal.
-        self.sent: list[tuple[float, int, int]] = []
-        self._events: list[tuple[float, Callable[[], None]]] = []
-        monkeypatch.setattr(procfs, "read_proc_stat", self.read_stat)
-        monkeypatch.setattr(
-            procfs, "cpu_time_us", lambda pid: self.read_stat(pid).cpu_time_us
-        )
-        monkeypatch.setattr(procfs, "proc_state", lambda pid: self.read_stat(pid).state)
-        monkeypatch.setattr(procfs, "is_alive", lambda pid: pid in self.usage)
-        monkeypatch.setattr(
-            scan, "pids_of_uid",
-            lambda uid: sorted(p for p, u in self.uid.items() if u == uid),
-        )
-        monkeypatch.setattr(scan, "ancestors", lambda pid: list(self.controller))
-        monkeypatch.setattr(os, "kill", self.kill)
-        monkeypatch.setattr(
-            controller,
-            "time",
-            SimpleNamespace(
-                monotonic=lambda: self.now,
-                sleep=self.sleep,
-                process_time=time.process_time,
-            ),
-        )
+        #: ``(now_us, pid, host signo)`` for every signal sent.
+        self.sent: list[tuple[int, int, int]] = []
 
     # -- the process table -------------------------------------------------
-    def spawn(self, pid: int, *, uid: int = 0, sleeping: bool = False) -> int:
-        self.usage[pid] = 0
-        self.uid[pid] = uid
-        if sleeping:
-            self.sleeping.add(pid)
-        return pid
+    def spawn(self, *, uid: int = 0, sleeping: bool = False) -> int:
+        """A spinner (or a process blocked for good); returns its pid."""
+        body = sleeper() if sleeping else spinner_behavior()
+        return self.kernel.spawn("p", body, uid=uid).pid
 
     def exit(self, pid: int) -> None:
-        del self.usage[pid]
-        del self.uid[pid]
-        self.sleeping.discard(pid)
-        self.stopped.discard(pid)
+        """The process exits; its PCB stays, a zombie, like an unreaped
+        child in /proc."""
+        self.kernel.kill(pid, SIGKILL)
 
-    def at(self, t: float, action: Callable[[], None]) -> None:
-        """Run ``action`` once the virtual clock reaches ``t``."""
-        self._events.append((t, action))
-        self._events.sort(key=lambda e: e[0])
+    def at(self, t_us: int, action: Callable[[], None]) -> None:
+        """Run ``action`` once the clock reaches ``t_us``."""
+        self.engine.at(t_us, lambda event: action())
 
-    # -- what the controller sees ------------------------------------------
-    def read_stat(self, pid: int) -> procfs.ProcStat:
-        if pid not in self.usage:
-            raise HostOSError(f"no such process {pid}")
-        if pid in self.stopped:
-            state = "T"
-        elif pid in self.sleeping:
-            state = "S"
-        else:
-            state = "R"
-        return procfs.ProcStat(
-            pid, "fake", state, self.usage[pid] // procfs._US_PER_TICK, 0
-        )
+    def usage(self, pid: int) -> int:
+        return self.stat(pid)[0]
 
-    def kill(self, pid: int, signo: int) -> None:
-        if pid not in self.usage:
-            raise ProcessLookupError(pid)
-        self.sent.append((self.now, pid, signo))
-        if signo == signal.SIGSTOP:
-            self.stopped.add(pid)
-        elif signo == signal.SIGCONT:
-            self.stopped.discard(pid)
+    @property
+    def stopped(self) -> set[int]:
+        """Pids job-control stopped right now (kernel truth)."""
+        return {
+            pid for pid, proc in self.kernel.procs.items()
+            if proc.stopped and proc.state is not ProcState.ZOMBIE
+        }
 
-    def sleep(self, dt: float) -> None:
-        end = self.now + dt
-        while self._events and self._events[0][0] <= end:
-            t, action = self._events.pop(0)
-            self._run_cpu(max(0.0, t - self.now))
-            action()
-        self._run_cpu(end - self.now)
-
-    def _run_cpu(self, dt: float) -> None:
-        runnable = [
-            pid for pid in self.usage
-            if pid not in self.stopped and pid not in self.sleeping
-        ]
-        for pid in runnable:
-            self.usage[pid] += int(dt * 1_000_000 / len(runnable))
-        self.now += dt
-
-    def longest_stop(self, pid: int, since: float) -> float:
-        """Longest stretch ``pid`` spent SIGSTOPped after ``since``."""
-        longest, stopped_at = 0.0, None
+    def longest_stop(self, pid: int, since: int) -> int:
+        """Longest stretch (µs) ``pid`` spent SIGSTOPped after ``since``."""
+        longest, stopped_at = 0, None
         for t, p, signo in self.sent:
             if p != pid:
                 continue
@@ -125,5 +100,31 @@ class FakeHost:
                     longest = max(longest, t - max(stopped_at, since))
                 stopped_at = None
         if stopped_at is not None:
-            longest = max(longest, self.now - max(stopped_at, since))
+            longest = max(longest, self.clock() - max(stopped_at, since))
         return longest
+
+    # -- the port's raw calls ----------------------------------------------
+    def clock(self) -> int:
+        return self.engine.now
+
+    def sleep(self, us: int) -> None:
+        self.engine.run_until(self.engine.now + us)
+
+    def cpu_time(self) -> int:
+        return 0
+
+    def stat(self, pid: int) -> tuple[int, str]:
+        return pcb_stat(self.kernel, pid)
+
+    def kill(self, pid: int, signo: int) -> None:
+        try:
+            self.kernel.kill(pid, SIGNALS[signo])
+        except NoSuchProcessError:
+            raise ProcessLookupError(pid) from None
+        self.sent.append((self.clock(), pid, signo))
+
+    def pids_of_uid(self, uid: int) -> list[int]:
+        return self.kernel.pids_of_uid(uid)
+
+    def ancestors(self) -> list[int]:
+        return list(self.controller)

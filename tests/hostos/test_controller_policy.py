@@ -1,16 +1,15 @@
 """One admission / ladder / share-tree script through both drivers.
 
-``HostAlps`` runs with procfs and ``os.kill`` monkeypatched, as in
-test_controller_robustness.py, so no real process is touched and this
-runs in the default suite; the simulated agent runs the same script on
-the simulated kernel.  Both enact :mod:`repro.alps.policy`, so after
-every step they must agree on core membership and shares, the shed
-set, queue depths and the ``(kind, sid)`` sequence of policy events.
+``HostAlps`` runs on :class:`FakeHost` (a simulated kernel behind its
+host port), so no real process is touched and this runs in the default
+suite; the simulated agent runs the same script on its own simulated
+kernel.  Both enact :mod:`repro.alps.policy`, so after every step they
+must agree on core membership and shares, the shed set, queue depths
+and the ``(kind, sid)`` sequence of policy events.
 """
 
 from __future__ import annotations
 
-import os
 import signal
 
 import pytest
@@ -20,7 +19,6 @@ from repro.alps.config import AlpsConfig
 from repro.alps.policy import AlpsPolicy
 from repro.alps.subjects import ProcessSubject
 from repro.errors import HostOSError
-from repro.hostos import procfs
 from repro.hostos.controller import HostAlps
 from repro.kernel import KernelConfig, make_kernel
 from repro.kernel.signals import SIGKILL
@@ -31,10 +29,12 @@ from repro.sharetree import ShareTree
 from repro.sim.engine import Engine
 from repro.units import ms
 from repro.workloads.spinner import spinner_behavior
+from tests.hostos.fakehost import FakeHost
 
-#: Subject ids, which are pids on the host.  Far above any real pid
-#: range; ``os.kill`` is patched anyway.
-A, B, C, G, D, E = range(5_000_001, 5_000_007)
+#: Subject ids, which are pids on the host — and on both kernels: each
+#: driver spawns A, B, C and G, then one process of its own (the agent,
+#: the controller), then D and E as they arrive.
+A, B, C, G, D, E = 1, 2, 3, 4, 6, 7
 SHARES = {A: 1, B: 2, C: 3, G: 1}
 #: Enough quanta for any single step to settle.
 STEP_LIMIT = 500
@@ -111,7 +111,8 @@ class SimDriver(Driver):
         self.until(lambda: self.agent.invocations > 0)
 
     def subject(self, sid: int, share: int) -> ProcessSubject:
-        proc = self.kernel.spawn(f"s{sid}", spinner_behavior(), uid=sid % 1000)
+        proc = self.kernel.spawn(f"s{sid}", spinner_behavior(), uid=sid)
+        assert proc.pid == sid
         self.pids[sid] = proc.pid
         return ProcessSubject(sid=sid, share=share, pid=proc.pid)
 
@@ -135,69 +136,44 @@ class SimDriver(Driver):
 
 
 class HostDriver(Driver):
-    """Scripted procfs: every read of a live pid finds it one quantum
-    further on; signals only land in ``sent`` and move ``paused`` (the
-    pids procfs shows in state ``T``)."""
-
-    QUANTUM_US = 1_000_000  # far above the script's real-time slip
-
-    def __init__(self, monkeypatch) -> None:
-        self.usage = {sid: 0 for sid in SHARES}
-        self.sent: list[tuple[int, int]] = []
-        self.paused: set[int] = set()
-
-        def read_stat(pid):
-            if pid not in self.usage:
-                raise HostOSError("gone")
-            self.usage[pid] += self.QUANTUM_US
-            ticks = self.usage[pid] // procfs._US_PER_TICK
-            state = "T" if pid in self.paused else "R"
-            return procfs.ProcStat(pid, "w", state, ticks, 0)
-
-        def kill(pid, signo):
-            self.sent.append((pid, signo))
-            if signo == signal.SIGSTOP:
-                self.paused.add(pid)
-            elif signo == signal.SIGCONT:
-                self.paused.discard(pid)
-
-        monkeypatch.setattr(procfs, "read_proc_stat", read_stat)
-        monkeypatch.setattr(
-            procfs, "cpu_time_us", lambda pid: read_stat(pid).cpu_time_us
-        )
-        monkeypatch.setattr(procfs, "is_alive", lambda pid: pid in self.usage)
-        monkeypatch.setattr(os, "kill", kill)
+    def __init__(self) -> None:
+        self.host = FakeHost()
+        for sid in SHARES:
+            assert self.host.spawn(uid=sid) == sid
+        self.host.controller = [self.host.spawn(sleeping=True)]
         self.obs = Observer()
         self.alps = HostAlps(
             dict(SHARES),
-            quantum_s=self.QUANTUM_US / 1_000_000,
+            quantum_s=0.01,
             observer=self.obs,
             overload=OverloadGuard(OverloadConfig(capacity=4)),
             sharetree=make_tree(),
+            host=self.host,
         )
         self.policy = self.alps.policy
 
     def quantum(self) -> None:
-        # One iteration of HostAlps.run's loop, minus the sleep.
+        # One iteration of HostAlps.run's loop.
+        self.host.sleep(self.alps.quantum_us)
         self.policy.wake(self.alps._now())
         self.alps._one_quantum()
 
     def submit(self, sid: int, share: int, path=None) -> bool:
-        self.usage[sid] = 0
+        assert self.host.spawn(uid=sid) == sid
         return self.alps.submit_pid(sid, share, path=path)
 
     def kill(self, sid: int) -> None:
-        del self.usage[sid]
+        self.host.exit(sid)
 
     def stopped(self, sid: int) -> bool:
-        return sid in self.paused
+        return sid in self.host.stopped
 
     def baseline_is_fresh(self, sid: int) -> bool:
-        return self.alps._last_read[sid] == self.usage[sid]
+        return self.alps._last_read[sid] == self.host.usage(sid)
 
 
-def test_both_drivers_enact_one_policy(monkeypatch):
-    sim, host = SimDriver(), HostDriver(monkeypatch)
+def test_both_drivers_enact_one_policy():
+    sim, host = SimDriver(), HostDriver()
     drivers = (sim, host)
 
     def agree() -> dict:
@@ -227,7 +203,7 @@ def test_both_drivers_enact_one_policy(monkeypatch):
         d.until(lambda d=d: d.stopped(A))
         d.engage_shed()
         assert not d.stopped(A)
-    assert host.sent[-1] == (A, signal.SIGCONT)
+    assert host.host.sent[-1][1:] == (A, signal.SIGCONT)
     view = agree()
     assert view["shed"] == {A}
     assert A not in view["core"]
@@ -269,22 +245,23 @@ def test_both_drivers_enact_one_policy(monkeypatch):
     ]
 
 
-def test_host_refuses_a_dead_arrival_under_a_guard(monkeypatch):
+def test_host_refuses_a_dead_arrival_under_a_guard():
     """A pid gone before admission does not join and is not reported
     as admitted."""
-    def gone(pid):
-        raise HostOSError("no such process")
-
-    monkeypatch.setattr(procfs, "cpu_time_us", gone)
+    host = FakeHost()
+    a, gone = host.spawn(), host.spawn()
+    host.exit(gone)
     obs = Observer()
-    alps = HostAlps({A: 1}, quantum_s=0.05, observer=obs, overload=OverloadGuard())
-    assert not alps.submit_pid(D, 1)
-    assert D not in alps.core.subjects
+    alps = HostAlps(
+        {a: 1}, quantum_s=0.05, observer=obs, overload=OverloadGuard(), host=host
+    )
+    assert not alps.submit_pid(gone, 1)
+    assert gone not in alps.core.subjects
     assert policy_events(obs) == []
 
 
-def test_host_path_errors_are_host_errors(monkeypatch):
-    host = HostDriver(monkeypatch)
+def test_host_path_errors_are_host_errors():
+    host = HostDriver()
     with pytest.raises(HostOSError):
         host.alps.submit_pid(D, 1, path="nowhere/x")
     with pytest.raises(HostOSError):

@@ -1,0 +1,142 @@
+"""Cross-driver differential: the agent's quanta, replayed through HostAlps.
+
+The simulated agent runs each Table 2 cell (seed 0) with a journal;
+every quantum its due list and the readings of the due pids — CPU and
+run state from the PCB, as /proc would show them — are recorded at the
+instant the agent reads them.  ``HostAlps._one_quantum`` then runs the
+same quanta over a host port answering from that recording.  Both
+drivers measure with one fold, so the core must take identical
+decisions on every quantum, and the two journals must hold the same
+records but for the differences docs/algorithm.md names
+("Two drivers, one fold").
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.alps.algorithm import QuantumDecisions
+from repro.alps.config import AlpsConfig
+from repro.alps.subjects import ProcessSubject
+from repro.hostos.controller import HostAlps
+from repro.hostos.port import ProcfsHost
+from repro.perf.differential import TABLE2_SIZES
+from repro.resilience.journal import MemoryJournal
+from repro.units import ms, sec
+from repro.workloads.scenarios import build_controlled_workload
+from repro.workloads.shares import DISTRIBUTIONS, workload_shares
+from tests.hostos.fakehost import pcb_stat
+
+QUANTUM_US = ms(10)
+#: Two whole cycles of the largest cell (400 shares × 10 ms).
+HORIZON_US = sec(10)
+
+
+class ReplayHost(ProcfsHost):
+    """The host port answering from one recorded agent quantum at a time."""
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.readings: dict[int, tuple[int, str]] = {}
+        self.sent: list[tuple[int, int]] = []
+
+    def clock(self) -> int:
+        return self.now
+
+    def stat(self, pid: int) -> tuple[int, str]:
+        return self.readings[pid]
+
+    def kill(self, pid: int, signo: int) -> None:
+        self.sent.append((pid, signo))
+
+    def ancestors(self) -> list[int]:
+        return []
+
+
+def record_agent(shares):
+    """Run the agent on one cell; returns it with its baselines,
+    per-quantum ``(now, due, readings, decisions)`` and its journal."""
+    journal = MemoryJournal()
+    cw = build_controlled_workload(
+        shares, AlpsConfig(quantum_us=QUANTUM_US), seed=0, journal=journal
+    )
+    agent, kernel = cw.agent, cw.kernel
+    quanta: list[tuple[int, list, dict, QuantumDecisions]] = []
+    baselines: dict[int, int] = {}
+    apply, complete = agent._do_apply, agent.core.complete_quantum
+
+    def recording_apply(kapi):
+        if not quanta and not baselines:
+            baselines.update(agent._last_read)
+        due = [(sid, list(pids)) for sid, pids in agent._due]
+        readings = {pid: pcb_stat(kernel, pid) for _, pids in due for pid in pids}
+        quanta.append((kapi.now, due, readings, None))
+        return apply(kapi)
+
+    def recording_complete(measurements):
+        decisions = complete(measurements)
+        now, due, readings, _ = quanta[-1]
+        quanta[-1] = (now, due, readings, decisions)
+        return decisions
+
+    agent._do_apply = recording_apply
+    agent.core.complete_quantum = recording_complete
+    cw.engine.run_until(HORIZON_US)
+    assert agent.rebaselines == 0 and agent.heals == 0
+    return agent, baselines, quanta, journal
+
+
+def records(journal: MemoryJournal) -> list[tuple[bytes, dict]]:
+    out = []
+    for line in journal.data.splitlines():
+        kind, _seq, _crc, body = line.split(b" ", 3)
+        out.append((kind, json.loads(body)))
+    return out
+
+
+@pytest.mark.parametrize("n", TABLE2_SIZES)
+@pytest.mark.parametrize("model", DISTRIBUTIONS, ids=lambda m: m.value)
+def test_host_replays_the_agents_quanta(model, n):
+    agent, baselines, quanta, agent_journal = record_agent(workload_shares(model, n))
+    host = ReplayHost()
+    host_journal = MemoryJournal()
+    alps = HostAlps(
+        [ProcessSubject(s.sid, s.share, s.pid) for s in agent.subjects.values()],
+        quantum_s=QUANTUM_US / 1_000_000,
+        journal=host_journal,
+        host=host,
+    )
+    # What run() does before its first quantum, at the agent's readings.
+    alps._last_read = dict(baselines)
+    alps._cumulative = dict.fromkeys(alps.policy.members, 0)
+    assert len(quanta) >= HORIZON_US // QUANTUM_US - 5
+    for k, (now, due, readings, decisions) in enumerate(quanta):
+        host.now = now
+        host.readings.update(readings)
+        got = alps._one_quantum()
+        assert alps.core._last_due == [sid for sid, _ in due], f"quantum {k}"
+        assert got == decisions, f"quantum {k}"
+    assert any(d.cycle_completed for *_, d in quanta)
+    assert any(d.to_suspend for *_, d in quanta)
+    assert alps._last_read == agent._last_read
+    assert alps._cumulative == agent._cumulative
+
+    agent_records, host_records = records(agent_journal), records(host_journal)
+    assert len(agent_records) == len(host_records) == len(quanta)
+    for k, ((kind, mine), (host_kind, theirs)) in enumerate(
+        zip(agent_records, host_records)
+    ):
+        assert host_kind == kind, f"record {k}"
+        if kind == b"ALPSJ1":
+            # Each driver checkpoints its own extra scalar or table.
+            del mine["agent"]["epoch"]
+            del theirs["agent"]["initial"]
+        else:
+            # A delta carries the stop-set rows of the pids signalled
+            # since the last record; the agent's also carries those it
+            # is about to signal.  Where both carry a pid they agree.
+            ours, hosts = mine["agent"].pop("stopped"), theirs["agent"].pop("stopped")
+            assert hosts.items() <= ours.items(), f"record {k}"
+        assert theirs == mine, f"record {k}"

@@ -1,14 +1,13 @@
-"""Live overload protection: admission control over real pids."""
+"""Host overload protection: admission control over the host port's pids
+(:class:`FakeHost`, the simulated kernel behind it)."""
 
 import pytest
 
 from repro.errors import HostOSError
 from repro.hostos.controller import HostAlps
-from repro.hostos.spawn import spawn_spinner
 from repro.obs import Observer
 from repro.overload import OverloadConfig, OverloadGuard
-
-pytestmark = pytest.mark.hostos
+from tests.hostos.fakehost import FakeHost
 
 
 def test_submit_pid_rejects_bad_share():
@@ -18,85 +17,60 @@ def test_submit_pid_rejects_bad_share():
 
 
 def test_submit_pid_without_guard_admits_immediately():
-    procs = [spawn_spinner() for _ in range(2)]
-    try:
-        alps = HostAlps({procs[0].pid: 2}, quantum_s=0.05)
-        assert alps.submit_pid(procs[1].pid, 3)
-        assert procs[1].pid in alps.core.subjects
-        report = alps.run(0.5)
-        assert report.overload_stats is None
-        assert procs[1].pid in report.consumed_us
-    finally:
-        for p in procs:
-            p.kill()
-            p.wait()
+    host = FakeHost()
+    a, b = host.spawn(), host.spawn()
+    alps = HostAlps({a: 2}, quantum_s=0.05, host=host)
+    assert alps.submit_pid(b, 3)
+    assert b in alps.core.subjects
+    report = alps.run(0.5)
+    assert report.overload_stats is None
+    assert report.consumed_us[b] > 0
 
 
 def test_submit_pid_with_spare_capacity_admits():
-    procs = [spawn_spinner() for _ in range(2)]
-    try:
-        guard = OverloadGuard(OverloadConfig(capacity=3))
-        alps = HostAlps({procs[0].pid: 1}, quantum_s=0.05, overload=guard)
-        assert alps.submit_pid(procs[1].pid, 1)
-        assert guard.admission.depth == 0
-        report = alps.run(0.3)
-        assert report.overload_stats is not None
-        assert report.overload_stats["admission.admitted_immediately"] == 1
-    finally:
-        for p in procs:
-            p.kill()
-            p.wait()
+    host = FakeHost()
+    a, b = host.spawn(), host.spawn()
+    guard = OverloadGuard(OverloadConfig(capacity=3))
+    alps = HostAlps({a: 1}, quantum_s=0.05, overload=guard, host=host)
+    assert alps.submit_pid(b, 1)
+    assert guard.admission.depth == 0
+    report = alps.run(0.3)
+    assert report.overload_stats is not None
+    assert report.overload_stats["admission.admitted_immediately"] == 1
 
 
 def test_queued_pid_drains_when_a_member_dies():
-    procs = [spawn_spinner() for _ in range(3)]
-    try:
-        obs = Observer()
-        guard = OverloadGuard(OverloadConfig(capacity=2))
-        alps = HostAlps(
-            {procs[0].pid: 1, procs[1].pid: 1},
-            quantum_s=0.05,
-            overload=guard,
-            observer=obs,
-        )
-        # The group is at capacity: the arrival has to wait its turn.
-        assert not alps.submit_pid(procs[2].pid, 2)
-        assert guard.admission.depth == 1
-        assert procs[2].pid not in alps.core.subjects
-        # A member dies; the controller reaps it on the next read and a
-        # later wake drains the queue into the freed slot.
-        procs[0].kill()
-        procs[0].wait()
-        alps.run(1.0)
-        assert procs[2].pid in alps.core.subjects
-        assert guard.admission.depth == 0
-        kinds = [ev.kind for ev in obs.events.tail(len(obs.events))]
-        assert "overload.queued" in kinds
-        assert "overload.admitted" in kinds
-    finally:
-        for p in procs:
-            p.kill()
-            p.wait()
+    host = FakeHost()
+    a, b, c = (host.spawn() for _ in range(3))
+    obs = Observer()
+    guard = OverloadGuard(OverloadConfig(capacity=2))
+    alps = HostAlps(
+        {a: 1, b: 1}, quantum_s=0.05, overload=guard, observer=obs, host=host
+    )
+    # The group is at capacity: the arrival has to wait its turn.
+    assert not alps.submit_pid(c, 2)
+    assert guard.admission.depth == 1
+    assert c not in alps.core.subjects
+    # A member dies; the controller reaps it on the next read and a
+    # later wake drains the queue into the freed slot.
+    host.exit(a)
+    alps.run(1.0)
+    assert c in alps.core.subjects
+    assert guard.admission.depth == 0
+    kinds = [ev.kind for ev in obs.events.tail(len(obs.events))]
+    assert "overload.queued" in kinds
+    assert "overload.admitted" in kinds
 
 
 def test_dead_arrival_is_dropped_not_enforced():
-    procs = [spawn_spinner() for _ in range(2)]
-    try:
-        guard = OverloadGuard(OverloadConfig(capacity=2))
-        alps = HostAlps(
-            {procs[0].pid: 1, procs[1].pid: 1}, quantum_s=0.05, overload=guard
-        )
-        victim = spawn_spinner()
-        assert not alps.submit_pid(victim.pid, 1)
-        victim.kill()
-        victim.wait()
-        procs[1].kill()
-        procs[1].wait()
-        alps.run(1.0)
-        # The queued pid died before its slot opened: it must not join.
-        assert victim.pid not in alps.core.subjects
-        assert guard.admission.depth == 0
-    finally:
-        for p in procs:
-            p.kill()
-            p.wait()
+    host = FakeHost()
+    a, b, victim = (host.spawn() for _ in range(3))
+    guard = OverloadGuard(OverloadConfig(capacity=2))
+    alps = HostAlps({a: 1, b: 1}, quantum_s=0.05, overload=guard, host=host)
+    assert not alps.submit_pid(victim, 1)
+    host.exit(victim)
+    host.exit(b)
+    alps.run(1.0)
+    # The queued pid died before its slot opened: it must not join.
+    assert victim not in alps.core.subjects
+    assert guard.admission.depth == 0

@@ -42,6 +42,6 @@ def test_multi_tenant():
 
 @pytest.mark.hostos
 def test_live_alps():
-    out = run_example("live_alps.py", "3")
+    out = run_example("live_alps.py", "1")
     assert "achieved" in out
     assert "cycles completed" in out

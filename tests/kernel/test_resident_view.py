@@ -15,11 +15,8 @@ directly.  The whole backend rests on two claims, pinned here:
   :meth:`ResidentProcess.attach` bypasses the dataclass ``__init__``
   and relies on the zeroed row for the array-backed defaults.
 
-Plus the fault-injection seam: :class:`~repro.faults.injector.
-FaultyKernelAPI` must *not* forward ``measure_many``, so a faulted
-resident run takes the agent's classic per-pid measurement path and
-replays the identical per-call fault RNG draw sequence as every other
-backend.
+Plus the fault-injection seam: a faulted run replays the identical
+per-call fault RNG draw sequence and schedule on every backend.
 """
 
 from __future__ import annotations
@@ -221,25 +218,10 @@ def test_kernel_columns_grow_in_place_and_refuse_a_live_view():
         del live
 
 
-def test_faulty_kapi_hides_measure_many_from_the_agent():
-    """The agent feature-tests ``measure_many`` with getattr; the fault
-    wrapper must not forward it, so faulted resident runs take the
-    classic per-pid path (per-call fault RNG draw order unchanged)."""
-    from repro.faults.injector import FaultyKernelAPI
-    from repro.kernel import KernelConfig, make_kernel
-    from repro.sim.engine import Engine
-
-    kernel = make_kernel(Engine(seed=0), KernelConfig(backend="resident"))
-    assert getattr(kernel.kapi, "measure_many", None) is not None
-    wrapped = FaultyKernelAPI(kernel.kapi, injector=None)
-    assert getattr(wrapped, "measure_many", None) is None
-
-
 @pytest.mark.parametrize("backend", ["batch", "resident"])
 def test_faulted_resident_fingerprint_matches_strict(backend):
     """Under an active fault plan every backend must replay the exact
-    same fault realization and schedule (the injector wraps the kapi,
-    so measurement is per-pid everywhere)."""
+    same fault realization and schedule."""
     from repro.faults.plan import FaultPlan, ProcessCrash
     from repro.perf.differential import describe_difference, fingerprint_run
     from repro.units import sec

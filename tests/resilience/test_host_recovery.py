@@ -1,86 +1,84 @@
-"""HostAlps journaled crash recovery, with procfs monkeypatched.
-
-Never touches real processes: procfs reads are scripted, so these run
-in the default (non-hostos) suite.
+"""HostAlps journaled crash recovery, on :class:`FakeHost` (the
+simulated kernel behind the host port): no real process is touched,
+so these run in the default (non-hostos) suite.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import zlib
 
 from repro.alps.subjects import PidGroupSubject
-from repro.errors import HostOSError
-from repro.hostos import procfs
 from repro.hostos.controller import HostAlps
+from repro.kernel.signals import SIGSTOP
 from repro.resilience.journal import (
     FileJournal,
     core_snapshot,
     encode_record,
     recover_journal,
 )
+from repro.units import ms, sec
+from tests.hostos.fakehost import FakeHost
 
 
 def make_journal(tmp_path) -> FileJournal:
+    """The journal file of ``tmp_path``, opened (again)."""
     return FileJournal(str(tmp_path / "host.journal"), fsync=False)
 
 
-def patched_procfs(monkeypatch, usages: dict[int, int]) -> None:
-    monkeypatch.setattr(procfs, "cpu_time_us", lambda pid: usages[pid])
-    monkeypatch.setattr(procfs, "is_alive", lambda pid: pid in usages)
-
-
-def test_restore_from_journal_resumes_core_and_schedules_debt(
-    tmp_path, monkeypatch
-):
+def test_restore_from_journal_resumes_core_and_schedules_debt(tmp_path):
+    host = FakeHost()
+    a, b = host.spawn(), host.spawn()
+    host.sleep(sec(1))
     journal = make_journal(tmp_path)
-    first = HostAlps({41: 1, 42: 3}, quantum_s=0.05, journal=journal)
+    first = HostAlps({a: 1, b: 3}, quantum_s=0.05, journal=journal, host=host)
     first.core.count = 17  # mid-cycle state worth preserving
-    first._last_read = {41: 1_000, 42: 5_000}
+    base = {a: host.usage(a), b: host.usage(b)}
+    first._last_read = dict(base)
     journal.append(first.snapshot_state())
     journal.close()
 
-    # "Crash": a fresh controller over the same journal.  Both pids
-    # consumed CPU during the outage.
-    patched_procfs(monkeypatch, {41: 1_800, 42: 6_200})
+    # "Crash": both pids consume CPU during the outage, then a fresh
+    # controller comes up over the same journal.
+    host.sleep(sec(1))
     second = HostAlps(
-        {41: 1, 42: 3},
+        {a: 1, b: 3},
         quantum_s=0.05,
-        journal=FileJournal(str(tmp_path / "host.journal"), fsync=False),
+        journal=make_journal(tmp_path),
+        host=host,
     )
     assert second.restore_from_journal()
     assert second.recovered
     assert second.core.count == 17
     # Downtime consumption became amortized debt, not a lump and not a
     # forgiven re-baseline.
-    assert second._deferred_debt == {41: 800, 42: 1_200}
+    now = {a: host.usage(a), b: host.usage(b)}
+    assert second._deferred_debt == {pid: now[pid] - base[pid] for pid in now}
+    assert all(debt > 0 for debt in second._deferred_debt.values())
     # Baselines moved to the fresh readings: the debt is charged once.
-    assert second._last_read == {41: 1_800, 42: 6_200}
+    assert second._last_read == now
 
 
-def test_restore_prunes_pids_dead_during_outage(tmp_path, monkeypatch):
+def test_restore_prunes_pids_dead_during_outage(tmp_path):
+    host = FakeHost()
+    a, b = host.spawn(), host.spawn()
     journal = make_journal(tmp_path)
-    first = HostAlps({41: 1, 42: 3}, quantum_s=0.05, journal=journal)
-    first._last_read = {41: 1_000, 42: 5_000}
+    first = HostAlps({a: 1, b: 3}, quantum_s=0.05, journal=journal, host=host)
+    first._last_read = {a: 0, b: 0}
     journal.append(first.snapshot_state())
     journal.close()
 
-    def read(pid):
-        if pid == 42:
-            raise HostOSError("gone")
-        return 1_500
-
-    monkeypatch.setattr(procfs, "cpu_time_us", read)
-    monkeypatch.setattr(procfs, "is_alive", lambda pid: pid == 41)
+    host.sleep(sec(1))
+    host.exit(b)
     second = HostAlps(
-        {41: 1, 42: 3},
+        {a: 1, b: 3},
         quantum_s=0.05,
-        journal=FileJournal(str(tmp_path / "host.journal"), fsync=False),
+        journal=make_journal(tmp_path),
+        host=host,
     )
     assert second.restore_from_journal()
-    assert 42 not in second.core.subjects
-    assert 41 in second.core.subjects
+    assert b not in second.core.subjects
+    assert a in second.core.subjects
 
 
 def test_restore_returns_false_without_usable_journal(tmp_path):
@@ -119,70 +117,64 @@ def test_restore_treats_a_non_mapping_agent_section_as_corrupt(tmp_path):
 # ----------------------------------------------------------------------
 # Checkpoint + delta journal written by the controller itself
 # ----------------------------------------------------------------------
-def scripted_host(monkeypatch, usages: dict[int, int]):
-    """procfs and kill(2) replaced by a script: each read of a pid sees
-    it 3 ms further on; signals only land in ``sent``."""
-    sent: list[tuple[int, int]] = []
-
-    def read_stat(pid):
-        if pid not in usages:
-            raise HostOSError("gone")
-        usages[pid] += 3_000
-        ticks = usages[pid] // procfs._US_PER_TICK
-        return procfs.ProcStat(pid, "w", "R", ticks, 0)
-
-    monkeypatch.setattr(procfs, "read_proc_stat", read_stat)
-    monkeypatch.setattr(procfs, "cpu_time_us", lambda pid: read_stat(pid).cpu_time_us)
-    monkeypatch.setattr(procfs, "is_alive", lambda pid: pid in usages)
-    monkeypatch.setattr(os, "kill", lambda pid, signo: sent.append((pid, signo)))
-    return sent
-
-
 def without_clock(snapshot: dict) -> dict:
-    """A snapshot minus its wall-clock stamp, as a decoded record."""
+    """A snapshot minus its clock stamp, as a decoded record."""
     snapshot = json.loads(json.dumps(snapshot))
     del snapshot["t"]
     return snapshot
 
 
-def test_host_journals_deltas_and_restores_from_them(tmp_path, monkeypatch):
-    path = str(tmp_path / "host.journal")
-    usages = {41: 0, 42: 0, 43: 0}
-    sent = scripted_host(monkeypatch, usages)
-    journal = FileJournal(path, fsync=False)
-    first = HostAlps({41: 1, 42: 2, 43: 3}, quantum_s=0.01, journal=journal)
-    first._last_read = dict(usages)
-    first._initial = dict(usages)
-    # Write-ahead: the record predates the signals it encodes, so the
-    # state to compare with is the controller's as each record is put.
+def record_writes(alps: HostAlps, journal: FileJournal) -> list[dict]:
+    """Write-ahead: a record predates the signals it encodes, so the
+    state to compare with is the controller's as each record is put."""
     at_write: list[dict] = []
     real_write = journal._write
 
     def write(encoded: bytes) -> bool:
-        at_write.append(without_clock(first.snapshot_state()))
+        at_write.append(without_clock(alps.snapshot_state()))
         return real_write(encoded)
 
     journal._write = write
+    return at_write
+
+
+def folded(journal: FileJournal) -> dict:
+    got = dict(recover_journal(journal._read()).snapshot)
+    del got["t"]
+    return got
+
+
+def test_host_journals_deltas_and_restores_from_them(tmp_path):
+    host = FakeHost()
+    pids = [host.spawn() for _ in range(3)]
+    journal = make_journal(tmp_path)
+    first = HostAlps(
+        dict(zip(pids, (1, 2, 3))), quantum_s=0.01, journal=journal, host=host
+    )
+    for pid in pids:
+        first._baseline(pid)
+    at_write = record_writes(first, journal)
+    late = None
     for quantum in range(60):
+        host.sleep(ms(10))
         first._one_quantum()
         if quantum == 30:  # a join mid-run: membership-grade
-            usages[44] = 0
-            assert first.submit_pid(44, 2)
+            late = host.spawn()
+            assert first.submit_pid(late, 2)
         # After every quantum the file folds to that state.
-        got = dict(recover_journal(journal._read()).snapshot)
-        del got["t"]
-        assert got == at_write[-1]
+        assert folded(journal) == at_write[-1]
     assert len(at_write) == 60
-    assert sent, "the run never stopped or resumed anything"
+    assert host.sent, "the run never stopped or resumed anything"
     kinds = [line[:6] for line in journal._read().splitlines()]
     assert kinds.count(b"ALPSD1") > kinds.count(b"ALPSJ1") >= 3
     journal.close()
 
     # "Crash": a fresh controller over the same file.
     second = HostAlps(
-        {41: 1, 42: 2, 43: 3, 44: 2},
+        {**dict(zip(pids, (1, 2, 3))), late: 2},
         quantum_s=0.01,
-        journal=FileJournal(path, fsync=False),
+        journal=make_journal(tmp_path),
+        host=host,
     )
     assert second.restore_from_journal()
     core = first.core
@@ -195,9 +187,12 @@ def test_host_journals_deltas_and_restores_from_them(tmp_path, monkeypatch):
         assert (restored.share, restored.allowance, restored.state) == (
             st.share, st.allowance, st.state
         )
-    assert second._stopped == first._stopped
+    # Write-ahead: the stop-set as the last record found it, before the
+    # signals it encodes went out.
+    assert sorted(second._stopped) == at_write[-1]["agent"]["stopped"]
     assert second._initial == first._initial
     # Its first record is a checkpoint again, and the file still folds.
+    host.sleep(ms(10))
     second._one_quantum()
     tail = second.journal._read().splitlines()[-1]
     assert tail.startswith(b"ALPSJ1 ")
@@ -205,88 +200,97 @@ def test_host_journals_deltas_and_restores_from_them(tmp_path, monkeypatch):
     second.journal.close()
 
 
-def test_host_restores_from_a_v1_full_snapshot_journal(tmp_path, monkeypatch):
+def test_host_restores_from_a_v1_full_snapshot_journal(tmp_path):
     """A journal as the previous format wrote it — a full snapshot per
     quantum, no deltas — is a journal of checkpoints."""
+    host = FakeHost()
+    a, b = host.spawn(), host.spawn()
+    host.kernel.kill(b, SIGSTOP)  # b consumes nothing from here on
+    host.sleep(sec(1))
+    ua, ub = host.usage(a), host.usage(b)
     path = tmp_path / "host.journal"
-    first = HostAlps({41: 1, 42: 3}, quantum_s=0.05)
+    first = HostAlps({a: 1, b: 3}, quantum_s=0.05, host=host)
     lines = []
     for seq in range(4):
         first.core.count = seq
-        first._last_read = {41: 1_000 + seq, 42: 5_000 + seq}
+        first._last_read = {a: ua - 503 + seq, b: ub - 3 + seq}
         snapshot = first.snapshot_state()
         del snapshot["agent"]["cumulative"]  # not written back then
         body = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
         crc = zlib.crc32(f"{seq} {body}".encode())
         lines.append(f"ALPSJ1 {seq} {crc:08x} {body}\n".encode())
     path.write_bytes(b"".join(lines))
-    patched_procfs(monkeypatch, {41: 1_503, 42: 5_003})
     second = HostAlps(
-        {41: 1, 42: 3},
+        {a: 1, b: 3},
         quantum_s=0.05,
-        journal=FileJournal(str(path), fsync=False),
+        journal=make_journal(tmp_path),
+        host=host,
     )
     assert second.restore_from_journal()
     assert second.core.count == 3
-    assert second._deferred_debt == {41: 500}
+    assert second._deferred_debt == {a: 500}
 
 
-def groups() -> list[PidGroupSubject]:
-    return [PidGroupSubject(0, 1, [41, 42]), PidGroupSubject(1, 3, [43])]
+def groups(pids: list[int]) -> list[PidGroupSubject]:
+    return [PidGroupSubject(0, 1, pids[:2]), PidGroupSubject(1, 3, pids[2:])]
 
 
-def test_restore_sums_a_groups_outage_debt_on_its_sid(tmp_path, monkeypatch):
+def test_restore_sums_a_groups_outage_debt_on_its_sid(tmp_path):
+    host = FakeHost()
+    pids = [host.spawn() for _ in range(3)]
+    host.kernel.kill(pids[2], SIGSTOP)  # group 1 consumes nothing
     journal = make_journal(tmp_path)
-    first = HostAlps(groups(), quantum_s=0.05, journal=journal)
-    first._last_read = {41: 1_000, 42: 5_000, 43: 7_000}
+    first = HostAlps(groups(pids), quantum_s=0.05, journal=journal, host=host)
+    first._last_read = {pid: host.usage(pid) for pid in pids}
     journal.append(first.snapshot_state())
     journal.close()
-    patched_procfs(monkeypatch, {41: 1_800, 42: 6_200, 43: 7_000})
+    host.sleep(sec(1))
     second = HostAlps(
-        groups(),
+        groups(pids),
         quantum_s=0.05,
-        journal=FileJournal(str(tmp_path / "host.journal"), fsync=False),
+        journal=make_journal(tmp_path),
+        host=host,
     )
     assert second.restore_from_journal()
-    assert second._deferred_debt == {0: 2_000}
-    assert second._last_read == {41: 1_800, 42: 6_200, 43: 7_000}
+    now = {pid: host.usage(pid) for pid in pids}
+    assert second._deferred_debt == {
+        0: sum(now[pid] - first._last_read[pid] for pid in pids[:2])
+    }
+    assert second._last_read == now
 
 
-def test_group_journal_round_trip(tmp_path, monkeypatch):
+def test_group_journal_round_trip(tmp_path):
     """Deltas carry the due subjects' *pids*: after every quantum the
     file folds to the controller's state, and a fresh controller over
     the same subjects recovers it."""
-    path = str(tmp_path / "host.journal")
-    usages = {41: 0, 42: 0, 43: 0}
-    scripted_host(monkeypatch, usages)
-    journal = FileJournal(path, fsync=False)
-    first = HostAlps(groups(), quantum_s=0.01, journal=journal)
-    first._last_read = dict(usages)
-    first._initial = dict(usages)
-    at_write: list[dict] = []
-    real_write = journal._write
-
-    def write(encoded: bytes) -> bool:
-        at_write.append(without_clock(first.snapshot_state()))
-        return real_write(encoded)
-
-    journal._write = write
+    host = FakeHost()
+    pids = [host.spawn() for _ in range(3)]
+    journal = make_journal(tmp_path)
+    first = HostAlps(groups(pids), quantum_s=0.01, journal=journal, host=host)
+    for pid in pids:
+        first._baseline(pid)
+    at_write = record_writes(first, journal)
     for _ in range(40):
+        host.sleep(ms(10))
         first._one_quantum()
-        got = dict(recover_journal(journal._read()).snapshot)
-        del got["t"]
-        assert got == at_write[-1]
+        assert folded(journal) == at_write[-1]
     kinds = [line[:6] for line in journal._read().splitlines()]
     assert kinds.count(b"ALPSD1") > kinds.count(b"ALPSJ1")
     journal.close()
 
-    second = HostAlps(groups(), quantum_s=0.01, journal=FileJournal(path, fsync=False))
+    second = HostAlps(
+        groups(pids),
+        quantum_s=0.01,
+        journal=make_journal(tmp_path),
+        host=host,
+    )
     assert second.restore_from_journal()
     assert second.core.count == first.core.count
     assert second.core.tc == first.core.tc
-    assert second._stopped == first._stopped
+    assert sorted(second._stopped) == at_write[-1]["agent"]["stopped"]
+    last = first._last_read
     assert second._cumulative == first._cumulative == {
-        0: first._last_read[41] + first._last_read[42],
-        1: first._last_read[43],
+        0: last[pids[0]] + last[pids[1]],
+        1: last[pids[2]],
     }
     second.journal.close()

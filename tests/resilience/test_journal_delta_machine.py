@@ -10,10 +10,6 @@ point must equal the agent's full ``snapshot_state()`` as of the last
 append that landed whole: exactly what one full snapshot per quantum,
 fed the same mask, recovers.  Any state the agent changes without
 either putting it in the delta or forcing a checkpoint fails here.
-
-Runs once per measurement path: the default kernel's kapi drives
-``_measure_classic``, the batch kernel's ``measure_many`` drives
-``_measure_batched``.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from hypothesis.stateful import (
 
 from repro.alps.config import AlpsConfig
 from repro.alps.subjects import ProcessSubject
-from repro.kernel import KernelConfig
 from repro.kernel.actions import Sleep
 from repro.kernel.signals import SIGKILL
 from repro.overload import OverloadGuard
@@ -47,8 +42,6 @@ WHOLE, LOST, TORN = "whole", "lost", "torn"
 
 
 class DeltaJournalMachine(RuleBasedStateMachine):
-    backend = "optimized"
-
     @initialize(
         shares=st.lists(st.integers(1, 6), min_size=2, max_size=5),
         seed=st.integers(0, 3),
@@ -66,7 +59,6 @@ class DeltaJournalMachine(RuleBasedStateMachine):
             # finds that corner.  Unenforced, the run simply goes on.
             AlpsConfig(quantum_us=QUANTUM_US, enforce_invariants=False),
             seed=seed,
-            kernel_config=KernelConfig(backend=self.backend),
             journal=self.journal,
             overload=OverloadGuard(),
         )
@@ -124,9 +116,6 @@ class DeltaJournalMachine(RuleBasedStateMachine):
         self.checked += 1
 
     # -- steps ----------------------------------------------------------
-    def measured_path(self) -> str:
-        return "batched" if hasattr(self.kapi, "measure_many") else "classic"
-
     @rule(quanta=st.integers(1, 12), fate=st.sampled_from([WHOLE, WHOLE, LOST, TORN]))
     def run(self, quanta, fate):
         """Run some quanta; the first append among them meets ``fate``."""
@@ -205,10 +194,6 @@ class DeltaJournalMachine(RuleBasedStateMachine):
             self.agent.shutdown(self.kapi)
 
 
-class BatchedDeltaJournalMachine(DeltaJournalMachine):
-    backend = "batch"
-
-
 #: Derandomized: a fixed set of runs, so the suite passes or fails the
 #: same way every time.  Raise ``max_examples`` and drop the flag to hunt.
 MACHINE_SETTINGS = settings(
@@ -217,23 +202,16 @@ MACHINE_SETTINGS = settings(
 
 TestDeltaJournalClassic = DeltaJournalMachine.TestCase
 TestDeltaJournalClassic.settings = MACHINE_SETTINGS
-TestDeltaJournalBatched = BatchedDeltaJournalMachine.TestCase
-TestDeltaJournalBatched.settings = MACHINE_SETTINGS
 
 
-def test_each_machine_drives_its_measurement_path():
-    """The two machines really differ in the path under test, and a
-    plain run really writes mostly deltas (the machine is not vacuous)."""
-    for cls, path in (
-        (DeltaJournalMachine, "classic"),
-        (BatchedDeltaJournalMachine, "batched"),
-    ):
-        machine = cls()
-        machine.build(shares=[1, 2, 3], seed=0)
-        assert machine.measured_path() == path
-        machine.run(quanta=12, fate=WHOLE)
-        machine.run(quanta=12, fate=TORN)
-        machine.run(quanta=12, fate=LOST)
-        assert machine.checked >= 30
-        assert machine.kinds[b"ALPSD1"] > machine.kinds[b"ALPSJ1"] > 2
-        machine.teardown()
+def test_a_plain_run_writes_mostly_deltas():
+    """The machine is not vacuous: a plain run really writes mostly
+    deltas, and every append is checked."""
+    machine = DeltaJournalMachine()
+    machine.build(shares=[1, 2, 3], seed=0)
+    machine.run(quanta=12, fate=WHOLE)
+    machine.run(quanta=12, fate=TORN)
+    machine.run(quanta=12, fate=LOST)
+    assert machine.checked >= 30
+    assert machine.kinds[b"ALPSD1"] > machine.kinds[b"ALPSJ1"] > 2
+    machine.teardown()

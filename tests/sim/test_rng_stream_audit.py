@@ -10,7 +10,7 @@ every later draw on that stream.  The audit pins three facts:
   labels (the batch backend introduces no streams of its own);
 * the fault injector's streams live in a private ``RngStreams`` keyed
   by the plan seed, disjoint from the engine's streams by construction
-  — so batched measurement cannot perturb fault draws via the engine;
+  — so no backend can perturb fault draws via the engine;
 * the batch module's source never touches an RNG at all.
 """
 
