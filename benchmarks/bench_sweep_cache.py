@@ -4,33 +4,39 @@ Runs the same benchmark-sized Figure 4 sub-matrix twice through the
 content-addressed sweep cache: the cold pass computes and stores every
 cell, the warm pass must be served entirely from the cache.  The
 measured speedup is the claim behind incremental ``repro report``
-runs; the gate (default ≥ 5×, override with ``REPRO_SWEEP_MIN_SPEEDUP``)
-fails the benchmark if cache lookups ever become comparable to the
-simulations they replace.
+runs; the gate (≥ :data:`SWEEP_MIN_SPEEDUP`) fails the benchmark if
+cache lookups ever become comparable to the simulations they replace.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from benchmarks.conftest import emit
 from repro.analysis.export import write_csv
 from repro.analysis.tables import format_table
-from repro.experiments.accuracy import accuracy_cell, run_accuracy_cell
-from repro.sweep import SweepCache, SweepSpec, run_sweep
+from repro.experiments.accuracy import ACCURACY_EXPERIMENT, run_accuracy_point
+from repro.sweep import SweepCache, SweepCell, SweepSpec, run_sweep
 from repro.workloads.shares import DISTRIBUTIONS
 
 QUANTA_MS = (10, 40)
 SIZES = (5, 10)
 CYCLES = {5: 60, 10: 40}
+#: Minimum cold/warm speedup.  Shared CI runners are noisy; this sits
+#: well below the ~50x measured on the dev box but catches a cache that
+#: silently stopped hitting.
+SWEEP_MIN_SPEEDUP = 5.0
 
 
 def _spec() -> SweepSpec:
     return SweepSpec(
-        worker=run_accuracy_cell,
+        worker=run_accuracy_point,
         cells=[
-            accuracy_cell(model, n, q, cycles=CYCLES[n], seeds=(0,))
+            SweepCell(
+                ACCURACY_EXPERIMENT,
+                {"model": model, "n": n, "quantum_ms": q,
+                 "cycles": CYCLES[n], "seeds": (0,)},
+            )
             for model in DISTRIBUTIONS
             for n in SIZES
             for q in QUANTA_MS
@@ -80,8 +86,7 @@ def test_sweep_cache_cold_vs_warm(benchmark, results_dir, tmp_path):
         ],
     )
 
-    min_speedup = float(os.environ.get("REPRO_SWEEP_MIN_SPEEDUP", "5"))
-    assert speedup >= min_speedup, (
+    assert speedup >= SWEEP_MIN_SPEEDUP, (
         f"warm sweep only {speedup:.1f}x faster than cold "
-        f"(gate: {min_speedup}x; cold {cold_s:.3f}s, warm {warm_s:.3f}s)"
+        f"(gate: {SWEEP_MIN_SPEEDUP}x; cold {cold_s:.3f}s, warm {warm_s:.3f}s)"
     )

@@ -39,8 +39,26 @@ def _sweep_workers(workers: Optional[int], full: bool) -> Optional[int]:
     return None if full else 1
 
 
+def _run(spec, *, full: bool, workers: Optional[int], no_cache: bool):
+    """Run an experiment command's sweep under the CLI's pool and
+    cache policy."""
+    from repro.sweep.scheduler import run_sweep
+
+    return run_sweep(
+        spec, workers=_sweep_workers(workers, full), cache=_sweep_cache(no_cache)
+    )
+
+
 def _sweep_footer(outcome) -> None:
     print(f"\n{outcome.footer()}")
+
+
+def _parse_ints(text: str, flag: str) -> list[int]:
+    """Comma-separated integers; empty tokens are skipped."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise SystemExit(f"invalid --{flag} {text!r}: expected integers")
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +70,14 @@ def cmd_table1(
     workers: Optional[int] = None,
     no_cache: bool = False,
 ) -> int:
-    from repro.experiments.table1_ops import (
-        Table1Result,
-        table1_result_from_payload,
-        table1_sweep_spec,
-    )
+    from repro.experiments.table1_ops import Table1Result, table1_sweep_spec
     from repro.sweep.scheduler import run_sweep
 
     # Live host measurement: dispatched through the scheduler for the
     # uniform footer/error handling, but never cached and never pooled
     # (a worker process would time a different address space).
     outcome = run_sweep(table1_sweep_spec(quick=not full), workers=1)
-    result = table1_result_from_payload(outcome.values[0])
+    result = outcome.values[0]
     rows = [
         ["Receive a timer event", f"{result.timer_event_us:.2f}",
          f"{Table1Result.PAPER_TIMER_US:.2f}"],
@@ -90,32 +104,28 @@ def cmd_fig4(
     workers: Optional[int] = None,
     no_cache: bool = False,
 ) -> int:
-    from repro.experiments.accuracy import (
-        accuracy_cell,
-        accuracy_point_from_payload,
-        run_accuracy_cell,
-    )
-    from repro.sweep.scheduler import SweepSpec, run_sweep
+    from repro.experiments.accuracy import ACCURACY_EXPERIMENT, run_accuracy_point
+    from repro.sweep.scheduler import SweepCell, SweepSpec
     from repro.workloads.shares import DISTRIBUTIONS
 
     quanta = (10, 15, 20, 25, 30, 35, 40) if full else (10, 20, 30, 40)
     seeds = (seed, seed + 1, seed + 2) if full else (seed,)
     cycles = {5: 200, 10: 200, 20: 200} if full else {5: 120, 10: 70, 20: 40}
     spec = SweepSpec(
-        worker=run_accuracy_cell,
+        worker=run_accuracy_point,
         cells=[
-            accuracy_cell(model, n, q, cycles=cycles[n], seeds=seeds)
+            SweepCell(
+                ACCURACY_EXPERIMENT,
+                {"model": model, "n": n, "quantum_ms": q,
+                 "cycles": cycles[n], "seeds": seeds},
+            )
             for model in DISTRIBUTIONS
             for n in (5, 10, 20)
             for q in quanta
         ],
     )
-    outcome = run_sweep(
-        spec,
-        workers=_sweep_workers(workers, full),
-        cache=_sweep_cache(no_cache),
-    )
-    points = [accuracy_point_from_payload(v) for v in outcome.values]
+    outcome = _run(spec, full=full, workers=workers, no_cache=no_cache)
+    points = outcome.values
     rows = [
         [p.label, p.quantum_ms, round(p.mean_rms_error_pct, 2)] for p in points
     ]
@@ -150,19 +160,11 @@ def cmd_fig5(
     workers: Optional[int] = None,
     no_cache: bool = False,
 ) -> int:
-    from repro.experiments.overhead import (
-        overhead_point_from_payload,
-        overhead_sweep_spec,
-    )
-    from repro.sweep.scheduler import run_sweep
+    from repro.experiments.overhead import overhead_sweep_spec
 
     spec = overhead_sweep_spec(cycles=100 if full else 40, seed=seed)
-    outcome = run_sweep(
-        spec,
-        workers=_sweep_workers(workers, full),
-        cache=_sweep_cache(no_cache),
-    )
-    points = [overhead_point_from_payload(v) for v in outcome.values]
+    outcome = _run(spec, full=full, workers=workers, no_cache=no_cache)
+    points = outcome.values
     rows = [
         [p.model.value, p.n, p.quantum_ms, round(p.overhead_pct, 3)]
         for p in points
@@ -191,21 +193,21 @@ def cmd_fig6(
     workers: Optional[int] = None,
     no_cache: bool = False,
 ) -> int:
-    from repro.experiments.io import io_cell, io_result_from_payload, run_io_cell
-    from repro.sweep.scheduler import SweepSpec, run_sweep
+    from repro.experiments.io import IO_EXPERIMENT, run_io_experiment
+    from repro.sweep.scheduler import SweepCell, SweepSpec
 
     spec = SweepSpec(
-        worker=run_io_cell,
+        worker=run_io_experiment,
         cells=[
-            io_cell(
-                total_cycles=1200 if full else 800, warmup_cpu_s=8.0, seed=seed
+            SweepCell(
+                IO_EXPERIMENT,
+                {"total_cycles": 1200 if full else 800, "warmup_cpu_s": 8.0,
+                 "seed": seed},
             )
         ],
     )
-    outcome = run_sweep(
-        spec, workers=_sweep_workers(workers, full), cache=_sweep_cache(no_cache)
-    )
-    result = io_result_from_payload(outcome.values[0])
+    outcome = _run(spec, full=full, workers=workers, no_cache=no_cache)
+    result = outcome.values[0]
     steady = result.mean_shares(result.steady_mask)
     active = result.mean_shares(result.active_mask)
     blocked = result.mean_shares(result.blocked_mask)
@@ -241,18 +243,15 @@ def cmd_fig7(
     workers: Optional[int] = None,
     no_cache: bool = False,
 ) -> int:
-    from repro.experiments.multi import (
-        multi_cell,
-        multi_result_from_payload,
-        run_multi_cell,
-    )
-    from repro.sweep.scheduler import SweepSpec, run_sweep
+    from repro.experiments.multi import MULTI_EXPERIMENT, run_multi_alps_experiment
+    from repro.sweep.scheduler import SweepCell, SweepSpec
 
-    spec = SweepSpec(worker=run_multi_cell, cells=[multi_cell(seed=seed)])
-    outcome = run_sweep(
-        spec, workers=_sweep_workers(workers, full), cache=_sweep_cache(no_cache)
+    spec = SweepSpec(
+        worker=run_multi_alps_experiment,
+        cells=[SweepCell(MULTI_EXPERIMENT, {"seed": seed})],
     )
-    result = multi_result_from_payload(outcome.values[0])
+    outcome = _run(spec, full=full, workers=workers, no_cache=no_cache)
+    result = outcome.values[0]
     table = result.table3()
     rows = [
         [r["share"], r["group"], round(r["target_pct"], 1),
@@ -286,10 +285,8 @@ def cmd_fig8(
 ) -> int:
     from repro.experiments.scalability import (
         analyze_breakdown,
-        scalability_point_from_payload,
         scalability_sweep_spec,
     )
-    from repro.sweep.scheduler import run_sweep
 
     sizes = (5, 10, 20, 30, 40, 50, 60, 80, 100, 120) if full else (
         5, 10, 20, 30, 40, 60, 80
@@ -297,10 +294,8 @@ def cmd_fig8(
     spec = scalability_sweep_spec(
         sizes=sizes, cycles=40 if full else 25, seed=seed
     )
-    outcome = run_sweep(
-        spec, workers=_sweep_workers(workers, full), cache=_sweep_cache(no_cache)
-    )
-    points = [scalability_point_from_payload(v) for v in outcome.values]
+    outcome = _run(spec, full=full, workers=workers, no_cache=no_cache)
+    points = outcome.values
     rows = [
         [p.n, p.quantum_ms, round(p.overhead_pct, 3),
          round(p.mean_rms_error_pct, 1)]
@@ -344,26 +339,23 @@ def cmd_sec5(
     no_cache: bool = False,
 ) -> int:
     from repro.experiments.webserver import (
-        run_webserver_cell,
-        webserver_cell,
-        webserver_result_from_payload,
+        WEBSERVER_EXPERIMENT,
+        run_webserver_experiment,
     )
-    from repro.sweep.scheduler import SweepSpec, run_sweep
+    from repro.sweep.scheduler import SweepCell, SweepSpec
 
     spec = SweepSpec(
-        worker=run_webserver_cell,
+        worker=run_webserver_experiment,
         cells=[
-            webserver_cell(
-                warmup_s=20.0 if full else 15.0,
-                measure_s=60.0 if full else 45.0,
-                seed=seed,
+            SweepCell(
+                WEBSERVER_EXPERIMENT,
+                {"warmup_s": 20.0 if full else 15.0,
+                 "measure_s": 60.0 if full else 45.0, "seed": seed},
             )
         ],
     )
-    outcome = run_sweep(
-        spec, workers=_sweep_workers(workers, full), cache=_sweep_cache(no_cache)
-    )
-    result = webserver_result_from_payload(outcome.values[0])
+    outcome = _run(spec, full=full, workers=workers, no_cache=no_cache)
+    result = outcome.values[0]
     rows = [
         [i + 1, result.shares[i], round(result.baseline_rps[i], 1),
          round(result.alps_rps[i], 1)]
@@ -396,30 +388,26 @@ def cmd_ablation(
     workers: Optional[int] = None,
     no_cache: bool = False,
 ) -> int:
-    from repro.experiments.overhead import (
-        overhead_cell,
-        overhead_point_from_payload,
-        run_overhead_cell,
-    )
-    from repro.sweep.scheduler import SweepSpec, run_sweep
+    from repro.experiments.overhead import OVERHEAD_EXPERIMENT, run_overhead_point
+    from repro.sweep.scheduler import SweepCell, SweepSpec
     from repro.workloads.shares import DISTRIBUTIONS
 
     combos = [(model, n) for model in DISTRIBUTIONS for n in (5, 10, 20)]
     cycles = 100 if full else 40
     spec = SweepSpec(
-        worker=run_overhead_cell,
+        worker=run_overhead_point,
         cells=[
-            overhead_cell(
-                model, n, 10, cycles=cycles, seed=seed, optimized=optimized
+            SweepCell(
+                OVERHEAD_EXPERIMENT,
+                {"model": model, "n": n, "quantum_ms": 10, "cycles": cycles,
+                 "seed": seed, "optimized": optimized},
             )
             for model, n in combos
             for optimized in (True, False)
         ],
     )
-    outcome = run_sweep(
-        spec, workers=_sweep_workers(workers, full), cache=_sweep_cache(no_cache)
-    )
-    points = [overhead_point_from_payload(v) for v in outcome.values]
+    outcome = _run(spec, full=full, workers=workers, no_cache=no_cache)
+    points = outcome.values
     rows = []
     data = []
     for (model, n), opt, unopt in zip(combos, points[0::2], points[1::2]):
@@ -455,19 +443,15 @@ def cmd_overload(
         KNEE_N,
         PAST_KNEE_N,
         OverloadComparison,
-        overload_point_from_payload,
         overload_sweep_spec,
     )
-    from repro.sweep.scheduler import run_sweep
 
     sizes = (KNEE_N, 60, PAST_KNEE_N, 120) if full else (KNEE_N, PAST_KNEE_N)
     spec = overload_sweep_spec(
         sizes=sizes, cycles=60 if full else 40, seed=seed
     )
-    outcome = run_sweep(
-        spec, workers=_sweep_workers(workers, full), cache=_sweep_cache(no_cache)
-    )
-    points = [overload_point_from_payload(v) for v in outcome.values]
+    outcome = _run(spec, full=full, workers=workers, no_cache=no_cache)
+    points = outcome.values
     rows = [
         [p.n, "ladder" if p.ladder else "control",
          round(p.mean_rms_error_pct, 1), p.engagements, p.sheds,
@@ -518,11 +502,9 @@ def cmd_sharetree(
     from repro.experiments.sharetree import (
         SIBLING_COUNTS,
         TENANT_WEIGHT,
-        sharetree_point_from_payload,
         sharetree_sweep_spec,
         throughput_variation,
     )
-    from repro.sweep.scheduler import run_sweep
 
     if smoke:
         sibling_counts, cell_counts = (1, 4), (1,)
@@ -540,10 +522,8 @@ def cmd_sharetree(
         seed=seed,
         horizon_s=horizon_s,
     )
-    outcome = run_sweep(
-        spec, workers=_sweep_workers(workers, full), cache=_sweep_cache(no_cache)
-    )
-    points = [sharetree_point_from_payload(v) for v in outcome.values]
+    outcome = _run(spec, full=full, workers=workers, no_cache=no_cache)
+    points = outcome.values
     rows = [
         [p.k, p.cells, f"{p.share_ratio:.1f}", f"{p.attained_ratio:.2f}",
          f"{p.ratio_error_pct:.1f}", f"{p.tenant_fraction:.1%}",
@@ -654,14 +634,10 @@ def cmd_live(
 
 def cmd_demo(*, shares: str, quantum_ms: float, seconds: float, seed: int) -> int:
     from repro.alps.config import AlpsConfig
-    from repro.metrics.accuracy import (
-        mean_rms_relative_error,
-        per_subject_fractions,
-    )
     from repro.units import ms, sec
     from repro.workloads.scenarios import build_controlled_workload
 
-    share_list = [int(s) for s in shares.split(",") if s.strip()]
+    share_list = _parse_ints(shares, "shares")
     if not share_list or any(s <= 0 for s in share_list):
         print("shares must be positive integers, e.g. --shares 1,2,3")
         return 2
@@ -698,7 +674,7 @@ def cmd_perf_report(
     from repro.units import ms, sec
     from repro.workloads.scenarios import build_controlled_workload
 
-    share_list = [int(s) for s in shares.split(",") if s.strip()]
+    share_list = _parse_ints(shares, "shares")
     if not share_list or any(s <= 0 for s in share_list):
         print("shares must be positive integers, e.g. --shares 1,2,3")
         return 2
@@ -810,8 +786,8 @@ def cmd_perf_diff(
     from repro.perf.differential import differential_check
     from repro.units import ms, sec
 
-    size_list = [int(s) for s in sizes.split(",") if s.strip()]
-    seed_list = [int(s) for s in seeds.split(",") if s.strip()]
+    size_list = _parse_ints(sizes, "sizes")
+    seed_list = _parse_ints(seeds, "seeds")
     if not size_list or not seed_list:
         print("need at least one size and one seed")
         return 2
@@ -863,7 +839,7 @@ def _observed_workload(shares: str, quantum_ms: float, seed: int):
     from repro.units import ms
     from repro.workloads.scenarios import build_controlled_workload
 
-    share_list = [int(s) for s in shares.split(",") if s.strip()]
+    share_list = _parse_ints(shares, "shares")
     if not share_list or any(s <= 0 for s in share_list):
         print("shares must be positive integers, e.g. --shares 1,2,3")
         return None
@@ -1116,9 +1092,7 @@ def _run_chaos(
         suite=suite,
         episodes=episodes,
         rates=_parse_rates(rates),
-        shares=(
-            tuple(int(s) for s in shares.split(",")) if shares else None
-        ),
+        shares=tuple(_parse_ints(shares, "shares")) if shares else None,
         quantum_ms=quantum_ms,
         cycles=cycles,
         workers=workers,
@@ -1179,7 +1153,7 @@ def cmd_chaos_report(
     """``repro chaos report`` — campaign + full JSON detail to a file."""
     import json
 
-    from repro.resilience.chaos import episode_payload
+    from repro.sweep.codec import encode
 
     report = _run_chaos(
         seed=seed, episodes=episodes, rates=rates, shares=shares,
@@ -1189,7 +1163,7 @@ def cmd_chaos_report(
     payload = {
         "campaign_seed": report.campaign_seed,
         "ok": report.ok,
-        "episodes": [episode_payload(ep) for ep in report.episodes],
+        "episodes": [encode(ep) for ep in report.episodes],
     }
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

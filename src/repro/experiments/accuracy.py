@@ -8,7 +8,7 @@ over the cycles, and average over 3 runs (seeds).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -77,89 +77,6 @@ def run_accuracy_point(
     )
 
 
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration: cell params, worker, payload codec
-# ---------------------------------------------------------------------------
-def accuracy_cell(
-    model: ShareDistribution,
-    n: int,
-    quantum_ms: float,
-    *,
-    cycles: int = 200,
-    seeds: Sequence[int] = (0, 1, 2),
-    warmup_cycles: int = 5,
-) -> SweepCell:
-    """Declarative form of one Figure 4 cell (the cache identity)."""
-    return SweepCell(
-        ACCURACY_EXPERIMENT,
-        {
-            "model": model.value,
-            "n": n,
-            "quantum_ms": quantum_ms,
-            "cycles": cycles,
-            "seeds": list(seeds),
-            "warmup_cycles": warmup_cycles,
-        },
-    )
-
-
-def run_accuracy_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker: one cell in, a JSON-safe payload out."""
-    point = run_accuracy_point(
-        ShareDistribution(params["model"]),
-        params["n"],
-        params["quantum_ms"],
-        cycles=params["cycles"],
-        seeds=tuple(params["seeds"]),
-        warmup_cycles=params["warmup_cycles"],
-    )
-    return accuracy_point_payload(point)
-
-
-def accuracy_point_payload(point: AccuracyPoint) -> dict:
-    """JSON-safe encoding of an :class:`AccuracyPoint` (cache blob)."""
-    return {
-        "model": point.model.value,
-        "n": point.n,
-        "quantum_ms": point.quantum_ms,
-        "mean_rms_error_pct": point.mean_rms_error_pct,
-        "per_seed_errors": list(point.per_seed_errors),
-        "cycles": point.cycles,
-    }
-
-
-def accuracy_point_from_payload(payload: Mapping[str, Any]) -> AccuracyPoint:
-    """Inverse of :func:`accuracy_point_payload` (exact round-trip)."""
-    return AccuracyPoint(
-        model=ShareDistribution(payload["model"]),
-        n=payload["n"],
-        quantum_ms=payload["quantum_ms"],
-        mean_rms_error_pct=payload["mean_rms_error_pct"],
-        per_seed_errors=tuple(payload["per_seed_errors"]),
-        cycles=payload["cycles"],
-    )
-
-
-def accuracy_sweep_spec(
-    *,
-    models: Sequence[ShareDistribution] = DISTRIBUTIONS,
-    sizes: Sequence[int] = FIGURE4_SIZES,
-    quanta_ms: Sequence[float] = FIGURE4_QUANTA_MS,
-    cycles: int = 200,
-    seeds: Sequence[int] = (0, 1, 2),
-) -> SweepSpec:
-    """The full Figure 4 matrix as a :class:`SweepSpec`."""
-    return SweepSpec(
-        worker=run_accuracy_cell,
-        cells=[
-            accuracy_cell(model, n, q, cycles=cycles, seeds=seeds)
-            for model in models
-            for n in sizes
-            for q in quanta_ms
-        ],
-    )
-
-
 def accuracy_sweep(
     *,
     models: Sequence[ShareDistribution] = DISTRIBUTIONS,
@@ -176,9 +93,17 @@ def accuracy_sweep(
     to fan out over a process pool and ``cache`` to reuse (and store)
     content-addressed cell results.
     """
-    spec = accuracy_sweep_spec(
-        models=models, sizes=sizes, quanta_ms=quanta_ms,
-        cycles=cycles, seeds=seeds,
+    spec = SweepSpec(
+        worker=run_accuracy_point,
+        cells=[
+            SweepCell(
+                ACCURACY_EXPERIMENT,
+                {"model": model, "n": n, "quantum_ms": q, "cycles": cycles,
+                 "seeds": seeds},
+            )
+            for model in models
+            for n in sizes
+            for q in quanta_ms
+        ],
     )
-    outcome = run_sweep(spec, workers=workers, cache=cache)
-    return [accuracy_point_from_payload(v) for v in outcome.values]
+    return run_sweep(spec, workers=workers, cache=cache).values

@@ -9,14 +9,11 @@ the CPU 1:3 between A and C; while B is active, 1:2:3 must hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
 
 import numpy as np
 
 from repro.alps.config import AlpsConfig
 from repro.experiments.common import run_for_cycles
-from repro.sweep.cache import SweepCache
-from repro.sweep.scheduler import SweepCell, SweepSpec, run_sweep
 from repro.units import ms, sec
 from repro.workloads.io_pattern import compute_sleep_behavior
 from repro.workloads.scenarios import ControlledWorkload, build_controlled_workload
@@ -114,94 +111,3 @@ def run_io_experiment(
         blocked_b=blocked_b,
         io_start_cycle=io_start,
     )
-
-
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration: the Figure 6 run as a one-cell sweep
-# ---------------------------------------------------------------------------
-def io_cell(
-    *,
-    quantum_ms: float = 10.0,
-    warmup_cpu_s: float = 10.0,
-    total_cycles: int = 1200,
-    compute_ms: float = 80.0,
-    sleep_ms: float = 240.0,
-    seed: int = 0,
-) -> SweepCell:
-    """Declarative form of the Figure 6 run (the cache identity)."""
-    return SweepCell(
-        IO_EXPERIMENT,
-        {
-            "quantum_ms": quantum_ms,
-            "warmup_cpu_s": warmup_cpu_s,
-            "total_cycles": total_cycles,
-            "compute_ms": compute_ms,
-            "sleep_ms": sleep_ms,
-            "seed": seed,
-        },
-    )
-
-
-def run_io_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker for the Figure 6 experiment."""
-    result = run_io_experiment(
-        quantum_ms=params["quantum_ms"],
-        warmup_cpu_s=params["warmup_cpu_s"],
-        total_cycles=params["total_cycles"],
-        compute_ms=params["compute_ms"],
-        sleep_ms=params["sleep_ms"],
-        seed=params["seed"],
-    )
-    return io_result_payload(result)
-
-
-def io_result_payload(result: IoExperimentResult) -> dict:
-    """JSON-safe encoding of an :class:`IoExperimentResult`."""
-    return {
-        "cycle_indices": [int(v) for v in result.cycle_indices],
-        "share_pct": [[float(v) for v in row] for row in result.share_pct],
-        "blocked_b": [bool(v) for v in result.blocked_b],
-        "io_start_cycle": result.io_start_cycle,
-    }
-
-
-def io_result_from_payload(payload: Mapping[str, Any]) -> IoExperimentResult:
-    """Inverse of :func:`io_result_payload` (exact round-trip: the
-    arrays are int/float64/bool, which JSON preserves losslessly)."""
-    share = np.asarray(payload["share_pct"], dtype=float)
-    return IoExperimentResult(
-        cycle_indices=np.asarray(payload["cycle_indices"], dtype=int),
-        share_pct=share.reshape(len(payload["cycle_indices"]), 3),
-        blocked_b=np.asarray(payload["blocked_b"], dtype=bool),
-        io_start_cycle=payload["io_start_cycle"],
-    )
-
-
-def run_io_experiment_cached(
-    *,
-    quantum_ms: float = 10.0,
-    warmup_cpu_s: float = 10.0,
-    total_cycles: int = 1200,
-    compute_ms: float = 80.0,
-    sleep_ms: float = 240.0,
-    seed: int = 0,
-    workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
-) -> IoExperimentResult:
-    """:func:`run_io_experiment` dispatched through the sweep scheduler
-    (so repeated ``repro run fig6`` invocations hit the result cache)."""
-    spec = SweepSpec(
-        worker=run_io_cell,
-        cells=[
-            io_cell(
-                quantum_ms=quantum_ms,
-                warmup_cpu_s=warmup_cpu_s,
-                total_cycles=total_cycles,
-                compute_ms=compute_ms,
-                sleep_ms=sleep_ms,
-                seed=seed,
-            )
-        ],
-    )
-    outcome = run_sweep(spec, workers=workers, cache=cache)
-    return io_result_from_payload(outcome.values[0])

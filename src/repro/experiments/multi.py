@@ -15,14 +15,11 @@ reports per-group fractional CPU and relative error (Table 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
 
 import numpy as np
 
 from repro.alps.config import AlpsConfig
 from repro.metrics.regression import phase_fractions
-from repro.sweep.cache import SweepCache
-from repro.sweep.scheduler import SweepCell, SweepSpec, run_sweep
 from repro.units import ms, sec
 from repro.workloads.scenarios import MultiAlpsScenario, build_multi_alps_scenario
 
@@ -153,89 +150,3 @@ def run_multi_alps_experiment(
             bounds[phase] - margin,
         )
     return result
-
-
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration: the Figure 7 run as a one-cell sweep
-# ---------------------------------------------------------------------------
-def multi_cell(
-    *,
-    quantum_ms: float = 10.0,
-    phase_ends_s: tuple[float, float, float] = (3.0, 6.0, 15.0),
-    seed: int = 0,
-) -> SweepCell:
-    """Declarative form of the Figure 7 / Table 3 run."""
-    return SweepCell(
-        MULTI_EXPERIMENT,
-        {
-            "quantum_ms": quantum_ms,
-            "phase_ends_s": list(phase_ends_s),
-            "seed": seed,
-        },
-    )
-
-
-def run_multi_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker for the Figure 7 experiment."""
-    result = run_multi_alps_experiment(
-        quantum_ms=params["quantum_ms"],
-        phase_ends_s=tuple(params["phase_ends_s"]),
-        seed=params["seed"],
-    )
-    return multi_result_payload(result)
-
-
-def multi_result_payload(result: MultiAlpsResult) -> dict:
-    """JSON-safe encoding of a :class:`MultiAlpsResult`."""
-    return {
-        "series": {
-            key: {
-                "label": s.label,
-                "share": s.share,
-                "times_us": [int(v) for v in s.times_us],
-                "cumulative_us": [int(v) for v in s.cumulative_us],
-            }
-            for key, s in result.series.items()
-        },
-        "phase_windows": {
-            str(phase): [int(lo), int(hi)]
-            for phase, (lo, hi) in result.phase_windows.items()
-        },
-    }
-
-
-def multi_result_from_payload(payload: Mapping[str, Any]) -> MultiAlpsResult:
-    """Inverse of :func:`multi_result_payload` (exact round-trip)."""
-    result = MultiAlpsResult()
-    for key, s in payload["series"].items():
-        result.series[key] = ProcessSeries(
-            label=s["label"],
-            share=s["share"],
-            times_us=np.asarray(s["times_us"], dtype=int),
-            cumulative_us=np.asarray(s["cumulative_us"], dtype=int),
-        )
-    for phase, (lo, hi) in payload["phase_windows"].items():
-        result.phase_windows[int(phase)] = (lo, hi)
-    return result
-
-
-def run_multi_alps_experiment_cached(
-    *,
-    quantum_ms: float = 10.0,
-    phase_ends_s: tuple[float, float, float] = (3.0, 6.0, 15.0),
-    seed: int = 0,
-    workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
-) -> MultiAlpsResult:
-    """:func:`run_multi_alps_experiment` dispatched through the sweep
-    scheduler (cache-aware ``repro run fig7``)."""
-    spec = SweepSpec(
-        worker=run_multi_cell,
-        cells=[
-            multi_cell(
-                quantum_ms=quantum_ms, phase_ends_s=phase_ends_s, seed=seed
-            )
-        ],
-    )
-    outcome = run_sweep(spec, workers=workers, cache=cache)
-    return multi_result_from_payload(outcome.values[0])

@@ -8,8 +8,8 @@ reports the optimization cuts overhead by 1.8–5.9×).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.alps.config import AlpsConfig
 from repro.experiments.common import run_for_cycles
@@ -74,62 +74,6 @@ def run_overhead_point(
     )
 
 
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration: cell params, worker, payload codec
-# ---------------------------------------------------------------------------
-def overhead_cell(
-    model: ShareDistribution,
-    n: int,
-    quantum_ms: float,
-    *,
-    cycles: int = 60,
-    seed: int = 0,
-    optimized: bool = True,
-    warmup_cycles: int = 3,
-) -> SweepCell:
-    """Declarative form of one Figure 5 / ablation cell."""
-    return SweepCell(
-        OVERHEAD_EXPERIMENT,
-        {
-            "model": model.value,
-            "n": n,
-            "quantum_ms": quantum_ms,
-            "cycles": cycles,
-            "seed": seed,
-            "optimized": optimized,
-            "warmup_cycles": warmup_cycles,
-        },
-    )
-
-
-def run_overhead_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker for one overhead cell."""
-    point = run_overhead_point(
-        ShareDistribution(params["model"]),
-        params["n"],
-        params["quantum_ms"],
-        cycles=params["cycles"],
-        seed=params["seed"],
-        optimized=params["optimized"],
-        warmup_cycles=params["warmup_cycles"],
-    )
-    return overhead_point_payload(point)
-
-
-def overhead_point_payload(point: OverheadPoint) -> dict:
-    """JSON-safe encoding of an :class:`OverheadPoint`."""
-    payload = asdict(point)
-    payload["model"] = point.model.value
-    return payload
-
-
-def overhead_point_from_payload(payload: Mapping[str, Any]) -> OverheadPoint:
-    """Inverse of :func:`overhead_point_payload` (exact round-trip)."""
-    data = dict(payload)
-    data["model"] = ShareDistribution(data["model"])
-    return OverheadPoint(**data)
-
-
 def overhead_sweep_spec(
     *,
     models: Sequence[ShareDistribution] = DISTRIBUTIONS,
@@ -141,10 +85,12 @@ def overhead_sweep_spec(
 ) -> SweepSpec:
     """The Figure 5 matrix as a :class:`SweepSpec`."""
     return SweepSpec(
-        worker=run_overhead_cell,
+        worker=run_overhead_point,
         cells=[
-            overhead_cell(
-                model, n, q, cycles=cycles, seed=seed, optimized=optimized
+            SweepCell(
+                OVERHEAD_EXPERIMENT,
+                {"model": model, "n": n, "quantum_ms": q, "cycles": cycles,
+                 "seed": seed, "optimized": optimized},
             )
             for model in models
             for q in quanta_ms
@@ -173,5 +119,4 @@ def overhead_sweep(
         models=models, sizes=sizes, quanta_ms=quanta_ms,
         cycles=cycles, seed=seed, optimized=optimized,
     )
-    outcome = run_sweep(spec, workers=workers, cache=cache)
-    return [overhead_point_from_payload(v) for v in outcome.values]
+    return run_sweep(spec, workers=workers, cache=cache).values

@@ -19,8 +19,8 @@ graceful-degradation ladder is armed:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.alps.config import AlpsConfig
 from repro.experiments.common import run_for_cycles
@@ -144,51 +144,6 @@ class OverloadComparison:
         return self.protected.mean_rms_error_pct / self.control.mean_rms_error_pct
 
 
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration: cell params, worker, payload codec
-# ---------------------------------------------------------------------------
-def overload_cell(
-    n: int = PAST_KNEE_N,
-    quantum_ms: float = OVERLOAD_QUANTUM_MS,
-    *,
-    ladder: bool = True,
-    cycles: int = 60,
-    seed: int = 0,
-    max_wall_s: float = 40.0,
-) -> SweepCell:
-    """Declarative form of one overload cell (default guard config —
-    custom :class:`OverloadConfig` runs are not cacheable cells)."""
-    return SweepCell(
-        OVERLOAD_EXPERIMENT,
-        {
-            "n": n,
-            "quantum_ms": quantum_ms,
-            "ladder": ladder,
-            "cycles": cycles,
-            "seed": seed,
-            "max_wall_s": max_wall_s,
-        },
-    )
-
-
-def run_overload_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker for one overload cell."""
-    point = run_overload_point(
-        params["n"],
-        params["quantum_ms"],
-        ladder=params["ladder"],
-        cycles=params["cycles"],
-        seed=params["seed"],
-        max_wall_s=params["max_wall_s"],
-    )
-    return asdict(point)
-
-
-def overload_point_from_payload(payload: Mapping[str, Any]) -> OverloadPoint:
-    """Rebuild an :class:`OverloadPoint` from its cache payload."""
-    return OverloadPoint(**payload)
-
-
 def overload_sweep_spec(
     *,
     sizes: Sequence[int] = (PAST_KNEE_N,),
@@ -199,15 +154,12 @@ def overload_sweep_spec(
 ) -> SweepSpec:
     """Ladder-on and ladder-off cells for every size, as one sweep."""
     return SweepSpec(
-        worker=run_overload_cell,
+        worker=run_overload_point,
         cells=[
-            overload_cell(
-                n,
-                quantum_ms,
-                ladder=ladder,
-                cycles=cycles,
-                seed=seed,
-                max_wall_s=max_wall_s,
+            SweepCell(
+                OVERLOAD_EXPERIMENT,
+                {"n": n, "quantum_ms": quantum_ms, "ladder": ladder,
+                 "cycles": cycles, "seed": seed, "max_wall_s": max_wall_s},
             )
             for n in sizes
             for ladder in (True, False)
@@ -233,8 +185,7 @@ def overload_sweep(
         seed=seed,
         max_wall_s=max_wall_s,
     )
-    outcome = run_sweep(spec, workers=workers, cache=cache)
-    return [overload_point_from_payload(v) for v in outcome.values]
+    return run_sweep(spec, workers=workers, cache=cache).values
 
 
 def run_overload_comparison(

@@ -14,8 +14,8 @@ run may end with a live controlled process wedged in SIGSTOP.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -153,71 +153,6 @@ def count_wedged(cw) -> int:
     return wedged
 
 
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration: cell params, worker, payload codec
-# ---------------------------------------------------------------------------
-def robustness_cell(
-    fault_rate: float,
-    *,
-    shares: Sequence[int] = DEFAULT_SHARES,
-    quantum_ms: float = 10.0,
-    cycles: int = 120,
-    seeds: Sequence[int] = (0, 1),
-    warmup_cycles: int = 5,
-    agent_crash: bool = True,
-) -> SweepCell:
-    """Declarative form of one fault-rate cell.
-
-    The cell always uses :func:`~repro.faults.plan.default_fault_plan`
-    — a custom ``plan_factory`` is a callable, which has no stable
-    content address; use :func:`run_robustness_point` directly (and no
-    cache) for custom plans.  The derived plans are part of the key via
-    these parameters (rate, seeds, horizon inputs, ``agent_crash``).
-    """
-    return SweepCell(
-        ROBUSTNESS_EXPERIMENT,
-        {
-            "fault_rate": fault_rate,
-            "shares": list(shares),
-            "quantum_ms": quantum_ms,
-            "cycles": cycles,
-            "seeds": list(seeds),
-            "warmup_cycles": warmup_cycles,
-            "agent_crash": agent_crash,
-        },
-    )
-
-
-def run_robustness_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker for one robustness cell."""
-    point = run_robustness_point(
-        params["fault_rate"],
-        shares=tuple(params["shares"]),
-        quantum_ms=params["quantum_ms"],
-        cycles=params["cycles"],
-        seeds=tuple(params["seeds"]),
-        warmup_cycles=params["warmup_cycles"],
-        agent_crash=params["agent_crash"],
-    )
-    return robustness_point_payload(point)
-
-
-def robustness_point_payload(point: RobustnessPoint) -> dict:
-    """JSON-safe encoding of a :class:`RobustnessPoint`."""
-    payload = asdict(point)
-    payload["per_seed_errors"] = list(point.per_seed_errors)
-    return payload
-
-
-def robustness_point_from_payload(
-    payload: Mapping[str, Any],
-) -> RobustnessPoint:
-    """Inverse of :func:`robustness_point_payload` (exact round-trip)."""
-    data = dict(payload)
-    data["per_seed_errors"] = tuple(data["per_seed_errors"])
-    return RobustnessPoint(**data)
-
-
 def robustness_sweep(
     rates: Sequence[float] = DEFAULT_RATES,
     *,
@@ -236,29 +171,28 @@ def robustness_sweep(
     is prepended if absent); every point's ``degradation_pct`` is its
     error minus the baseline's.  Cells are independent and dispatch
     through :func:`repro.sweep.run_sweep`; the baseline subtraction is
-    applied to the (possibly cached) per-rate results afterwards.
+    applied to the (possibly cached) per-rate results afterwards.  Cells
+    always use the default ``plan_factory``: a callable has no stable
+    content address, so custom plans call :func:`run_robustness_point`
+    directly, uncached.
     """
     swept = list(rates)
     if 0.0 not in swept:
         swept.insert(0, 0.0)
     swept.sort()
     spec = SweepSpec(
-        worker=run_robustness_cell,
+        worker=run_robustness_point,
         cells=[
-            robustness_cell(
-                rate,
-                shares=shares,
-                quantum_ms=quantum_ms,
-                cycles=cycles,
-                seeds=seeds,
-                warmup_cycles=warmup_cycles,
-                agent_crash=agent_crash,
+            SweepCell(
+                ROBUSTNESS_EXPERIMENT,
+                {"fault_rate": rate, "shares": shares,
+                 "quantum_ms": quantum_ms, "cycles": cycles, "seeds": seeds,
+                 "warmup_cycles": warmup_cycles, "agent_crash": agent_crash},
             )
             for rate in swept
         ],
     )
-    outcome = run_sweep(spec, workers=workers, cache=cache)
-    raw = [robustness_point_from_payload(v) for v in outcome.values]
+    raw = run_sweep(spec, workers=workers, cache=cache).values
     baseline = raw[0].mean_rms_error_pct
     return [
         replace(p, degradation_pct=p.mean_rms_error_pct - baseline)

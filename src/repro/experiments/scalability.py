@@ -9,8 +9,8 @@ observed knee in the error curve.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.alps.config import AlpsConfig
 from repro.experiments.common import run_for_cycles
@@ -89,49 +89,6 @@ def run_scalability_point(
     )
 
 
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration: cell params, worker, payload codec
-# ---------------------------------------------------------------------------
-def scalability_cell(
-    n: int,
-    quantum_ms: float,
-    *,
-    cycles: int = 40,
-    seed: int = 0,
-    max_wall_s: float = 600.0,
-) -> SweepCell:
-    """Declarative form of one Figures 8/9 cell."""
-    return SweepCell(
-        SCALABILITY_EXPERIMENT,
-        {
-            "n": n,
-            "quantum_ms": quantum_ms,
-            "cycles": cycles,
-            "seed": seed,
-            "max_wall_s": max_wall_s,
-        },
-    )
-
-
-def run_scalability_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker for one scalability cell."""
-    point = run_scalability_point(
-        params["n"],
-        params["quantum_ms"],
-        cycles=params["cycles"],
-        seed=params["seed"],
-        max_wall_s=params["max_wall_s"],
-    )
-    return asdict(point)
-
-
-def scalability_point_from_payload(
-    payload: Mapping[str, Any],
-) -> ScalabilityPoint:
-    """Rebuild a :class:`ScalabilityPoint` from its cache payload."""
-    return ScalabilityPoint(**payload)
-
-
 def scalability_sweep_spec(
     *,
     sizes: Sequence[int] = SCALABILITY_SIZES,
@@ -142,10 +99,12 @@ def scalability_sweep_spec(
 ) -> SweepSpec:
     """The Figures 8/9 matrix as a :class:`SweepSpec`."""
     return SweepSpec(
-        worker=run_scalability_cell,
+        worker=run_scalability_point,
         cells=[
-            scalability_cell(
-                n, q, cycles=cycles, seed=seed, max_wall_s=max_wall_s
+            SweepCell(
+                SCALABILITY_EXPERIMENT,
+                {"n": n, "quantum_ms": q, "cycles": cycles, "seed": seed,
+                 "max_wall_s": max_wall_s},
             )
             for q in quanta_ms
             for n in sizes
@@ -169,8 +128,7 @@ def scalability_sweep(
         sizes=sizes, quanta_ms=quanta_ms, cycles=cycles, seed=seed,
         max_wall_s=max_wall_s,
     )
-    outcome = run_sweep(spec, workers=workers, cache=cache)
-    return [scalability_point_from_payload(v) for v in outcome.values]
+    return run_sweep(spec, workers=workers, cache=cache).values
 
 
 def analyze_breakdown(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.alps.config import AlpsConfig
 from repro.alps.costs import CostModel
@@ -99,74 +99,6 @@ def run_sensitivity_point(
     )
 
 
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration: cell params, worker, payload codec
-# ---------------------------------------------------------------------------
-def sensitivity_cell(
-    factor: float,
-    *,
-    quantum_ms: float = 10.0,
-    sizes: Sequence[int] = (5, 10, 15, 20, 30, 40, 60),
-    cycles: int = 20,
-    seed: int = 0,
-    error_knee_pct: float = 15.0,
-    max_wall_s: float = 120.0,
-) -> SweepCell:
-    """Declarative form of one cost-scale cell."""
-    return SweepCell(
-        SENSITIVITY_EXPERIMENT,
-        {
-            "factor": factor,
-            "quantum_ms": quantum_ms,
-            "sizes": list(sizes),
-            "cycles": cycles,
-            "seed": seed,
-            "error_knee_pct": error_knee_pct,
-            "max_wall_s": max_wall_s,
-        },
-    )
-
-
-def run_sensitivity_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker for one sensitivity cell."""
-    point = run_sensitivity_point(
-        params["factor"],
-        quantum_ms=params["quantum_ms"],
-        sizes=tuple(params["sizes"]),
-        cycles=params["cycles"],
-        seed=params["seed"],
-        error_knee_pct=params["error_knee_pct"],
-        max_wall_s=params["max_wall_s"],
-    )
-    return sensitivity_point_payload(point)
-
-
-def sensitivity_point_payload(point: SensitivityPoint) -> dict:
-    """JSON-safe encoding of a :class:`SensitivityPoint`."""
-    return {
-        "cost_factor": point.cost_factor,
-        "fit_slope": point.fit_slope,
-        "fit_intercept": point.fit_intercept,
-        "predicted_n": point.predicted_n,
-        "observed_n": point.observed_n,
-        "points": [list(row) for row in point.points],
-    }
-
-
-def sensitivity_point_from_payload(
-    payload: Mapping[str, Any],
-) -> SensitivityPoint:
-    """Inverse of :func:`sensitivity_point_payload` (exact round-trip)."""
-    return SensitivityPoint(
-        cost_factor=payload["cost_factor"],
-        fit_slope=payload["fit_slope"],
-        fit_intercept=payload["fit_intercept"],
-        predicted_n=payload["predicted_n"],
-        observed_n=payload["observed_n"],
-        points=tuple(tuple(row) for row in payload["points"]),
-    )
-
-
 def cost_sensitivity_sweep(
     factors: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
     *,
@@ -180,8 +112,10 @@ def cost_sensitivity_sweep(
     :func:`repro.sweep.run_sweep` (pooled and cache-aware).
     """
     spec = SweepSpec(
-        worker=run_sensitivity_cell,
-        cells=[sensitivity_cell(f, **kwargs) for f in factors],
+        worker=run_sensitivity_point,
+        cells=[
+            SweepCell(SENSITIVITY_EXPERIMENT, {"factor": f, **kwargs})
+            for f in factors
+        ],
     )
-    outcome = run_sweep(spec, workers=workers, cache=cache)
-    return [sensitivity_point_from_payload(v) for v in outcome.values]
+    return run_sweep(spec, workers=workers, cache=cache).values

@@ -28,8 +28,8 @@ sharding trade the docs chapter discusses.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 from repro.alps.config import AlpsConfig
 from repro.experiments.common import run_for_cycles
@@ -206,50 +206,6 @@ def run_sharetree_point(
     )
 
 
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration: cell params, worker, payload codec
-# ---------------------------------------------------------------------------
-def sharetree_cell(
-    k: int,
-    cells: int = 1,
-    quantum_ms: float = SHARETREE_QUANTUM_MS,
-    *,
-    cycles: int = 40,
-    seed: int = 0,
-    horizon_s: float = 10.0,
-) -> SweepCell:
-    """Declarative form of one Gunther share-tree cell."""
-    return SweepCell(
-        SHARETREE_EXPERIMENT,
-        {
-            "k": k,
-            "cells": cells,
-            "quantum_ms": quantum_ms,
-            "cycles": cycles,
-            "seed": seed,
-            "horizon_s": horizon_s,
-        },
-    )
-
-
-def run_sharetree_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker for one Gunther cell."""
-    point = run_sharetree_point(
-        params["k"],
-        params["cells"],
-        params["quantum_ms"],
-        cycles=params["cycles"],
-        seed=params["seed"],
-        horizon_s=params["horizon_s"],
-    )
-    return asdict(point)
-
-
-def sharetree_point_from_payload(payload: Mapping[str, Any]) -> SharetreePoint:
-    """Rebuild a :class:`SharetreePoint` from its cache payload."""
-    return SharetreePoint(**payload)
-
-
 def sharetree_sweep_spec(
     *,
     sibling_counts: Sequence[int] = SIBLING_COUNTS,
@@ -261,15 +217,12 @@ def sharetree_sweep_spec(
 ) -> SweepSpec:
     """Every (k, cells) load point, as one sweep."""
     return SweepSpec(
-        worker=run_sharetree_cell,
+        worker=run_sharetree_point,
         cells=[
-            sharetree_cell(
-                k,
-                cells,
-                quantum_ms,
-                cycles=cycles,
-                seed=seed,
-                horizon_s=horizon_s,
+            SweepCell(
+                SHARETREE_EXPERIMENT,
+                {"k": k, "cells": cells, "quantum_ms": quantum_ms,
+                 "cycles": cycles, "seed": seed, "horizon_s": horizon_s},
             )
             for cells in cell_counts
             for k in sibling_counts
@@ -297,8 +250,7 @@ def sharetree_sweep(
         seed=seed,
         horizon_s=horizon_s,
     )
-    outcome = run_sweep(spec, workers=workers, cache=cache)
-    return [sharetree_point_from_payload(v) for v in outcome.values]
+    return run_sweep(spec, workers=workers, cache=cache).values
 
 
 def throughput_variation(points: Sequence[SharetreePoint]) -> float:

@@ -10,13 +10,12 @@ linearly in n, is the reproduced claim).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import signal
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -133,25 +132,10 @@ def run_table1(*, quick: bool = False) -> Table1Result:
 TABLE1_EXPERIMENT = "table1.ops"
 
 
-def table1_cell(*, quick: bool = False) -> SweepCell:
-    """Declarative form of the Table 1 measurement."""
-    return SweepCell(TABLE1_EXPERIMENT, {"quick": quick})
-
-
-def run_table1_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker for the Table 1 measurement."""
-    return dataclasses.asdict(run_table1(quick=params["quick"]))
-
-
-def table1_result_from_payload(payload: Mapping[str, Any]) -> Table1Result:
-    """Inverse of :func:`run_table1_cell`'s payload encoding."""
-    return Table1Result(**payload)
-
-
 def table1_sweep_spec(*, quick: bool = False) -> SweepSpec:
     """The (single-cell, non-cacheable) Table 1 sweep."""
     return SweepSpec(
-        worker=run_table1_cell,
-        cells=[table1_cell(quick=quick)],
+        worker=run_table1,
+        cells=[SweepCell(TABLE1_EXPERIMENT, {"quick": quick})],
         cacheable=False,
     )

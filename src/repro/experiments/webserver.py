@@ -11,12 +11,9 @@ ALPS scheduling the three *users* as principals with shares {1, 2, 3}
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.sweep.cache import SweepCache
-from repro.sweep.scheduler import SweepCell, SweepSpec, run_sweep
-
-from repro.alps.agent import AlpsAgent, spawn_alps
+from repro.alps.agent import spawn_alps
 from repro.alps.config import AlpsConfig
 from repro.alps.subjects import UserSubject
 from repro.kernel.kernel import Kernel
@@ -26,6 +23,9 @@ from repro.webserver.apache import PreforkSite
 from repro.webserver.clients import ClosedLoopClients
 from repro.webserver.database import DatabaseServer
 from repro.webserver.requests import RequestFactory
+
+#: Sweep-cache experiment id of the Section 5 run.
+WEBSERVER_EXPERIMENT = "sec5.webserver"
 
 #: Site user ids.
 SITE_UIDS = (1001, 1002, 1003)
@@ -180,114 +180,3 @@ def _run_one(
         for drv in clients
     )
     return rps, overhead, util, p50s  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration: the Section 5 run as a one-cell sweep
-# ---------------------------------------------------------------------------
-#: Sweep-cache experiment id of the Section 5 run.
-WEBSERVER_EXPERIMENT = "sec5.webserver"
-
-
-def webserver_cell(
-    *,
-    shares: Sequence[int] = (1, 2, 3),
-    quantum_ms: float = 100.0,
-    n_clients: int = 325,
-    max_workers: int = 50,
-    warmup_s: float = 20.0,
-    measure_s: float = 60.0,
-    seed: int = 0,
-    regulated: bool = False,
-) -> SweepCell:
-    """Declarative form of the Section 5 run (the cache identity)."""
-    return SweepCell(
-        WEBSERVER_EXPERIMENT,
-        {
-            "shares": list(shares),
-            "quantum_ms": quantum_ms,
-            "n_clients": n_clients,
-            "max_workers": max_workers,
-            "warmup_s": warmup_s,
-            "measure_s": measure_s,
-            "seed": seed,
-            "regulated": regulated,
-        },
-    )
-
-
-def run_webserver_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker for the Section 5 experiment."""
-    result = run_webserver_experiment(
-        shares=tuple(params["shares"]),
-        quantum_ms=params["quantum_ms"],
-        n_clients=params["n_clients"],
-        max_workers=params["max_workers"],
-        warmup_s=params["warmup_s"],
-        measure_s=params["measure_s"],
-        seed=params["seed"],
-        regulated=params["regulated"],
-    )
-    return webserver_result_payload(result)
-
-
-def webserver_result_payload(result: WebServerResult) -> dict:
-    """JSON-safe encoding of a :class:`WebServerResult`."""
-    return {
-        "baseline_rps": list(result.baseline_rps),
-        "alps_rps": list(result.alps_rps),
-        "shares": list(result.shares),
-        "alps_overhead_pct": result.alps_overhead_pct,
-        "db_utilization": result.db_utilization,
-        "baseline_p50_ms": list(result.baseline_p50_ms),
-        "alps_p50_ms": list(result.alps_p50_ms),
-    }
-
-
-def webserver_result_from_payload(
-    payload: Mapping[str, Any],
-) -> WebServerResult:
-    """Inverse of :func:`webserver_result_payload` (exact round-trip)."""
-    return WebServerResult(
-        baseline_rps=tuple(payload["baseline_rps"]),
-        alps_rps=tuple(payload["alps_rps"]),
-        shares=tuple(payload["shares"]),
-        alps_overhead_pct=payload["alps_overhead_pct"],
-        db_utilization=payload["db_utilization"],
-        baseline_p50_ms=tuple(payload["baseline_p50_ms"]),
-        alps_p50_ms=tuple(payload["alps_p50_ms"]),
-    )
-
-
-def run_webserver_experiment_cached(
-    *,
-    shares: Sequence[int] = (1, 2, 3),
-    quantum_ms: float = 100.0,
-    n_clients: int = 325,
-    max_workers: int = 50,
-    warmup_s: float = 20.0,
-    measure_s: float = 60.0,
-    seed: int = 0,
-    regulated: bool = False,
-    workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
-) -> WebServerResult:
-    """:func:`run_webserver_experiment` dispatched through the sweep
-    scheduler (cache-aware ``repro run sec5``)."""
-    spec = SweepSpec(
-        worker=run_webserver_cell,
-        cells=[
-            webserver_cell(
-                shares=shares,
-                quantum_ms=quantum_ms,
-                n_clients=n_clients,
-                max_workers=max_workers,
-                warmup_s=warmup_s,
-                measure_s=measure_s,
-                seed=seed,
-                regulated=regulated,
-            )
-        ],
-    )
-    outcome = run_sweep(spec, workers=workers, cache=cache)
-    return webserver_result_from_payload(outcome.values[0])

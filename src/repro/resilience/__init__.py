@@ -49,12 +49,8 @@ _CHAOS_EXPORTS = (
     "attained_error_pct",
     "ChaosEpisode",
     "ChaosReport",
-    "chaos_cell",
-    "episode_from_payload",
-    "episode_payload",
     "episode_plan",
     "run_chaos_campaign",
-    "run_chaos_cell",
     "run_chaos_episode",
 )
 

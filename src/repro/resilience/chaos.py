@@ -44,7 +44,7 @@ Surfaced as ``repro chaos run|report`` and gated in CI.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.alps.config import AlpsConfig
@@ -694,83 +694,6 @@ def run_chaos_episode(
     )
 
 
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration: cell params, worker, payload codec
-# ---------------------------------------------------------------------------
-def chaos_cell(
-    seed: int,
-    fault_rate: float,
-    *,
-    suite: str = "resilience",
-    overload_kind: str = "storm",
-    plane_kind: str = "crash",
-    shares: Sequence[int] = DEFAULT_SHARES,
-    quantum_ms: float = 10.0,
-    cycles: int = 60,
-    warmup_cycles: int = 5,
-    restart_budget: int = 5,
-    fairness_base_pct: float = DEFAULT_FAIRNESS_BASE_PCT,
-    fairness_slope_pct: float = DEFAULT_FAIRNESS_SLOPE_PCT,
-) -> SweepCell:
-    """Declarative form of one chaos episode."""
-    return SweepCell(
-        CHAOS_EXPERIMENT,
-        {
-            "seed": seed,
-            "fault_rate": fault_rate,
-            "suite": suite,
-            "overload_kind": overload_kind,
-            "plane_kind": plane_kind,
-            "shares": list(shares),
-            "quantum_ms": quantum_ms,
-            "cycles": cycles,
-            "warmup_cycles": warmup_cycles,
-            "restart_budget": restart_budget,
-            "fairness_base_pct": fairness_base_pct,
-            "fairness_slope_pct": fairness_slope_pct,
-        },
-    )
-
-
-def run_chaos_cell(params: Mapping[str, Any]) -> dict:
-    """Module-level sweep worker for one chaos episode."""
-    episode = run_chaos_episode(
-        params["seed"],
-        params["fault_rate"],
-        suite=params.get("suite", "resilience"),
-        overload_kind=params.get("overload_kind", "storm"),
-        plane_kind=params.get("plane_kind", "crash"),
-        shares=tuple(params["shares"]),
-        quantum_ms=params["quantum_ms"],
-        cycles=params["cycles"],
-        warmup_cycles=params["warmup_cycles"],
-        restart_budget=params["restart_budget"],
-        fairness_base_pct=params["fairness_base_pct"],
-        fairness_slope_pct=params["fairness_slope_pct"],
-    )
-    return episode_payload(episode)
-
-
-def episode_payload(episode: ChaosEpisode) -> dict:
-    """JSON-safe encoding of a :class:`ChaosEpisode`."""
-    payload = asdict(episode)
-    payload["invariants"] = [
-        {"name": res.name, "ok": res.ok, "detail": res.detail}
-        for res in episode.invariants
-    ]
-    return payload
-
-
-def episode_from_payload(payload: Mapping[str, Any]) -> ChaosEpisode:
-    """Inverse of :func:`episode_payload` (exact round-trip)."""
-    data = dict(payload)
-    data["invariants"] = tuple(
-        InvariantResult(res["name"], bool(res["ok"]), res["detail"])
-        for res in data["invariants"]
-    )
-    return ChaosEpisode(**data)
-
-
 @dataclass(slots=True)
 class ChaosReport:
     """A finished campaign: every episode plus aggregate verdicts."""
@@ -881,28 +804,28 @@ def run_chaos_campaign(
             "plane": PLANE_FAIRNESS_SLOPE_PCT,
         }.get(suite, DEFAULT_FAIRNESS_SLOPE_PCT)
     cells = [
-        chaos_cell(
-            seed * 1000 + i,
-            rates[i % len(rates)],
-            suite=suite,
-            overload_kind=OVERLOAD_KINDS[i % len(OVERLOAD_KINDS)],
-            plane_kind=PLANE_KINDS[i % len(PLANE_KINDS)],
-            shares=shares,
-            quantum_ms=quantum_ms,
-            cycles=cycles,
-            warmup_cycles=warmup_cycles,
-            restart_budget=restart_budget,
-            fairness_base_pct=fairness_base_pct,
-            fairness_slope_pct=fairness_slope_pct,
+        SweepCell(
+            CHAOS_EXPERIMENT,
+            {
+                "seed": seed * 1000 + i,
+                "fault_rate": rates[i % len(rates)],
+                "suite": suite,
+                "overload_kind": OVERLOAD_KINDS[i % len(OVERLOAD_KINDS)],
+                "plane_kind": PLANE_KINDS[i % len(PLANE_KINDS)],
+                "shares": shares,
+                "quantum_ms": quantum_ms,
+                "cycles": cycles,
+                "warmup_cycles": warmup_cycles,
+                "restart_budget": restart_budget,
+                "fairness_base_pct": fairness_base_pct,
+                "fairness_slope_pct": fairness_slope_pct,
+            },
         )
         for i in range(episodes)
     ]
-    spec = SweepSpec(worker=run_chaos_cell, cells=cells)
+    spec = SweepSpec(worker=run_chaos_episode, cells=cells)
     outcome = run_sweep(spec, workers=workers, cache=cache)
-    return ChaosReport(
-        campaign_seed=seed,
-        episodes=[episode_from_payload(v) for v in outcome.values],
-    )
+    return ChaosReport(campaign_seed=seed, episodes=outcome.values)
 
 
 __all__ = [
@@ -919,9 +842,6 @@ __all__ = [
     "SUITES",
     "attained_error_pct",
     "audit_plane_partition",
-    "chaos_cell",
-    "episode_from_payload",
-    "episode_payload",
     "episode_plan",
     "overload_episode_plan",
     "overload_guard_config",
@@ -929,7 +849,6 @@ __all__ = [
     "plane_episode_plan",
     "plane_episode_tree",
     "run_chaos_campaign",
-    "run_chaos_cell",
     "run_chaos_episode",
     "run_plane_episode",
 ]

@@ -15,8 +15,12 @@ that matrix:
   moves the key, so stale results are structurally unreachable.
 * :mod:`repro.sweep.fingerprint` — the code fingerprint: a hash over
   the source files of the modules a cell imports.
+* :mod:`repro.sweep.codec` — the one result codec: a worker's typed
+  result is encoded to JSON on the worker side and decoded from the
+  worker's return annotation, so a cache hit is exactly a fresh run.
 * :mod:`repro.sweep.scheduler` — a **unified sweep scheduler**:
-  declarative :class:`SweepSpec` (cells + a picklable worker), process
+  declarative :class:`SweepSpec` (cells + a picklable worker, called
+  with each cell's parameters as keyword arguments), process
   pool execution with ordered streaming results, per-cell timeout and
   retry, graceful ``KeyboardInterrupt`` draining, and cache-aware
   dispatch (hits short-circuit before anything is pickled to a

@@ -280,7 +280,9 @@ class SweepCache:
             "created": time.time(),
             "payload": payload,
         }
-        self._write_atomic(self._blob_path(key), json.dumps(blob, sort_keys=True))
+        # Unsorted: a payload's key order is a dict's iteration order,
+        # which a hit must reproduce.
+        self._write_atomic(self._blob_path(key), json.dumps(blob))
         self._count("stores")
 
         logical = logical_key(experiment, params)

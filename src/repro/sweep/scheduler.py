@@ -2,7 +2,8 @@
 
 One code path replaces the ad-hoc per-experiment loops: a
 :class:`SweepSpec` names the cells (JSON-canonicalizable parameter
-mappings) and a picklable module-level worker; :func:`run_sweep`
+mappings) and a picklable module-level worker — an experiment's own
+point function, called as ``worker(**cell.params)``; :func:`run_sweep`
 executes it with
 
 * **cache-aware dispatch** — each cell's content-addressed key is
@@ -22,11 +23,16 @@ executes it with
   the cache, stats are flushed, and the interrupt propagates;
 * **serial degradation** — one worker, one cell, an unpicklable
   worker, or a broken pool all fall back to in-process execution with
-  identical semantics.
+  identical semantics;
+* **one result codec** — :mod:`repro.sweep.codec` encodes each result
+  on the worker side and decodes it from the worker's return
+  annotation, so fresh results and cache hits are the same typed
+  values.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import pickle
 import warnings
@@ -41,6 +47,7 @@ from repro.errors import (
     TransientReadError,
 )
 from repro.sweep.cache import CacheStats, SweepCache, cache_key
+from repro.sweep.codec import decode, encode, result_type
 from repro.sweep.fingerprint import DEFAULT_MODULES, code_fingerprint
 
 #: Worker exceptions worth retrying (the transient half of the fault
@@ -74,7 +81,9 @@ class SweepCell:
 
     ``params`` must be JSON-canonicalizable (see
     :func:`repro.sweep.cache.canonicalize`) and picklable; it is both
-    the worker's argument and the cell's cache identity.
+    the worker's keyword arguments and the cell's cache identity.  Name
+    only the arguments the sweep varies: defaults live once, in the
+    worker's signature, which the code fingerprint already covers.
     """
 
     experiment: str
@@ -85,14 +94,17 @@ class SweepCell:
 class SweepSpec:
     """A declarative sweep: cells plus the worker that computes one.
 
-    ``worker`` must be a module-level callable taking one cell's
-    ``params`` mapping and returning a JSON-safe payload (so results
-    can cross process boundaries and live in the cache byte-stably).
+    ``worker`` is called as ``worker(**cell.params)`` — an experiment's
+    point function — and must be module-level for pooled runs.  Its
+    result must be encodable by :func:`repro.sweep.codec.encode`; it
+    comes back decoded from ``worker``'s return annotation.  A worker
+    whose only parameter is named ``params`` is instead passed the
+    mapping itself (the older calling convention).
     ``cacheable=False`` opts the whole sweep out of the cache (live
     host measurements, wall-clock benchmarks).
     """
 
-    worker: Callable[[Mapping[str, Any]], Any]
+    worker: Callable[..., Any]
     cells: Sequence[SweepCell]
     fingerprint_modules: Sequence[str] = DEFAULT_MODULES
     cacheable: bool = True
@@ -100,7 +112,7 @@ class SweepSpec:
 
 @dataclass(slots=True)
 class CellResult:
-    """One cell's outcome: the payload plus how it was obtained."""
+    """One cell's outcome: the decoded result plus how it was obtained."""
 
     cell: SweepCell
     value: Any
@@ -119,7 +131,7 @@ class SweepOutcome:
 
     @property
     def values(self) -> list[Any]:
-        """Payloads in cell order."""
+        """Decoded results in cell order."""
         return [r.value for r in self.results]
 
     def footer(self) -> str:
@@ -143,6 +155,17 @@ def _picklable(obj: Any) -> bool:
         return False
 
 
+def _call(worker: Callable[..., Any], params: Mapping[str, Any]) -> Any:
+    """Compute one cell and encode its result (runs in the worker).
+
+    A worker whose only parameter is ``params`` keeps the older calling
+    convention and is passed the mapping itself.
+    """
+    if list(inspect.signature(worker).parameters) == ["params"]:
+        return encode(worker(params))
+    return encode(worker(**params))
+
+
 def _run_serial(
     spec: SweepSpec, cell: SweepCell, retries: int
 ) -> tuple[Any, int]:
@@ -152,7 +175,7 @@ def _run_serial(
     while True:
         attempts += 1
         try:
-            return spec.worker(cell.params), attempts
+            return _call(spec.worker, cell.params), attempts
         except RETRYABLE_EXCEPTIONS as exc:
             if attempts > retries:
                 raise SweepCellError(
@@ -190,6 +213,7 @@ def run_sweep(
     fingerprint = (
         code_fingerprint(tuple(spec.fingerprint_modules)) if use_cache else ""
     )
+    rtype = result_type(spec.worker)
 
     n = len(spec.cells)
     slots: list[Optional[CellResult]] = [None] * n
@@ -213,23 +237,25 @@ def run_sweep(
             hit, payload = cache.get(key)
             if hit:
                 slots[idx] = CellResult(
-                    cell=cell, value=payload, cached=True, attempts=0, key=key
+                    cell=cell, value=decode(rtype, payload), cached=True,
+                    attempts=0, key=key,
                 )
                 continue
         pending.append((idx, cell, key))
 
-    def store(idx: int, cell: SweepCell, key: Optional[str], value: Any,
+    def store(idx: int, cell: SweepCell, key: Optional[str], payload: Any,
               attempts: int) -> None:
         if use_cache and key is not None:
             cache.put(
                 key,
-                value,
+                payload,
                 experiment=cell.experiment,
                 params=cell.params,
                 fingerprint=fingerprint,
             )
         slots[idx] = CellResult(
-            cell=cell, value=value, cached=False, attempts=attempts, key=key
+            cell=cell, value=decode(rtype, payload), cached=False,
+            attempts=attempts, key=key,
         )
 
     pool_ok = (
@@ -250,8 +276,8 @@ def run_sweep(
         if not pool_ok:
             for idx, cell, key in pending:
                 emit_ready()
-                value, attempts = _run_serial(spec, cell, retries)
-                store(idx, cell, key, value, attempts)
+                payload, attempts = _run_serial(spec, cell, retries)
+                store(idx, cell, key, payload, attempts)
         else:
             _run_pooled(
                 spec, pending, nworkers, timeout_s, retries, store, emit_ready
@@ -291,9 +317,10 @@ def _run_pooled(
     KeyboardInterrupt by cancelling everything not yet started.
     """
     executor = ProcessPoolExecutor(max_workers=min(nworkers, len(pending)))
+
     try:
         futures = {
-            idx: executor.submit(spec.worker, cell.params)
+            idx: executor.submit(_call, spec.worker, cell.params)
             for idx, cell, _key in pending
         }
         attempts = {idx: 1 for idx, _c, _k in pending}
@@ -303,8 +330,8 @@ def _run_pooled(
                 break
             while True:
                 try:
-                    value = futures[idx].result(timeout=timeout_s)
-                    store(idx, cell, key, value, attempts[idx])
+                    payload = futures[idx].result(timeout=timeout_s)
+                    store(idx, cell, key, payload, attempts[idx])
                     emit_ready()
                     break
                 except FutureTimeout:
@@ -317,7 +344,9 @@ def _run_pooled(
                         ) from None
                     futures[idx].cancel()
                     attempts[idx] += 1
-                    futures[idx] = executor.submit(spec.worker, cell.params)
+                    futures[idx] = executor.submit(
+                        _call, spec.worker, cell.params
+                    )
                 except BrokenProcessPool:
                     warnings.warn(
                         "sweep process pool broke; finishing the remaining "
@@ -336,7 +365,9 @@ def _run_pooled(
                             attempts=attempts[idx],
                         ) from exc
                     attempts[idx] += 1
-                    futures[idx] = executor.submit(spec.worker, cell.params)
+                    futures[idx] = executor.submit(
+                        _call, spec.worker, cell.params
+                    )
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as exc:
@@ -348,8 +379,8 @@ def _run_pooled(
                     ) from exc
         if serial_rest is not None:
             for idx, cell, key in pending[serial_rest:]:
-                value, n_attempts = _run_serial(spec, cell, retries)
-                store(idx, cell, key, value, n_attempts)
+                payload, n_attempts = _run_serial(spec, cell, retries)
+                store(idx, cell, key, payload, n_attempts)
                 emit_ready()
     except (KeyboardInterrupt, SystemExit):
         # Graceful drain: everything already computed is stored (and,

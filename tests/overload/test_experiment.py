@@ -7,19 +7,16 @@ experiment's machinery honest at sizes small enough for tier-1 time.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 from repro.experiments.overload import (
     KNEE_N,
+    OVERLOAD_EXPERIMENT,
     PAST_KNEE_N,
     OverloadComparison,
     OverloadPoint,
-    overload_cell,
-    overload_point_from_payload,
     overload_sweep_spec,
-    run_overload_cell,
     run_overload_point,
 )
+from repro.sweep import SweepCache, SweepCell, SweepSpec, run_sweep
 
 
 def test_small_group_never_engages_the_ladder():
@@ -38,14 +35,16 @@ def test_control_point_reports_zero_telemetry():
     assert point.max_degraded_slip_quanta == 0.0
 
 
-def test_cell_worker_and_codec_roundtrip():
-    cell = overload_cell(n=6, ladder=True, cycles=8, seed=1)
-    assert cell.experiment == "overload.past_knee"
-    payload = run_overload_cell(cell.params)
-    point = overload_point_from_payload(payload)
-    assert isinstance(point, OverloadPoint)
-    assert asdict(point) == payload
-    assert point.n == 6
+def test_cell_worker_and_codec_roundtrip(tmp_path):
+    params = {"n": 6, "ladder": True, "cycles": 8, "seed": 1}
+    spec = SweepSpec(
+        worker=run_overload_point, cells=[SweepCell(OVERLOAD_EXPERIMENT, params)]
+    )
+    cold = run_sweep(spec, workers=1, cache=SweepCache(tmp_path)).values[0]
+    warm = run_sweep(spec, workers=1, cache=SweepCache(tmp_path)).values[0]
+    assert isinstance(warm, OverloadPoint)
+    assert warm == cold == run_overload_point(**params)
+    assert warm.n == 6
 
 
 def test_sweep_spec_pairs_ladder_and_control_per_size():

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import InvariantViolation
 from repro.resilience.chaos import (
+    ChaosEpisode,
     ChaosReport,
-    episode_from_payload,
-    episode_payload,
     episode_plan,
     run_chaos_campaign,
     run_chaos_episode,
 )
 from repro.resilience.invariants import InvariantResult
+from repro.sweep.codec import decode, encode
 from repro.units import sec
 
 #: Small episode shape shared by the tests (seconds, not minutes).
@@ -35,7 +37,7 @@ def test_episode_plan_adds_journal_faults_and_pinned_crashes():
 def test_episode_is_deterministic():
     a = run_chaos_episode(7, 0.05, **FAST)
     b = run_chaos_episode(7, 0.05, **FAST)
-    assert episode_payload(a) == episode_payload(b)
+    assert encode(a) == encode(b)
 
 
 def test_episode_exercises_journaled_recovery():
@@ -58,7 +60,7 @@ def test_fault_free_episode_is_clean():
 
 def test_payload_roundtrip_is_exact():
     ep = run_chaos_episode(1, 0.02, **FAST)
-    assert episode_from_payload(episode_payload(ep)) == ep
+    assert decode(ChaosEpisode, encode(ep)) == ep
 
 
 def test_campaign_is_deterministic_and_seed_sensitive():
@@ -78,13 +80,11 @@ def test_campaign_validates_arguments():
 
 def test_report_violations_and_raise():
     ep = run_chaos_episode(0, 0.0, **FAST)
-    bad = ep.__class__(
-        **{
-            **episode_payload(ep),
-            "invariants": (
-                InvariantResult("bounded_fairness", False, "err 99% vs 8%"),
-            ),
-        }
+    bad = replace(
+        ep,
+        invariants=(
+            InvariantResult("bounded_fairness", False, "err 99% vs 8%"),
+        ),
     )
     report = ChaosReport(campaign_seed=0, episodes=[ep, bad])
     assert not report.ok

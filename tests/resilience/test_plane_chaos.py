@@ -7,15 +7,15 @@ import pytest
 from repro.resilience.chaos import (
     PLANE_CELLS,
     PLANE_KINDS,
+    ChaosEpisode,
     audit_plane_partition,
-    episode_from_payload,
-    episode_payload,
     plane_episode_plan,
     plane_episode_tree,
     run_chaos_campaign,
     run_chaos_episode,
     run_plane_episode,
 )
+from repro.sweep.codec import decode, encode
 from repro.units import sec
 
 #: Small episode shape shared by the tests (seconds, not minutes).
@@ -125,8 +125,8 @@ def test_fault_free_plane_episode_keeps_pinned_faults_only():
 def test_plane_episode_is_deterministic_and_roundtrips():
     a = run_plane_episode(7, 0.05, plane_kind="tear", **FAST)
     b = run_plane_episode(7, 0.05, plane_kind="tear", **FAST)
-    assert episode_payload(a) == episode_payload(b)
-    assert episode_from_payload(episode_payload(a)) == a
+    assert encode(a) == encode(b)
+    assert decode(ChaosEpisode, encode(a)) == a
 
 
 def test_run_chaos_episode_dispatches_the_plane_suite():

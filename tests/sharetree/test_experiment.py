@@ -2,21 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import pytest
 
 from repro.experiments.sharetree import (
     SHARETREE_EXPERIMENT,
     TENANT_WEIGHT,
     gunther_tree,
-    run_sharetree_cell,
     run_sharetree_point,
-    sharetree_cell,
-    sharetree_point_from_payload,
     sharetree_sweep_spec,
     throughput_variation,
 )
+from repro.sweep import SweepCache, SweepCell, SweepSpec, run_sweep
 
 
 def test_gunther_tree_shape():
@@ -54,13 +50,16 @@ def test_sharded_point_keeps_the_ratio():
     assert point.attained_ratio == pytest.approx(2.0, rel=0.1)
 
 
-def test_cell_worker_and_payload_roundtrip():
-    cell = sharetree_cell(2, cycles=10, horizon_s=4.0)
-    assert cell.experiment == SHARETREE_EXPERIMENT
-    payload = run_sharetree_cell(cell.params)
-    point = sharetree_point_from_payload(payload)
-    assert point.k == 2
-    assert asdict(point) == payload
+def test_cell_worker_and_payload_roundtrip(tmp_path):
+    params = {"k": 2, "cycles": 10, "horizon_s": 4.0}
+    spec = SweepSpec(
+        worker=run_sharetree_point,
+        cells=[SweepCell(SHARETREE_EXPERIMENT, params)],
+    )
+    cold = run_sweep(spec, workers=1, cache=SweepCache(tmp_path)).values[0]
+    warm = run_sweep(spec, workers=1, cache=SweepCache(tmp_path)).values[0]
+    assert warm.k == 2
+    assert warm == cold == run_sharetree_point(**params)
 
 
 def test_sweep_spec_enumerates_the_grid():

@@ -77,14 +77,15 @@ def test_experiment_id_and_fingerprint_are_part_of_the_key():
 
 
 def test_changed_fault_plan_changes_key():
-    from repro.experiments.robustness import robustness_cell
+    from repro.experiments.robustness import ROBUSTNESS_EXPERIMENT
 
-    base = robustness_cell(0.1)
-    faster = robustness_cell(0.2)
-    no_crash = robustness_cell(0.1, agent_crash=False)
+    base = {"fault_rate": 0.1}
+    faster = {"fault_rate": 0.2}
+    no_crash = {"fault_rate": 0.1, "agent_crash": False}
     fp = "fp"
     keys = {
-        cache_key(c.experiment, c.params, fp) for c in (base, faster, no_crash)
+        cache_key(ROBUSTNESS_EXPERIMENT, params, fp)
+        for params in (base, faster, no_crash)
     }
     assert len(keys) == 3
 

@@ -15,30 +15,34 @@ CALLS: list[int] = []  # serial-mode workers run in-process
 FLAKY_FAILURES: dict[int, int] = {}
 
 
-def _double(params):  # module-level: picklable
-    CALLS.append(params["x"])
-    return {"y": params["x"] * 2}
+def _double(x):  # module-level: picklable
+    CALLS.append(x)
+    return {"y": x * 2}
 
 
-def _boom(params):
-    if params["x"] == 3:
+def _boom(x):
+    if x == 3:
         raise ValueError("cell exploded")
-    return {"y": params["x"]}
+    return {"y": x}
 
 
-def _flaky(params):
+def _flaky(x):
     from repro.errors import TransientReadError
 
-    remaining = FLAKY_FAILURES.get(params["x"], 0)
+    remaining = FLAKY_FAILURES.get(x, 0)
     if remaining:
-        FLAKY_FAILURES[params["x"]] = remaining - 1
+        FLAKY_FAILURES[x] = remaining - 1
         raise TransientReadError(f"transient #{remaining}")
-    return {"y": params["x"]}
+    return {"y": x}
 
 
-def _sleepy(params):
-    time.sleep(params["x"])
-    return {"y": params["x"]}
+def _sleepy(x):
+    time.sleep(x)
+    return {"y": x}
+
+
+def _mapping_worker(params):
+    return {"y": params["x"] + 1}
 
 
 def _cells(xs, experiment="test.double"):
@@ -137,7 +141,7 @@ def test_unpicklable_worker_degrades_to_serial():
         warnings.simplefilter("always")
         outcome = run_sweep(
             SweepSpec(
-                worker=lambda params: {"y": params["x"]},
+                worker=lambda x: {"y": x},
                 cells=_cells([1, 2, 3]),
             ),
             workers=4,
@@ -145,6 +149,12 @@ def test_unpicklable_worker_degrades_to_serial():
         )
     assert outcome.values == [{"y": 1}, {"y": 2}, {"y": 3}]
     assert any("serially" in str(w.message) for w in caught)
+
+
+def test_worker_named_params_is_passed_the_mapping():
+    # The older calling convention: one parameter, named ``params``.
+    outcome = run_sweep(_spec([1, 2], worker=_mapping_worker), workers=1)
+    assert outcome.values == [{"y": 2}, {"y": 3}]
 
 
 def test_code_change_invalidates_and_replaces(tmp_path, monkeypatch):

@@ -87,3 +87,27 @@ def test_run_no_cache_recomputes(capsys):
     assert main(["run", "fig7", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "[sweep: 1 cells, 0 cache hits, 1 misses, 1 worker(s)]" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["demo", "--shares", "1,a"], "shares"),
+        (["perf", "report", "--shares", "2,x"], "shares"),
+        (["perf", "diff", "--sizes", "5,x"], "sizes"),
+        (["perf", "diff", "--seeds", "0,?"], "seeds"),
+        (["obs", "tail", "--shares", "1,b"], "shares"),
+        (["chaos", "run", "--shares", "1,c", "--episodes", "1"], "shares"),
+    ],
+)
+def test_integer_list_flags_reject_bad_tokens(argv, flag):
+    with pytest.raises(SystemExit, match=f"invalid --{flag} "):
+        main(argv)
+
+
+def test_chaos_shares_skip_empty_tokens_like_demo(capsys):
+    assert main(["demo", "--shares", "1,,2", "--seconds", "1"]) == 0
+    rc = main(["chaos", "run", "--shares", "1,,2", "--episodes", "1",
+               "--cycles", "10", "--rates", "0.05", "--no-cache"])
+    assert rc == 0
+    assert "verdict=PASS" in capsys.readouterr().out
