@@ -155,19 +155,21 @@ def _picklable(obj: Any) -> bool:
         return False
 
 
-def _call(worker: Callable[..., Any], params: Mapping[str, Any]) -> Any:
-    """Compute one cell and encode its result (runs in the worker).
+def _takes_mapping(worker: Callable[..., Any]) -> bool:
+    """Whether ``worker`` keeps the older calling convention: its only
+    parameter is ``params``, and it is passed the mapping itself."""
+    return list(inspect.signature(worker).parameters) == ["params"]
 
-    A worker whose only parameter is ``params`` keeps the older calling
-    convention and is passed the mapping itself.
-    """
-    if list(inspect.signature(worker).parameters) == ["params"]:
-        return encode(worker(params))
-    return encode(worker(**params))
+
+def _call(
+    worker: Callable[..., Any], params: Mapping[str, Any], mapping: bool
+) -> Any:
+    """Compute one cell and encode its result (runs in the worker)."""
+    return encode(worker(params) if mapping else worker(**params))
 
 
 def _run_serial(
-    spec: SweepSpec, cell: SweepCell, retries: int
+    spec: SweepSpec, cell: SweepCell, retries: int, mapping: bool
 ) -> tuple[Any, int]:
     """Run one cell inline with the retry policy (no timeout: a serial
     worker cannot be preempted)."""
@@ -175,7 +177,7 @@ def _run_serial(
     while True:
         attempts += 1
         try:
-            return _call(spec.worker, cell.params), attempts
+            return _call(spec.worker, cell.params, mapping), attempts
         except RETRYABLE_EXCEPTIONS as exc:
             if attempts > retries:
                 raise SweepCellError(
@@ -214,6 +216,7 @@ def run_sweep(
         code_fingerprint(tuple(spec.fingerprint_modules)) if use_cache else ""
     )
     rtype = result_type(spec.worker)
+    mapping = _takes_mapping(spec.worker)
 
     n = len(spec.cells)
     slots: list[Optional[CellResult]] = [None] * n
@@ -276,11 +279,12 @@ def run_sweep(
         if not pool_ok:
             for idx, cell, key in pending:
                 emit_ready()
-                payload, attempts = _run_serial(spec, cell, retries)
+                payload, attempts = _run_serial(spec, cell, retries, mapping)
                 store(idx, cell, key, payload, attempts)
         else:
             _run_pooled(
-                spec, pending, nworkers, timeout_s, retries, store, emit_ready
+                spec, mapping, pending, nworkers, timeout_s, retries, store,
+                emit_ready,
             )
     finally:
         if use_cache:
@@ -303,6 +307,7 @@ def run_sweep(
 
 def _run_pooled(
     spec: SweepSpec,
+    mapping: bool,
     pending: Sequence[tuple[int, SweepCell, Optional[str]]],
     nworkers: int,
     timeout_s: Optional[float],
@@ -320,7 +325,7 @@ def _run_pooled(
 
     try:
         futures = {
-            idx: executor.submit(_call, spec.worker, cell.params)
+            idx: executor.submit(_call, spec.worker, cell.params, mapping)
             for idx, cell, _key in pending
         }
         attempts = {idx: 1 for idx, _c, _k in pending}
@@ -345,7 +350,7 @@ def _run_pooled(
                     futures[idx].cancel()
                     attempts[idx] += 1
                     futures[idx] = executor.submit(
-                        _call, spec.worker, cell.params
+                        _call, spec.worker, cell.params, mapping
                     )
                 except BrokenProcessPool:
                     warnings.warn(
@@ -366,7 +371,7 @@ def _run_pooled(
                         ) from exc
                     attempts[idx] += 1
                     futures[idx] = executor.submit(
-                        _call, spec.worker, cell.params
+                        _call, spec.worker, cell.params, mapping
                     )
                 except (KeyboardInterrupt, SystemExit):
                     raise
@@ -379,7 +384,9 @@ def _run_pooled(
                     ) from exc
         if serial_rest is not None:
             for idx, cell, key in pending[serial_rest:]:
-                payload, n_attempts = _run_serial(spec, cell, retries)
+                payload, n_attempts = _run_serial(
+                    spec, cell, retries, mapping
+                )
                 store(idx, cell, key, payload, n_attempts)
                 emit_ready()
     except (KeyboardInterrupt, SystemExit):

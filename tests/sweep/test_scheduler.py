@@ -151,9 +151,11 @@ def test_unpicklable_worker_degrades_to_serial():
     assert any("serially" in str(w.message) for w in caught)
 
 
-def test_worker_named_params_is_passed_the_mapping():
-    # The older calling convention: one parameter, named ``params``.
-    outcome = run_sweep(_spec([1, 2], worker=_mapping_worker), workers=1)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_named_params_is_passed_the_mapping(workers):
+    # The older calling convention: one parameter, named ``params``,
+    # serial and pooled alike.
+    outcome = run_sweep(_spec([1, 2], worker=_mapping_worker), workers=workers)
     assert outcome.values == [{"y": 2}, {"y": 3}]
 
 
