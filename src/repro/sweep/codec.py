@@ -73,50 +73,72 @@ def result_type(worker: Callable[..., Any]) -> Any:
 
 def decode(tp: Any, data: Any) -> Any:
     """Rebuild a value of annotation ``tp`` from its :func:`encode` tree."""
-    origin = typing.get_origin(tp)
-    args = typing.get_args(tp)
-    if origin is typing.Union or origin is types.UnionType:
-        if data is None:
-            return None
-        return decode(next(a for a in args if a is not type(None)), data)
-    if tp is tuple or origin is tuple:
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(decode(args[0], v) for v in data)
-        if args:
-            return tuple(
-                decode(a, v) for a, v in zip(args, data, strict=True)
-            )
-        return tuple(data)
-    if origin is list and args:
-        return [decode(args[0], v) for v in data]
-    if origin is dict and args:
-        key_type, value_type = args
-        return {
-            (int(k) if key_type is int else k): decode(value_type, v)
-            for k, v in data.items()
-        }
-    if isinstance(tp, type):
-        if issubclass(tp, enum.Enum):
-            return tp(data)
-        if dataclasses.is_dataclass(tp):
-            return _decode_dataclass(tp, data)
-        if issubclass(tp, np.ndarray):
-            array = np.array(data["data"], dtype=data["dtype"])
-            return array.reshape(data["shape"])
+    return _decoder(tp)(data)
+
+
+def _identity(data: Any) -> Any:
     return data
 
 
-def _decode_dataclass(cls: type, data: Mapping[str, Any]) -> Any:
+@functools.cache
+def _decoder(tp: Any) -> Callable[[Any], Any]:
+    """The decoding function for annotation ``tp``, built once per type,
+    so decoding a result walks its data and never its annotations."""
+    origin = typing.get_origin(tp)
+    args = typing.get_args(tp)
+    if origin is typing.Union or origin is types.UnionType:
+        inner = _decoder(next(a for a in args if a is not type(None)))
+        return lambda data: None if data is None else inner(data)
+    if tp is tuple or origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            item = _decoder(args[0])
+            return lambda data: tuple(map(item, data))
+        if args:
+            items = tuple(_decoder(a) for a in args)
+            return lambda data: tuple(
+                f(v) for f, v in zip(items, data, strict=True)
+            )
+        return tuple
+    if origin is list and args:
+        item = _decoder(args[0])
+        return lambda data: list(map(item, data))
+    if origin is dict and args:
+        key = int if args[0] is int else _identity
+        value = _decoder(args[1])
+        return lambda data: {key(k): value(v) for k, v in data.items()}
+    if isinstance(tp, type):
+        if issubclass(tp, enum.Enum):
+            return tp
+        if dataclasses.is_dataclass(tp):
+            return _dataclass_decoder(tp)
+        if issubclass(tp, np.ndarray):
+            return _decode_array
+    return _identity
+
+
+def _decode_array(data: Mapping[str, Any]) -> np.ndarray:
+    return np.array(data["data"], dtype=data["dtype"]).reshape(data["shape"])
+
+
+def _dataclass_decoder(cls: type) -> Callable[[Mapping[str, Any]], Any]:
     hints = _hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
-    missing = [n for n in names if n not in data]
-    unknown = sorted(set(data) - set(names))
-    if missing or unknown:
-        raise TypeError(
-            f"{cls.__qualname__} payload: missing fields {missing}, "
-            f"unknown fields {unknown}"
-        )
-    return cls(**{n: decode(hints[n], data[n]) for n in names})
+    fields = [
+        (f.name, _decoder(hints[f.name])) for f in dataclasses.fields(cls)
+    ]
+    names = [n for n, _f in fields]
+    expected = frozenset(names)
+
+    def decode_dataclass(data: Mapping[str, Any]) -> Any:
+        if data.keys() != expected:
+            missing = [n for n in names if n not in data]
+            unknown = sorted(set(data) - expected)
+            raise TypeError(
+                f"{cls.__qualname__} payload: missing fields {missing}, "
+                f"unknown fields {unknown}"
+            )
+        return cls(**{n: f(data[n]) for n, f in fields})
+
+    return decode_dataclass
 
 
 __all__ = ["decode", "encode", "result_type"]
