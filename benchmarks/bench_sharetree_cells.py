@@ -12,11 +12,10 @@ Two claims from docs/share_tree.md, gated here:
   :class:`~repro.sharetree.ShareTree` to the standard single-agent
   workload is schedule-identical (tests prove byte-identity); this
   benchmark gates the *wall-clock* cost of carrying the tree under
-  ``REPRO_SHARETREE_MAX_OVERHEAD`` (fraction, default 0.05 — i.e. ≤5 %
-  vs the bare flat run, best-of-3 each arm).
+  :data:`MAX_OVERHEAD` (≤ 5 % vs the bare flat run, best-of-3 each
+  arm).
 """
 
-import os
 import time
 
 from benchmarks.conftest import emit
@@ -29,7 +28,7 @@ from repro.units import ms, sec
 from repro.workloads.scenarios import build_controlled_workload
 
 #: Max fractional wall-time overhead of a flat-equivalent tree attach.
-MAX_OVERHEAD = float(os.environ.get("REPRO_SHARETREE_MAX_OVERHEAD", "0.05"))
+MAX_OVERHEAD = 0.05
 
 #: The grid: concurrent cells × share-tree depth.
 CELL_COUNTS = (1, 2)
@@ -182,5 +181,5 @@ def test_flat_tree_attach_overhead(results_dir):
     )
     assert overhead <= MAX_OVERHEAD, (
         f"flat tree attach costs {overhead:+.2%} wall time, over the "
-        f"REPRO_SHARETREE_MAX_OVERHEAD={MAX_OVERHEAD:.0%} gate"
+        f"MAX_OVERHEAD={MAX_OVERHEAD:.0%} gate"
     )

@@ -272,8 +272,8 @@ def test_sweep_wall_clock_series(results_dir):
 
 #: Ceiling on the cost of carrying a *disabled* observer through the
 #: alps_cell_20 hot path (the docs/observability.md contract: off-path
-#: instrumentation is one attribute read).  Overridable for noisy CI.
-OBS_MAX_OVERHEAD = float(os.environ.get("REPRO_OBS_MAX_OVERHEAD", "0.05"))
+#: instrumentation is one attribute read).
+OBS_MAX_OVERHEAD = 0.05
 
 
 def test_disabled_observer_overhead_is_negligible():

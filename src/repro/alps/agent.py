@@ -127,6 +127,12 @@ class AlpsAgent:
         self._cost_measure_fixed = costs.measure_fixed_us
         self._cost_measure_per = costs.measure_per_proc_us
         self._cost_signal_us = costs.signal_us
+        #: Most recent wake's timer slip (µs); 0 without a guard.  The
+        #: supervision wrapper feeds it into its heartbeat on every
+        #: action, so starvation shows up as supervisor pressure, not
+        #: just as an overload metric; it is kept here as a plain
+        #: attribute, refreshed where the guard observes a wake.
+        self.timer_slip_us = 0
         self._phase = _Phase.INIT
         self._epoch = 0
         self._next_refresh = 0
@@ -251,24 +257,18 @@ class AlpsAgent:
         attached-but-idle guard is schedule-invisible.
         """
         self.policy.guard = guard
+        self._note_slip()
 
     @property
     def overload(self) -> Optional["OverloadGuard"]:
         """The attached overload guard, if any (obs/top surface)."""
         return self.policy.guard
 
-    @property
-    def timer_slip_us(self) -> int:
-        """Most recent wake's timer slip (µs); 0 without a guard.
-
-        The supervision wrapper feeds this into its heartbeat so
-        starvation shows up as supervisor pressure, not just as an
-        overload metric.
-        """
+    def _note_slip(self) -> None:
+        """Refresh :attr:`timer_slip_us` from the guard's slip monitor."""
         guard = self.policy.guard
-        if guard is None:
-            return 0
-        return int(guard.slip.last_quanta * self._quantum_us)
+        if guard is not None:
+            self.timer_slip_us = int(guard.slip.last_quanta * self._quantum_us)
 
     def attach_sharetree(self, tree: "ShareTree") -> None:
         """Attach a share tree (:mod:`repro.sharetree`).
@@ -538,6 +538,7 @@ class AlpsAgent:
             # priority boost).
             self._kapi = kapi
             resumed, readmitted, drained, gated = policy.wake(now)
+            self._note_slip()
             if resumed:
                 # The shed's signals are one subtotal, added once:
                 # regrouping the float sum changes the charge's last

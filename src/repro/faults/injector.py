@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.kapi import KernelAPI
     from repro.kernel.kernel import Kernel
     from repro.kernel.process import Process
+    from repro.resilience.journal import WriteFaults
     from repro.sim.engine import Engine
 
 
@@ -341,6 +342,14 @@ class FaultInjector:
             self.record("stall", f"quanta={self.plan.agent_stall_quanta}")
         return total
 
+    def perturbs_agent(self) -> bool:
+        """Whether the plan can stall or crash the agent: if not,
+        :meth:`stall_quanta` and :meth:`agent_crash_due` never act."""
+        plan = self.plan
+        return bool(
+            plan.agent_stalls or plan.agent_stall_prob > 0 or plan.agent_crashes
+        )
+
     def agent_crash_due(self, now: int) -> Optional[AgentCrash]:
         """The agent crash scheduled at or before ``now``, if any."""
         if self._agent_crashes and self._agent_crashes[0].time_us <= now:
@@ -353,46 +362,55 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Journal-persistence faults (repro.resilience.journal fault hook)
     # ------------------------------------------------------------------
-    def fault_journal_append(self, encoded: bytes) -> Optional[bytes]:
-        """Perturb one journal append per the plan's write-fault rates.
+    def journal_fault_hook(self) -> Optional["WriteFaults"]:
+        """The journal write-fault hook for this plan, or None.
 
-        Returns the bytes that actually reach the store: ``None`` for a
-        lost write, a truncated prefix for a torn one, or ``encoded``
-        unchanged.  Draws come from the dedicated ``journal`` RNG
-        stream, so enabling journal faults cannot shift the schedule of
-        any other fault kind.  Pass this method as
-        :class:`~repro.resilience.journal.MemoryJournal`'s
+        None when the plan can neither lose nor tear a write, so a
+        journal without write faults carries no hook at all.  The hook
+        draws from the dedicated ``journal`` RNG stream, so enabling
+        journal faults cannot shift the schedule of any other fault
+        kind, and it records every lost or torn append in the trace.
+        Pass it as :class:`~repro.resilience.journal.MemoryJournal`'s
         ``fault_hook``.
         """
-        plan = self.plan
-        if plan.journal_write_fail_prob <= 0 and plan.journal_torn_write_prob <= 0:
-            return encoded
-        stream = self.rng.stream("journal")
-        draw = float(stream.random())
-        if draw < plan.journal_write_fail_prob:
+        from repro.resilience.journal import WriteFaults
+
+        return WriteFaults.for_plan(
+            self.plan, self.rng, "journal", self._note_journal_fault
+        )
+
+    def _note_journal_fault(self, kept: Optional[int], size: int) -> None:
+        if kept is None:
             self.journal_writes_lost += 1
-            self.record("journal-drop", f"bytes={len(encoded)}")
-            return None
-        if draw < plan.journal_write_fail_prob + plan.journal_torn_write_prob:
-            cut = 1 + int(stream.integers(0, max(1, len(encoded) - 1)))
+            self.record("journal-drop", f"bytes={size}")
+        else:
             self.journal_writes_torn += 1
-            self.record("journal-torn", f"kept={cut} of={len(encoded)}")
-            return encoded[:cut]
-        return encoded
+            self.record("journal-torn", f"kept={kept} of={size}")
 
     # ------------------------------------------------------------------
     # KernelAPI wrapping
     # ------------------------------------------------------------------
-    def wrap(self, kapi: "KernelAPI") -> "FaultyKernelAPI":
-        """A KernelAPI view of ``kapi`` with this plan's faults applied."""
-        return FaultyKernelAPI(kapi, self)
+    def wrap(self, kapi: "KernelAPI") -> "KernelAPI | FaultyKernelAPI":
+        """A KernelAPI view of ``kapi`` with this plan's faults applied:
+        ``kapi`` itself when the plan can neither fail a read nor drop
+        or delay a signal."""
+        plan = self.plan
+        if (
+            plan.rusage_fail_prob > 0
+            or plan.signal_drop_prob > 0
+            or plan.signal_delay_prob > 0
+        ):
+            return FaultyKernelAPI(kapi, self)
+        return kapi
 
 
 class FaultyKernelAPI:
     """KernelAPI-compatible proxy that injects signal/read faults.
 
     Only the operations the plan can perturb are intercepted; everything
-    else delegates verbatim, so a null plan is an exact pass-through.
+    else delegates verbatim, so a plan without system-call faults would
+    be an exact pass-through — :meth:`FaultInjector.wrap` then hands out
+    the raw KernelAPI instead.
     """
 
     __slots__ = ("_inner", "_injector")
@@ -459,7 +477,7 @@ class FaultableAlpsBehavior:
     def __init__(self, agent: "AlpsAgent", injector: FaultInjector) -> None:
         self.agent = agent
         self.injector = injector
-        self._fkapi: Optional[FaultyKernelAPI] = None
+        self._fkapi: "KernelAPI | FaultyKernelAPI | None" = None
 
     def next_action(self, proc: "Process", kapi: "KernelAPI") -> Action:
         if self._fkapi is None:

@@ -138,6 +138,7 @@ class Supervisor:
         self.stood_down_at: Optional[int] = None
         self._backoff_us = policy.initial_backoff_us
         self._last_beat: Optional[int] = None
+        self._heartbeat_limit_us = policy.heartbeat_timeout_quanta * quantum_us
         self._obs = observer
         self._jitter_rng = None
 
@@ -172,7 +173,7 @@ class Supervisor:
         return int(base_us * frac * self._jitter_rng.random())
 
     # -- the policy surface --------------------------------------------
-    def heartbeat(self, now: int, *, slip_us: int = 0) -> None:
+    def heartbeat(self, now: int, slip_us: int = 0) -> None:
         """Record one driver activation; report oversized gaps.
 
         ``slip_us`` is the driver's own starvation estimate for this
@@ -187,9 +188,10 @@ class Supervisor:
         self._last_beat = now
         if last is None:
             return
-        gap = max(now - last, slip_us)
-        limit = self.policy.heartbeat_timeout_quanta * self.quantum_us
-        if gap > limit:
+        gap = now - last
+        if slip_us > gap:
+            gap = slip_us
+        if gap > self._heartbeat_limit_us:
             self.missed_heartbeats += 1
             self._emit(
                 now, "supervisor.heartbeat_missed", gap_us=gap, slip_us=slip_us
@@ -258,7 +260,7 @@ class SupervisedAlpsBehavior:
     schedule-invisible (the differential tests pin this).
     """
 
-    __slots__ = ("agent", "supervisor", "injector", "_fkapi", "_bound")
+    __slots__ = ("agent", "supervisor", "injector", "_fkapi", "_agent_faults", "_bound")
 
     def __init__(
         self,
@@ -269,58 +271,69 @@ class SupervisedAlpsBehavior:
         self.agent = agent
         self.supervisor = supervisor
         self.injector = injector
-        self._fkapi: Optional["FaultyKernelAPI"] = None
+        self._fkapi: "KernelAPI | FaultyKernelAPI | None" = None
+        self._agent_faults: Optional["FaultInjector"] = None
         self._bound = False
 
     def next_action(self, proc: "Process", kapi: "KernelAPI") -> Action:
+        # Runs on every agent action: no property of its own to read and
+        # no keyword call.
         sup = self.supervisor
         if not self._bound:
-            sup.bind_observer(getattr(kapi, "observer", None))
-            self._bound = True
-        if sup.degraded:
+            self._bind(kapi)
+        if sup.state is SupervisorState.DEGRADED:
             return Sleep(STAND_DOWN_SLEEP_US, channel="alpsdown")
         now = kapi.now
-        injector = self.injector
-        if injector is not None:
-            if self._fkapi is None:
-                self._fkapi = injector.wrap(kapi)
-            crash = injector.agent_crash_due(now)
-            if crash is not None:
-                try:
-                    decision = sup.on_failure(now)
-                except RestartBudgetExhausted:
-                    # Escalation: release everything and stand down.  The
-                    # supervisor acts through the raw kernel surface —
-                    # it is a separate, simpler entity than the agent
-                    # whose system calls the plan perturbs.
-                    resumed = self.agent.shutdown(kapi)
-                    sup.stand_down(now, resumed=resumed)
-                    return Sleep(STAND_DOWN_SLEEP_US, channel="alpsdown")
-                self.agent.restart()
-                sup.on_recovered(
-                    now + crash.downtime_us + decision.backoff_us,
-                    journaled=self.agent.last_restart_journaled,
-                )
-                return Sleep(
-                    crash.downtime_us + decision.backoff_us,
-                    channel="alpsrestart",
-                )
-        sup.heartbeat(now, slip_us=self.agent.timer_slip_us)
-        action = self.agent.next_action(
-            proc, self._fkapi if self._fkapi is not None else kapi
-        )
-        if (
-            injector is not None
-            and isinstance(action, Sleep)
-            and action.channel == "alpstimer"
-        ):
+        agent = self.agent
+        injector = self._agent_faults
+        if injector is None:
+            sup.heartbeat(now, agent.timer_slip_us)
+            return agent.next_action(proc, self._fkapi)
+        crash = injector.agent_crash_due(now)
+        if crash is not None:
+            try:
+                decision = sup.on_failure(now)
+            except RestartBudgetExhausted:
+                # Escalation: release everything and stand down.  The
+                # supervisor acts through the raw kernel surface — it
+                # is a separate, simpler entity than the agent whose
+                # system calls the plan perturbs.
+                resumed = agent.shutdown(kapi)
+                sup.stand_down(now, resumed=resumed)
+                return Sleep(STAND_DOWN_SLEEP_US, channel="alpsdown")
+            agent.restart()
+            sup.on_recovered(
+                now + crash.downtime_us + decision.backoff_us,
+                journaled=agent.last_restart_journaled,
+            )
+            return Sleep(
+                crash.downtime_us + decision.backoff_us,
+                channel="alpsrestart",
+            )
+        sup.heartbeat(now, agent.timer_slip_us)
+        action = agent.next_action(proc, self._fkapi)
+        if type(action) is Sleep and action.channel == "alpstimer":
             extra = injector.stall_quanta(now)
             if extra:
                 action = Sleep(
-                    action.duration_us + extra * self.agent.cfg.quantum_us,
+                    action.duration_us + extra * agent.cfg.quantum_us,
                     channel=action.channel,
                 )
         return action
+
+    def _bind(self, kapi: "KernelAPI") -> None:
+        """First activation: late-bind the observer and the agent's view
+        of the kernel, and look once at what the plan can do to the
+        agent itself (an injector without agent faults is skipped)."""
+        self.supervisor.bind_observer(getattr(kapi, "observer", None))
+        injector = self.injector
+        if injector is None:
+            self._fkapi = kapi
+        else:
+            self._fkapi = injector.wrap(kapi)
+            if injector.perturbs_agent():
+                self._agent_faults = injector
+        self._bound = True
 
 
 class SupervisedHostAlps:

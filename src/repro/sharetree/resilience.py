@@ -58,13 +58,15 @@ from repro.errors import (
 from repro.faults.plan import CellCrash, FaultPlan, MigrationTear
 from repro.kernel.actions import Action, Sleep
 from repro.kernel.signals import SIGCONT
-from repro.resilience.journal import MemoryJournal
+from repro.resilience.journal import MemoryJournal, WriteFaults
 from repro.resilience.supervisor import (
     STAND_DOWN_SLEEP_US,
     RestartPolicy,
     SupervisedAlpsBehavior,
     Supervisor,
+    SupervisorState,
 )
+from repro.sim.rng import RngStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.alps.agent import AlpsAgent
@@ -143,9 +145,8 @@ class CellBehavior(SupervisedAlpsBehavior):
     def next_action(self, proc: "Process", kapi: "KernelAPI") -> Action:
         sup = self.supervisor
         if not self._bound:
-            sup.bind_observer(getattr(kapi, "observer", None))
-            self._bound = True
-        if sup.degraded:
+            self._bind(kapi)
+        if sup.state is SupervisorState.DEGRADED:
             return Sleep(STAND_DOWN_SLEEP_US, channel="alpsdown")
         now = kapi.now
         crash = self.resilience.crash_due(self.cell, now)
@@ -171,8 +172,9 @@ class CellBehavior(SupervisedAlpsBehavior):
                 crash.downtime_us + decision.backoff_us,
                 channel="alpsrestart",
             )
-        sup.heartbeat(now, slip_us=self.agent.timer_slip_us)
-        return self.agent.next_action(proc, kapi)
+        agent = self.agent
+        sup.heartbeat(now, agent.timer_slip_us)
+        return agent.next_action(proc, kapi)
 
 
 class PlaneResilience:
@@ -224,44 +226,27 @@ class PlaneResilience:
         self.journal_writes_lost = 0
         self.journal_writes_torn = 0
         self.last_rehome_us: Optional[int] = None
-        self._rng = None
+        self._rng = RngStreams(self.config.seed)
 
     # ------------------------------------------------------------------
     # Cell lifecycle
     # ------------------------------------------------------------------
-    def _journal_fault_hook(self, cell: int):
+    def _journal_fault_hook(self, cell: int) -> Optional["WriteFaults"]:
         """Per-cell journal write-fault hook drawn from the plan.
 
-        Mirrors the injector's ``fault_journal_append`` but with a
-        plane-owned RNG stream per cell, so enabling journal faults on
-        one cell cannot shift another cell's draws.
+        The injector's rule (:meth:`FaultInjector.journal_fault_hook`)
+        with a plane-owned RNG stream per cell, so enabling journal
+        faults on one cell cannot shift another cell's draws.
         """
-        plan = self.plan
-        if (
-            plan.journal_write_fail_prob <= 0
-            and plan.journal_torn_write_prob <= 0
-        ):
-            return None
-        from repro.sim.rng import RngStreams
+        return WriteFaults.for_plan(
+            self.plan, self._rng, f"plane.journal:{cell}", self._note_journal_fault
+        )
 
-        if self._rng is None:
-            self._rng = RngStreams(self.config.seed)
-        stream = self._rng.stream(f"plane.journal:{cell}")
-        lost_p = plan.journal_write_fail_prob
-        torn_p = plan.journal_torn_write_prob
-
-        def hook(encoded: bytes) -> Optional[bytes]:
-            draw = stream.random()
-            if draw < lost_p:
-                self.journal_writes_lost += 1
-                return None
-            if draw < lost_p + torn_p:
-                cut = 1 + int(stream.integers(0, max(1, len(encoded) - 1)))
-                self.journal_writes_torn += 1
-                return encoded[:cut]
-            return encoded
-
-        return hook
+    def _note_journal_fault(self, kept: Optional[int], size: int) -> None:
+        if kept is None:
+            self.journal_writes_lost += 1
+        else:
+            self.journal_writes_torn += 1
 
     def cell_health(self, cell: int) -> CellHealth:
         """The cell's health record, created on first use."""

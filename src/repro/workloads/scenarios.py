@@ -144,7 +144,7 @@ def build_controlled_workload(
         injector = FaultInjector(fault_plan, engine, kernel)
         injector.arm([w.pid for w in workers])
     if journal is not None and injector is not None and journal.fault_hook is None:
-        journal.fault_hook = injector.fault_journal_append
+        journal.fault_hook = injector.journal_fault_hook()
     alps_proc, agent = spawn_alps(
         kernel,
         subjects,

@@ -7,10 +7,12 @@ must replay byte-identically for equal seeds.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.alps.agent import spawn_alps
 from repro.alps.config import AlpsConfig
 from repro.alps.subjects import UserSubject
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultInjector, FaultyKernelAPI
 from repro.faults.plan import (
     AgentCrash,
     AgentStall,
@@ -20,9 +22,12 @@ from repro.faults.plan import (
     default_fault_plan,
 )
 from repro.kernel.kernel import Kernel
+from repro.perf.differential import fingerprint_run
+from repro.resilience.journal import MemoryJournal, WriteFaults
 from repro.sim.engine import Engine
 from repro.units import ms, sec
 from repro.workloads.scenarios import build_controlled_workload
+from repro.workloads.shares import ShareDistribution, workload_shares
 from repro.workloads.spinner import spinner_behavior
 
 CFG = AlpsConfig(quantum_us=ms(10))
@@ -200,3 +205,80 @@ def test_agent_crash_trace_records_downtime():
     cw = _run(plan)
     lines = cw.injector.trace_lines()
     assert any("agent-crash downtime_us=30000" in line for line in lines)
+
+
+# ----------------------------------------------------------------------
+# Pass-throughs: a plan that cannot perturb a call or a write adds no layer
+# ----------------------------------------------------------------------
+#: Plans with faults of every kind except system-call ones.
+NO_SYSCALL_FAULTS = (
+    FaultPlan(),
+    FaultPlan(crashes=(ProcessCrash(time_us=sec(1), victim_index=0),)),
+    FaultPlan(
+        agent_stalls=(AgentStall(time_us=sec(1)),),
+        agent_stall_prob=0.05,
+        agent_crashes=(AgentCrash(time_us=ms(1500)),),
+    ),
+    FaultPlan(journal_write_fail_prob=0.2, journal_torn_write_prob=0.1),
+)
+
+
+def _injector(plan):
+    engine = Engine(seed=0)
+    kernel = Kernel(engine)
+    return FaultInjector(plan, engine, kernel), kernel.kapi
+
+
+@pytest.mark.parametrize("plan", NO_SYSCALL_FAULTS)
+def test_wrap_hands_out_the_raw_kapi_without_syscall_faults(plan):
+    injector, kapi = _injector(plan)
+    assert injector.wrap(kapi) is kapi
+
+
+@pytest.mark.parametrize(
+    "field", ("rusage_fail_prob", "signal_drop_prob", "signal_delay_prob")
+)
+def test_any_syscall_fault_probability_gets_the_proxy(field):
+    injector, kapi = _injector(FaultPlan(**{field: 0.01}))
+    assert isinstance(injector.wrap(kapi), FaultyKernelAPI)
+
+
+def test_table2_cell_digest_is_the_same_with_and_without_the_proxy(monkeypatch):
+    plan = FaultPlan(
+        seed=4,
+        agent_stalls=(AgentStall(time_us=sec(1)),),
+        agent_stall_prob=0.02,
+        agent_crashes=(AgentCrash(time_us=ms(1500)),),
+        journal_write_fail_prob=0.1,
+        journal_torn_write_prob=0.05,
+    )
+    shares = workload_shares(ShareDistribution.LINEAR, 10)
+
+    def fingerprint():
+        return fingerprint_run(
+            shares, seed=1, horizon_us=sec(3), resilience=True, fault_plan=plan
+        )
+
+    direct = fingerprint()
+    monkeypatch.setattr(
+        FaultInjector, "wrap", lambda self, kapi: FaultyKernelAPI(kapi, self)
+    )
+    assert fingerprint() == direct
+    assert b"agent-crash" in direct.trace and b"journal-" in direct.trace
+
+
+@pytest.mark.parametrize("plan", NO_SYSCALL_FAULTS[:3])
+def test_journal_gets_no_hook_from_a_plan_without_write_faults(plan):
+    journal = MemoryJournal()
+    build_controlled_workload([1, 2, 3], CFG, journal=journal, fault_plan=plan)
+    assert journal.fault_hook is None
+
+
+@pytest.mark.parametrize(
+    "probs", ((0.1, 0.0), (0.0, 0.1), (0.1, 0.05)), ids=("lost", "torn", "both")
+)
+def test_journal_gets_the_write_fault_hook_from_a_plan_with_them(probs):
+    journal = MemoryJournal()
+    plan = FaultPlan(journal_write_fail_prob=probs[0], journal_torn_write_prob=probs[1])
+    build_controlled_workload([1, 2, 3], CFG, journal=journal, fault_plan=plan)
+    assert isinstance(journal.fault_hook, WriteFaults)
