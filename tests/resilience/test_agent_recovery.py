@@ -6,10 +6,11 @@ from repro.alps.config import AlpsConfig
 from repro.experiments.common import run_for_cycles
 from repro.faults.plan import AgentCrash, FaultPlan
 from repro.obs.observer import Observer
-from repro.resilience.journal import MemoryJournal
+from repro.resilience.journal import LOST, MemoryJournal
 from repro.resilience.supervisor import RestartPolicy, Supervisor
 from repro.units import ms, sec
 from repro.workloads.scenarios import build_controlled_workload
+from tests.resilience.scripted_faults import scripted_faults
 
 SHARES = (1, 2, 3)
 CFG = AlpsConfig(quantum_us=ms(10))
@@ -62,7 +63,7 @@ def test_crash_without_journal_takes_lossy_path():
 
 
 def test_corrupt_journal_falls_back_to_reconciliation():
-    journal = MemoryJournal(fault_hook=lambda encoded: None)  # lose all
+    journal = MemoryJournal(fault_hook=scripted_faults(lambda: LOST))  # lose all
     cw = build(plan=crash_plan(0), journal=journal)
     run_for_cycles(cw, 30, max_sim_us=sec(4), on_incomplete="ignore")
     assert cw.agent.restarts == 1

@@ -7,7 +7,9 @@ import pytest
 from repro.alps.algorithm import AlpsCore
 from repro.errors import JournalCorruptError
 from repro.resilience.journal import (
+    LOST,
     MAX_DELTA_CHAIN,
+    TORN,
     FileJournal,
     MemoryJournal,
     core_snapshot,
@@ -16,6 +18,7 @@ from repro.resilience.journal import (
     recover_journal,
     restore_state,
 )
+from tests.resilience.scripted_faults import scripted_faults
 
 
 def payload(n: int) -> dict:
@@ -127,14 +130,10 @@ def test_memory_journal_roundtrip_and_seq_advance():
 
 
 def test_memory_journal_fault_hook_can_lose_and_tear():
-    drops = iter([None, b"ALPSJ1 torn", *([None] * 0)])
-
-    def hook(encoded: bytes):
-        try:
-            return next(drops)
-        except StopIteration:
-            return encoded
-
+    noted = []
+    hook = scripted_faults(
+        [LOST, TORN], keep=lambda size: 11, note=lambda *fault: noted.append(fault)
+    )
     j = MemoryJournal(fault_hook=hook)
     j.append(payload(0))  # lost
     j.append(payload(1))  # torn
@@ -142,6 +141,9 @@ def test_memory_journal_fault_hook_can_lose_and_tear():
     rec = j.recover()
     assert rec.snapshot == payload(2)
     assert rec.records == 1
+    size = len(encode_record(0, payload(0)))
+    assert noted == [(None, size), (11, size)]
+    assert j.data.startswith(encode_record(1, payload(1))[:11] + b"ALPSJ1 2 ")
 
 
 def test_memory_journal_compaction_preserves_recovery_point():
@@ -348,16 +350,13 @@ def test_store_asks_for_a_checkpoint_first_and_after_a_long_chain():
     assert not j.needs_checkpoint
 
 
-@pytest.mark.parametrize("fate", ["lost", "torn"])
+@pytest.mark.parametrize("fate", [LOST, TORN])
 @pytest.mark.parametrize("kind", ["checkpoint", "delta"])
 def test_store_asks_for_a_checkpoint_after_a_failed_append(fate, kind):
     fail = [False]
-
-    def hook(encoded: bytes):
-        if not fail[0]:
-            return encoded
-        return None if fate == "lost" else encoded[: len(encoded) // 2]
-
+    hook = scripted_faults(
+        lambda: fate if fail[0] else None, keep=lambda size: size // 2
+    )
     j = MemoryJournal(fault_hook=hook)
     j.append(checkpoint())
     j.append_delta(delta(1))
