@@ -110,8 +110,9 @@ class AlpsAgent:
             optimized=config.optimized,
         )
         #: The kapi of the current entry point, which the policy's port
-        #: acts through: the agent's own activations see the surface
-        #: its behavior wrapper hands it, external callers their own.
+        #: and the read retry act through: the agent's own activations
+        #: see the surface its behavior wrapper hands it, external
+        #: callers their own.
         self._kapi: Optional["KernelAPI"] = None
         #: Admission, degradation and share-tree policy
         #: (:mod:`repro.alps.policy`); ``subjects`` is its member map.
@@ -599,18 +600,18 @@ class AlpsAgent:
         """Measurement CPU spent: read progress now and run the algorithm.
 
         The reads are :func:`~repro.alps.measure.measure_due` over this
-        kapi; a dead pid is forgotten (the next wake's liveness sweep
-        takes its subject out of the core).
+        kapi's one-read ``read_progress``; a dead pid is forgotten (the
+        next wake's liveness sweep takes its subject out of the core).
         """
         now = kapi.now  # no events fire inside next_action: read once
         self.sampling_delays_us.append(now - self._wake_boundary)
-        measurements, anomalies = measure_due(
+        self._kapi = kapi  # what _retry_read reads through
+        measurements, anomalies, suspects = measure_due(
             self._due,
             self.core,
-            read=kapi.getrusage,
-            retry=lambda pid: self._retry_read(kapi, pid),
-            is_blocked=kapi.is_blocked,
-            dead=lambda sid, pid: self._forget_pid(pid),
+            read=kapi.read_progress,
+            retry=self._retry_read,
+            dead=self._forget_dead,
             last_read=self._last_read,
             cumulative=self._cumulative,
             debt=self._deferred_debt,
@@ -620,7 +621,7 @@ class AlpsAgent:
         decisions = self.core.complete_quantum(measurements)
         if self.cfg.enforce_invariants:
             self.core.check_runtime_invariants()
-        self._pending_signals = self._signals_for(kapi, decisions)
+        self._pending_signals = self._signals_for(kapi, decisions, suspects)
         obs = self._obs
         if obs is not None and obs.enabled:
             events = obs.events
@@ -715,6 +716,7 @@ class AlpsAgent:
         """
         payload = self._recovered
         self._recovered = None
+        self._kapi = kapi  # what _retry_read reads through
         now = kapi.now
         obs = self._obs
         try:
@@ -761,10 +763,11 @@ class AlpsAgent:
                     continue
                 except TransientReadError:
                     try:
-                        usage = self._retry_read(kapi, pid)
+                        progress = self._retry_read(pid)
                     except NoSuchProcessError:
                         self._forget_pid(pid)
-                        usage = None
+                        progress = None
+                    usage = None if progress is None else progress[0]
                 if usage is not None:
                     base = last_read.get(pid)
                     if base is not None and usage > base:
@@ -885,10 +888,15 @@ class AlpsAgent:
         # eligibility transition gets another chance.
 
     def _signals_for(
-        self, kapi: "KernelAPI", decisions: QuantumDecisions
+        self,
+        kapi: "KernelAPI",
+        decisions: QuantumDecisions,
+        suspects: list[tuple[int, int]],
     ) -> list[tuple[int, int]]:
-        """SIGSTOP/SIGCONT per transition, plus wedge healing — the
-        agent's own rule (docs/algorithm.md, "Two drivers, one fold")."""
+        """SIGSTOP/SIGCONT per transition, plus wedge healing over the
+        measurement's ``suspects`` (the due pids it read stopped or could
+        not read) — the agent's own rule (docs/algorithm.md, "Two
+        drivers, one fold")."""
         signals: list[tuple[int, int]] = []
         to_suspend = decisions.to_suspend
         suspend = set(to_suspend) if to_suspend else _EMPTY_SET
@@ -909,22 +917,22 @@ class AlpsAgent:
         # Wedge healing: a subject measured this quantum that is (and
         # stays) eligible must not have stopped processes.  A pid found
         # stopped here lost a SIGCONT (or caught a delayed SIGSTOP); the
-        # agent's bookkeeping can't be trusted, kernel state is.
+        # agent's bookkeeping can't be trusted, kernel state is.  Every
+        # other due pid was read running (or dead) this very activation,
+        # so only the suspects need a look.
         core_get = self.core.subjects.get
-        is_stopped = kapi.is_stopped
         eligible = Eligibility.ELIGIBLE
-        for sid, pids in self._due:
+        for sid, pid in suspects:
             st = core_get(sid)
             if st is None or st.state is not eligible or sid in suspend:
                 continue
-            for pid in pids:
-                try:
-                    if is_stopped(pid):
-                        signals.append((pid, SIGCONT))
-                        self._stopped_pids.add(pid)  # make delivery resume it
-                        self.heals += 1
-                except NoSuchProcessError:
-                    self._forget_pid(pid)
+            try:
+                if kapi.is_stopped(pid):
+                    signals.append((pid, SIGCONT))
+                    self._stopped_pids.add(pid)  # make delivery resume it
+                    self.heals += 1
+            except NoSuchProcessError:
+                self._forget_pid(pid)
         return signals
 
     def _refresh_principals(self, kapi: "KernelAPI") -> float:
@@ -997,8 +1005,14 @@ class AlpsAgent:
         self._stopped_pids.discard(pid)
         self._journal_stale = True
 
-    def _retry_read(self, kapi: "KernelAPI", pid: int) -> Optional[int]:
-        """Continue a getrusage whose first attempt failed transiently.
+    def _forget_dead(self, sid: int, pid: int) -> None:
+        """The measurement's death report: forget ``pid`` (the next
+        wake's liveness sweep takes its subject out of the core)."""
+        self._forget_pid(pid)
+
+    def _retry_read(self, pid: int) -> Optional[tuple[int, bool, bool]]:
+        """Continue a ``read_progress`` whose first attempt failed
+        transiently, through the current activation's kapi.
 
         Performs up to ``read_retry_budget`` further attempts, charging
         each retry's CPU into the next quantum.  Raises
@@ -1008,11 +1022,12 @@ class AlpsAgent:
         consumption — a skipped measurement defers accounting, it never
         loses it.
         """
+        read = self._kapi.read_progress
         for _ in range(self.cfg.read_retry_budget):
             self.read_retries += 1
             self._deferred_cost_us += self.cfg.costs.measure_per_proc_us
             try:
-                return kapi.getrusage(pid)
+                return read(pid)
             except TransientReadError:
                 continue
         self.read_failures += 1

@@ -121,6 +121,13 @@ class AlpsCore:
         #: subjects, besides measured ones, whose update bookkeeping the
         #: matching complete_quantum can owe a write to).
         self._last_due: list[int] = []
+        #: Rows partial sweeps wrote since the last passing
+        #: check_runtime_invariants; None once a full sweep ran (or the
+        #: list outgrew the table), so the next check scans every row.
+        self._unchecked: Optional[list[int]] = None
+        #: Eligible subjects, exact whenever ``_unchecked`` is a list
+        #: and nothing set ``_dirty``: the livelock clause's O(1) input.
+        self._n_eligible = 0
         for sid, share in shares.items():
             self._insert_subject(sid, share)
         self.tc = self.cycle_length_us
@@ -213,16 +220,14 @@ class AlpsCore:
         """
         count = self.count + 1
         self.count = count
-        due: list[int] = []
-        append = due.append
         eligible = Eligibility.ELIGIBLE
-        optimized = self.optimized
-        for sid, st in self.subjects.items():
-            if st.state is not eligible:
-                continue
-            if optimized and st.update > count:
-                continue
-            append(sid)
+        items = self.subjects.items()
+        if self.optimized:
+            due = [
+                sid for sid, st in items if st.state is eligible and st.update <= count
+            ]
+        else:
+            due = [sid for sid, st in items if st.state is eligible]
         self._last_due = due
         return due
 
@@ -241,7 +246,6 @@ class AlpsCore:
         q = self.quantum_us
         subjects = self.subjects
         subjects_get = subjects.get
-        measured_set: set[int] = set()
         tc = self.tc
         # Measurement is a NamedTuple: unpack it instead of two
         # attribute reads per entry.
@@ -249,15 +253,15 @@ class AlpsCore:
             st = subjects_get(sid)
             if st is None:
                 continue  # subject removed between begin and complete
-            st.allowance -= consumed / q
-            tc -= consumed
-            st.consumed_this_cycle += consumed
+            if consumed:  # most due subjects did not run: nothing to charge
+                st.allowance -= consumed / q
+                tc -= consumed
+                st.consumed_this_cycle += consumed
             st.measurements += 1
             if was_blocked:
                 st.allowance -= 1.0
                 tc -= q
                 st.blocked_quanta_this_cycle += 1
-            measured_set.add(sid)
         self.tc = tc
 
         decisions = QuantumDecisions()
@@ -288,12 +292,13 @@ class AlpsCore:
                     else:
                         decisions.to_suspend.append(sid)
                     st.state = new_state
-                if st.update <= count or sid in measured_set:
-                    up = ceil(allowance)
-                    if up < 1:
-                        up = 1
+                if st.update <= count or sid in measurements:
+                    # ceil(allowance), at least 1 (a NaN allowance, which
+                    # check_runtime_invariants reports, gets 1 too).
+                    up = ceil(allowance) if allowance > 1 else 1
                     st.update = count + up * boost
             self._dirty = False
+            self._unchecked = None
         else:
             # No credit and no external change: only subjects whose
             # allowance this call touched (measured) or that were due
@@ -304,27 +309,37 @@ class AlpsCore:
             # recomputes from the same inputs — so the skip is
             # unobservable (the oracle differential test pins this).
             visit = self._last_due
-            if not measured_set.issubset(visit):
-                # Measured but not due: only after a restore.
-                due = set(visit)
-                visit = visit + [sid for sid in measured_set if sid not in due]
+            stray = measurements.keys() - visit
+            if stray:
+                # Measured but not due (only after a restore): visit too.
+                visit = visit + [
+                    sid for sid in measurements if sid in stray and sid in subjects
+                ]
+            to_resume = decisions.to_resume
+            to_suspend = decisions.to_suspend
             for sid in visit:
-                st = subjects_get(sid)
-                if st is None:
-                    continue
+                # Present: a removal since begin_quantum set _dirty.
+                st = subjects[sid]
                 allowance = st.allowance
                 new_state = eligible if allowance > 0 else ineligible
                 if new_state is not st.state:
                     if new_state is eligible:
-                        decisions.to_resume.append(sid)
+                        to_resume.append(sid)
                     else:
-                        decisions.to_suspend.append(sid)
+                        to_suspend.append(sid)
                     st.state = new_state
-                if st.update <= count or sid in measured_set:
-                    up = ceil(allowance)
-                    if up < 1:
-                        up = 1
+                if st.update <= count or sid in measurements:
+                    # ceil(allowance), at least 1 (a NaN allowance, which
+                    # check_runtime_invariants reports, gets 1 too).
+                    up = ceil(allowance) if allowance > 1 else 1
                     st.update = count + up * boost
+            unchecked = self._unchecked
+            if unchecked is not None:
+                if len(unchecked) > len(subjects):
+                    self._unchecked = None  # a full scan is no dearer now
+                else:
+                    unchecked += visit
+                    self._n_eligible += len(to_resume) - len(to_suspend)
         return decisions
 
     def _finish_cycle(self) -> CycleRecord:
@@ -370,48 +385,34 @@ class AlpsCore:
           pending (``tc > 0``), at least one subject must be eligible —
           an all-ineligible state with a positive cycle remainder can
           never measure progress and would idle the group forever.
+
+        Only the rows partial sweeps wrote since the last passing check
+        are read, against a kept count of eligible subjects: only core
+        methods write ``allowance`` and ``state``, and every write
+        outside a partial sweep — a full sweep, a membership or share
+        change, a restore — makes this call scan every row instead, so
+        the verdict is the full scan's.
         """
-        isfinite = math.isfinite
-        eligible_state = Eligibility.ELIGIBLE
-        any_eligible = False
-        # Iterate values() — the sid is only needed for error messages,
-        # and the failure path recovers it with a cold scan.
-        for st in self.subjects.values():
+        subjects = self.subjects
+        rows = self._unchecked
+        eligible = Eligibility.ELIGIBLE
+        if rows is None or self._dirty:
+            rows = subjects
+            self._n_eligible = sum(st.state is eligible for st in subjects.values())
+        for sid in rows:
+            st = subjects[sid]
             allowance = st.allowance
-            if not isfinite(allowance):
-                sid = self._sid_of(st)
+            # allowance - allowance is 0.0 exactly when it is finite.
+            if allowance - allowance or (st.state is eligible) is not (allowance > 0):
                 raise SimulationError(
                     f"subject {sid} allowance is not finite: {allowance}"
-                )
-            eligible = st.state is eligible_state
-            if eligible != (allowance > 0):
-                sid = self._sid_of(st)
-                raise SimulationError(
-                    f"subject {sid} eligibility {st.state} inconsistent "
+                    if allowance - allowance
+                    else f"subject {sid} eligibility {st.state} inconsistent "
                     f"with allowance {allowance}"
                 )
-            if eligible:
-                any_eligible = True
-        if self.subjects and self.tc > 0 and not any_eligible:
+        if subjects and self.tc > 0 and not self._n_eligible:
             raise SimulationError(
                 "livelock: all subjects ineligible with cycle remainder "
                 f"tc={self.tc} > 0"
             )
-
-    def _sid_of(self, state: SubjectState) -> int:
-        """Recover a subject's id from its state object (error paths)."""
-        for sid, st in self.subjects.items():
-            if st is state:
-                return sid
-        return -1  # pragma: no cover - state not in the table
-
-    def invariant_check(self) -> None:
-        """Sanity checks used by tests: eligibility matches allowance sign.
-
-        Raises AssertionError on violation.
-        """
-        for sid, st in self.subjects.items():
-            if st.allowance > 0:
-                assert st.state is Eligibility.ELIGIBLE, (sid, st)
-            else:
-                assert st.state is Eligibility.INELIGIBLE, (sid, st)
+        self._unchecked = []

@@ -287,6 +287,19 @@ class FaultInjector:
     # Per-operation faults (called by FaultyKernelAPI)
     # ------------------------------------------------------------------
     def fault_getrusage(self, kapi: "KernelAPI", pid: int) -> int:
+        self._fail_read(pid)
+        return kapi.getrusage(pid)
+
+    def fault_read_progress(
+        self, kapi: "KernelAPI", pid: int
+    ) -> tuple[int, bool, bool]:
+        """:meth:`fault_getrusage` for the one-read progress triple: the
+        same draw, so either read advances the ``read`` stream alike."""
+        self._fail_read(pid)
+        return kapi.read_progress(pid)
+
+    def _fail_read(self, pid: int) -> None:
+        """Draw whether this accounting read fails; raise if it does."""
         plan = self.plan
         if plan.rusage_fail_prob > 0 and (
             float(self.rng.stream("read").random()) < plan.rusage_fail_prob
@@ -294,7 +307,6 @@ class FaultInjector:
             self.reads_failed += 1
             self.record("read-fail", f"pid={pid}")
             raise TransientReadError(pid)
-        return kapi.getrusage(pid)
 
     def fault_kill(self, kapi: "KernelAPI", pid: int, signo: int) -> None:
         plan = self.plan
@@ -429,6 +441,9 @@ class FaultyKernelAPI:
 
     def getrusage(self, pid: int) -> int:
         return self._injector.fault_getrusage(self._inner, pid)
+
+    def read_progress(self, pid: int) -> tuple[int, bool, bool]:
+        return self._injector.fault_read_progress(self._inner, pid)
 
     def kill(self, pid: int, signo: int) -> None:
         self._injector.fault_kill(self._inner, pid, signo)

@@ -183,8 +183,6 @@ class HostAlps:
         #: and the uncontrollable ones.
         self._excluded = set(self.host.ancestors())
         self.view = ProcView(self.host, self._excluded)
-        #: State letter of the pid last read (its blocked vote).
-        self._state = "R"
         #: pid -> sid of each single-process member (death finds it in O(1)).
         self._proc_sids = _proc_sids(members)
         #: Transient procfs reads that needed a retry (statistics).
@@ -301,12 +299,11 @@ class HostAlps:
             self._forget_pid(pid)  # a lone pid takes its subject with it
             shrunk.append(sid)
 
-        measurements, _ = measure_due(
+        measurements, _, _ = measure_due(
             due,
             self.core,
             read=self._read,
             retry=self._retry_read,
-            is_blocked=self._is_blocked,
             dead=dead,
             last_read=self._last_read,
             cumulative=self._cumulative,
@@ -426,18 +423,22 @@ class HostAlps:
         self._journal_stale = True
         return True
 
-    def _read(self, pid: int) -> int:
-        """The fold's reader: ``pid``'s CPU time (µs), keeping its state
-        for the blocked vote that follows."""
+    def _read(self, pid: int) -> tuple[int, bool, bool]:
+        """The fold's reader: ``(cpu_us, blocked, stopped)`` of ``pid``
+        from its one stat read.  It votes blocked when asleep, or
+        stopped by someone else (one we stopped would run once
+        resumed)."""
         try:
-            usage, self._state = self.host.read(pid)
+            usage, state = self.host.read(pid)
         except HostOSError:
             if self.host.pid_exists(pid):
                 raise TransientReadError(pid) from None
             raise NoSuchProcessError(pid) from None
-        return usage
+        if state == "T":
+            return usage, pid not in self._stopped, True
+        return usage, state in ("S", "D"), False
 
-    def _retry_read(self, pid: int) -> Optional[int]:
+    def _retry_read(self, pid: int) -> Optional[tuple[int, bool, bool]]:
         """Retry a read that failed while its pid existed, up to
         ``read_retry_budget`` times; None once the budget is spent."""
         for _ in range(self.read_retry_budget):
@@ -447,12 +448,6 @@ class HostAlps:
             except TransientReadError:
                 continue
         return None
-
-    def _is_blocked(self, pid: int) -> bool:
-        """The state just read votes blocked: asleep, or stopped by
-        someone else (one we stopped would run once resumed)."""
-        state = self._state
-        return state in ("S", "D") or (state == "T" and pid not in self._stopped)
 
     def _stop(self, pid: int) -> bool:
         """SIGSTOP ``pid`` unless it is gone or someone else stopped it

@@ -238,3 +238,29 @@ def test_discovery_stop_is_charged_signal_cost():
     assert (301, SIGSTOP) in kapi.kills
     assert 301 in agent._stopped_pids
     assert cost >= cfg.costs.principal_refresh_us + cfg.costs.signal_us
+
+
+def test_wedge_healing_covers_a_pid_left_unread():
+    """A pid whose read failed through every retry was never seen
+    running, so healing still inspects it: wedged, it is resumed."""
+    from repro.errors import TransientReadError
+
+    class FlakyKapi(FakeKapi):
+        def getrusage(self, pid):
+            if pid == 100:
+                raise TransientReadError(pid)
+            return super().getrusage(pid)
+
+    agent, kapi = make_agent((1, 1))
+    _walk_to_second_wake(agent, kapi)
+    flaky = FlakyKapi()
+    flaky.__dict__.update(kapi.__dict__)
+    flaky.stopped.add(100)
+    flaky.now += 20
+    act = agent.next_action(None, flaky)  # apply: 100 unread, yet healed
+    assert agent.read_failures == 1
+    assert isinstance(act, Compute)
+    flaky.now += act.duration_us
+    agent.next_action(None, flaky)  # deliver
+    assert (100, SIGCONT) in flaky.kills
+    assert agent.heals == 1

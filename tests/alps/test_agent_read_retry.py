@@ -16,32 +16,35 @@ Q = 10_000
 
 
 class RetryKapi:
-    """getrusage scripted per call; everything else inert."""
+    """read_progress scripted per call (a running, unstopped pid);
+    everything else inert."""
 
     def __init__(self, script) -> None:
         self.now = 0
         self.script = list(script)
         self.calls = 0
 
-    def getrusage(self, pid: int) -> int:
+    def read_progress(self, pid: int) -> tuple[int, bool, bool]:
         self.calls += 1
         step = self.script.pop(0) if self.script else 0
         if isinstance(step, Exception):
             raise step
-        return step
+        return step, False, False
 
 
-def make_agent(budget: int) -> AlpsAgent:
-    return AlpsAgent(
+def make_agent(budget: int, kapi: RetryKapi) -> AlpsAgent:
+    agent = AlpsAgent(
         [ProcessSubject(sid=0, share=1, pid=100)],
         AlpsConfig(quantum_us=Q, read_retry_budget=budget),
     )
+    agent._kapi = kapi  # the activation's kapi, which retries read through
+    return agent
 
 
 def test_retry_read_succeeds_within_budget():
-    agent = make_agent(budget=3)
     kapi = RetryKapi([TransientReadError(100), 4321])
-    assert agent._retry_read(kapi, 100) == 4321
+    agent = make_agent(3, kapi)
+    assert agent._retry_read(100) == (4321, False, False)
     assert agent.read_retries == 2
     assert agent.read_failures == 0
     # Each retry's CPU is owed to the next quantum, never free.
@@ -49,10 +52,10 @@ def test_retry_read_succeeds_within_budget():
 
 
 def test_retry_read_exhaustion_returns_none_and_counts_failure():
-    agent = make_agent(budget=2)
-    agent._last_read[100] = 777  # pre-existing baseline
     kapi = RetryKapi([TransientReadError(100)] * 10)
-    assert agent._retry_read(kapi, 100) is None
+    agent = make_agent(2, kapi)
+    agent._last_read[100] = 777  # pre-existing baseline
+    assert agent._retry_read(100) is None
     assert kapi.calls == 2  # exactly the budget, no unbounded spinning
     assert agent.read_retries == 2
     assert agent.read_failures == 1
@@ -62,9 +65,9 @@ def test_retry_read_exhaustion_returns_none_and_counts_failure():
 
 
 def test_retry_read_zero_budget_fails_immediately():
-    agent = make_agent(budget=0)
     kapi = RetryKapi([1234])
-    assert agent._retry_read(kapi, 100) is None
+    agent = make_agent(0, kapi)
+    assert agent._retry_read(100) is None
     assert kapi.calls == 0
     assert agent.read_failures == 1
 
@@ -73,24 +76,24 @@ def test_retry_read_discriminates_gone_from_transient():
     """A pid that vanishes mid-retry is death, not a transient glitch:
     the measurement fold hears of it, its per-pid records go, and no
     failure is counted against the retry machinery."""
-    agent = make_agent(budget=3)
-    agent._last_read[100] = 777
-    agent._stopped_pids.add(100)
     kapi = RetryKapi([TransientReadError(100), TransientReadError(100),
                       NoSuchProcessError(100)])
-    measurements, _ = measure_due(
+    agent = make_agent(3, kapi)
+    agent._last_read[100] = 777
+    agent._stopped_pids.add(100)
+    measurements, _, suspects = measure_due(
         [(0, [100])],
         agent.core,
-        read=kapi.getrusage,
-        retry=lambda pid: agent._retry_read(kapi, pid),
-        is_blocked=lambda pid: False,
-        dead=lambda sid, pid: agent._forget_pid(pid),
+        read=kapi.read_progress,
+        retry=agent._retry_read,
+        dead=agent._forget_dead,
         last_read=agent._last_read,
         cumulative=agent._cumulative,
         debt={},
         track_io=True,
     )
     assert measurements == {0: (0, False)}  # no live pid: not blocked
+    assert suspects == []  # a dead pid needs no wedge healing
     assert agent.read_failures == 0
     assert 100 not in agent._last_read
     assert 100 not in agent._stopped_pids

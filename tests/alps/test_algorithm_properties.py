@@ -44,7 +44,7 @@ def _drive(core: AlpsCore, rng_draws, quanta: int) -> list[dict]:
             draw_i += 1
             measurements[sid] = Measurement(consumed_us=consumed)
         core.complete_quantum(measurements)
-        core.invariant_check()
+        core.check_runtime_invariants()
         snapshots.append(
             {sid: s.state for sid, s in core.subjects.items()}
         )
