@@ -6,72 +6,15 @@ runs the Table 2 workloads at Q = 10 ms with the optimization on and
 off and reports the per-workload reduction factors.
 """
 
-import pytest
-
-from benchmarks.conftest import emit
-from repro.analysis.export import write_csv
-from repro.analysis.tables import format_table
-from repro.experiments.overhead import run_overhead_point
-from repro.metrics.accuracy import mean_rms_relative_error
-from repro.workloads.shares import DISTRIBUTIONS
-
-SIZES = (5, 10, 20)
-
-
-def _sweep():
-    out = []
-    for model in DISTRIBUTIONS:
-        for n in SIZES:
-            opt = run_overhead_point(model, n, 10, cycles=40, optimized=True)
-            unopt = run_overhead_point(model, n, 10, cycles=40, optimized=False)
-            out.append((model, n, opt, unopt))
-    return out
+from benchmarks.conftest import reproduce
+from repro.experiments.registry import ABLATION
 
 
 def test_optimization_ablation(benchmark, results_dir):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-
-    rows = []
-    factors = []
-    for model, n, opt, unopt in results:
-        factor = unopt.overhead_pct / opt.overhead_pct
-        read_factor = unopt.reads / max(opt.reads, 1)
-        factors.append(factor)
-        rows.append(
-            [
-                f"{model.value}{n}",
-                round(unopt.overhead_pct, 3),
-                round(opt.overhead_pct, 3),
-                round(factor, 2),
-                round(read_factor, 2),
-            ]
-        )
-    emit(
-        "ABLATION — measurement postponement (Q = 10 ms)",
-        format_table(
-            [
-                "workload",
-                "unoptimized ovh %",
-                "optimized ovh %",
-                "overhead factor",
-                "reads factor",
-            ],
-            rows,
-        )
-        + "\n\npaper: overhead reduced by 1.8×–5.9× across workloads",
+    points = reproduce(
+        benchmark, results_dir, ABLATION, "ablation_optimization.csv"
     )
-    write_csv(
-        results_dir / "ablation_optimization.csv",
-        [
-            {
-                "workload": f"{model.value}{n}",
-                "unoptimized_pct": unopt.overhead_pct,
-                "optimized_pct": opt.overhead_pct,
-                "factor": unopt.overhead_pct / opt.overhead_pct,
-            }
-            for model, n, opt, unopt in results
-        ],
-    )
+    factors = [r["factor"] for r in ABLATION.csv_rows(points)]
 
     # Every workload benefits; the band overlaps the paper's 1.8–5.9×.
     assert all(f > 1.2 for f in factors)

@@ -4,87 +4,20 @@ Regenerates the figure's nine series (Table 2 workloads) over quantum
 lengths.  Reproduction targets: most workloads under 5 % error; skewed
 highest and rising with the quantum; equal/linear flat and low.
 
-The sweep is scaled for benchmark runtime (fewer cycles/seeds than the
-paper's 200×3; pass the full protocol via repro.experiments.accuracy
-for a paper-exact run).
+The sweep is the ``fig4`` row's quick protocol (fewer cycles/seeds
+than the paper's 200×3; ``repro run fig4 --full`` is the paper-exact
+run).
 """
 
-import pytest
+from benchmarks.conftest import reproduce
+from repro.experiments.registry import FIG4
+from repro.workloads.shares import ShareDistribution
 
-from benchmarks.conftest import emit
-from repro.analysis.ascii_plot import ascii_series_plot
-from repro.analysis.export import write_csv
-from repro.analysis.tables import format_table
-from repro.experiments.accuracy import run_accuracy_point
-from repro.workloads.shares import DISTRIBUTIONS, ShareDistribution
-
-QUANTA_MS = (10, 20, 30, 40)
 SIZES = (5, 10, 20)
-CYCLES = {5: 120, 10: 70, 20: 40}
-
-
-def _sweep():
-    points = []
-    for model in DISTRIBUTIONS:
-        for n in SIZES:
-            for q in QUANTA_MS:
-                points.append(
-                    run_accuracy_point(
-                        model, n, q, cycles=CYCLES[n], seeds=(0,)
-                    )
-                )
-    return points
 
 
 def test_figure4_accuracy_sweep(benchmark, results_dir):
-    points = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-
-    # Table 2 header (the workloads themselves).
-    from repro.workloads.shares import workload_shares
-
-    t2rows = []
-    for model in DISTRIBUTIONS:
-        row = [model.value]
-        for n in SIZES:
-            shares = workload_shares(model, n)
-            row.append(
-                str(shares) if n == 5 else f"total={sum(shares)}"
-            )
-        t2rows.append(row)
-    emit(
-        "TABLE 2 — Workload share distributions",
-        format_table(["model", "5 procs", "10 procs", "20 procs"], t2rows),
-    )
-
-    by_label: dict[str, tuple[list[float], list[float]]] = {}
-    rows = []
-    for p in points:
-        xs, ys = by_label.setdefault(p.label, ([], []))
-        xs.append(p.quantum_ms)
-        ys.append(p.mean_rms_error_pct)
-        rows.append(
-            [p.label, p.quantum_ms, round(p.mean_rms_error_pct, 2), p.cycles]
-        )
-    emit(
-        "FIGURE 4 — Mean RMS relative error (%) vs quantum length (ms)",
-        format_table(["workload", "Q (ms)", "error %", "cycles"], rows)
-        + "\n\n"
-        + ascii_series_plot(
-            by_label, title="error % vs quantum (ms)", xlabel="Q ms", ylabel="err %"
-        ),
-    )
-    write_csv(
-        results_dir / "fig4_accuracy.csv",
-        [
-            {
-                "workload": p.label,
-                "quantum_ms": p.quantum_ms,
-                "mean_rms_error_pct": p.mean_rms_error_pct,
-                "cycles": p.cycles,
-            }
-            for p in points
-        ],
-    )
+    points = reproduce(benchmark, results_dir, FIG4, "fig4_accuracy.csv")
 
     # Shape assertions (the reproduction claims).
     err = {

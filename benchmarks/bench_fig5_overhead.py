@@ -6,67 +6,15 @@ Reproduction targets: overhead well under 1 % (paper: typically under
 shrinks and as the process count grows.
 """
 
-import pytest
-
-from benchmarks.conftest import emit
-from repro.analysis.ascii_plot import ascii_series_plot
-from repro.analysis.export import write_csv
-from repro.analysis.tables import format_table
-from repro.experiments.overhead import overhead_sweep
+from benchmarks.conftest import reproduce
+from repro.experiments.registry import FIG5
 from repro.workloads.shares import ShareDistribution
 
-SIZES = (5, 10, 15, 20)
 QUANTA_MS = (10, 20, 40)
 
 
 def test_figure5_overhead_sweep(benchmark, results_dir):
-    points = benchmark.pedantic(
-        lambda: overhead_sweep(sizes=SIZES, quanta_ms=QUANTA_MS, cycles=40),
-        rounds=1,
-        iterations=1,
-    )
-
-    series = {}
-    rows = []
-    for p in points:
-        key = f"{p.model.value},{int(p.quantum_ms)}ms"
-        xs, ys = series.setdefault(key, ([], []))
-        xs.append(p.n)
-        ys.append(p.overhead_pct)
-        rows.append(
-            [
-                p.model.value,
-                p.n,
-                p.quantum_ms,
-                round(p.overhead_pct, 3),
-                p.invocations,
-                p.reads,
-            ]
-        )
-    emit(
-        "FIGURE 5 — Overhead (%) vs number of processes",
-        format_table(
-            ["model", "N", "Q (ms)", "overhead %", "invocations", "reads"], rows
-        )
-        + "\n\n"
-        + ascii_series_plot(
-            series, title="overhead % vs N", xlabel="N", ylabel="overhead %"
-        ),
-    )
-    write_csv(
-        results_dir / "fig5_overhead.csv",
-        [
-            {
-                "model": p.model.value,
-                "n": p.n,
-                "quantum_ms": p.quantum_ms,
-                "overhead_pct": p.overhead_pct,
-                "invocations": p.invocations,
-                "reads": p.reads,
-            }
-            for p in points
-        ],
-    )
+    points = reproduce(benchmark, results_dir, FIG5, "fig5_overhead.csv")
 
     ov = {(p.model, p.n, p.quantum_ms): p.overhead_pct for p in points}
     # All cells under 1 % (paper: "in general, overhead is very low").

@@ -6,75 +6,20 @@ Reproduction targets: steady state ≈ 16.7/33.3/50 %; while the 2-share
 process is blocked the others split ≈ 25/75 %.
 """
 
-import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
-from repro.analysis.ascii_plot import ascii_series_plot
-from repro.analysis.export import write_csv
-from repro.analysis.tables import format_table
-from repro.experiments.io import run_io_experiment
+from benchmarks.conftest import reproduce
+from repro.experiments.registry import FIG6
 
 
 def test_figure6_io_redistribution(benchmark, results_dir):
-    result = benchmark.pedantic(
-        lambda: run_io_experiment(total_cycles=900, warmup_cpu_s=8.0, seed=0),
-        rounds=1,
-        iterations=1,
+    (result,) = reproduce(
+        benchmark, results_dir, FIG6, "fig6_io.csv",
+        cells=FIG6.cells(total_cycles=900),
     )
 
     steady = result.mean_shares(result.steady_mask)
-    active = result.mean_shares(result.active_mask)
     blocked = result.mean_shares(result.blocked_mask)
-    rows = [
-        ["steady state (pre-I/O)", *(round(v, 1) for v in steady), "16.7/33.3/50.0"],
-        ["I/O phase, B active", *(round(v, 1) for v in active), "16.7/33.3/50.0"],
-        ["I/O phase, B blocked", *(round(v, 1) for v in blocked), "25.0/0.0/75.0"],
-    ]
-    # Timeline excerpt around the I/O onset (the figure's x-window).
-    onset = result.io_start_cycle
-    window = (result.cycle_indices >= onset - 30) & (
-        result.cycle_indices <= onset + 50
-    )
-    series = {
-        "1 share": (
-            result.cycle_indices[window],
-            result.share_pct[window, 0],
-        ),
-        "2 shares (I/O)": (
-            result.cycle_indices[window],
-            result.share_pct[window, 1],
-        ),
-        "3 shares": (
-            result.cycle_indices[window],
-            result.share_pct[window, 2],
-        ),
-    }
-    emit(
-        "FIGURE 6 — Share (%) per cycle around the I/O onset "
-        f"(cycle {onset})",
-        format_table(
-            ["phase", "A (1 share)", "B (2 shares)", "C (3 shares)", "paper"],
-            rows,
-        )
-        + "\n\n"
-        + ascii_series_plot(
-            series, title="share % vs cycle", xlabel="cycle", ylabel="share %"
-        ),
-    )
-    write_csv(
-        results_dir / "fig6_io.csv",
-        [
-            {
-                "cycle": int(result.cycle_indices[i]),
-                "share_pct_A": result.share_pct[i, 0],
-                "share_pct_B": result.share_pct[i, 1],
-                "share_pct_C": result.share_pct[i, 2],
-                "B_blocked": bool(result.blocked_b[i]),
-            }
-            for i in range(len(result.cycle_indices))
-        ],
-    )
 
     assert steady[0] == pytest.approx(100 / 6, abs=2.0)
     assert steady[1] == pytest.approx(200 / 6, abs=2.0)

@@ -8,56 +8,14 @@ average 0.93 %, max 3.3 %).
 """
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import emit
-from repro.analysis.ascii_plot import ascii_series_plot
-from repro.analysis.export import write_csv
-from repro.analysis.tables import format_table
-from repro.experiments.multi import run_multi_alps_experiment
+from benchmarks.conftest import reproduce
+from repro.experiments.registry import FIG7
 
 
 def test_figure7_table3_multi_alps(benchmark, results_dir):
-    result = benchmark.pedantic(
-        lambda: run_multi_alps_experiment(seed=0), rounds=1, iterations=1
-    )
-
-    # Figure 7: cumulative consumption series.
-    series = {}
-    for key in sorted(result.series, key=lambda k: result.series[k].share):
-        s = result.series[key]
-        series[f"{s.share} shares ({s.label})"] = (
-            s.times_us / 1000.0,
-            s.cumulative_us / 1000.0,
-        )
-    emit(
-        "FIGURE 7 — Cumulative CPU (ms) vs wall time (ms), 3 ALPSs",
-        ascii_series_plot(
-            series, title="cumulative CPU", xlabel="t (ms)", ylabel="CPU (ms)"
-        ),
-    )
-
-    # Table 3.
-    rows = []
+    (result,) = reproduce(benchmark, results_dir, FIG7, "table3_multi.csv")
     table = result.table3()
-    for row in table:
-        rows.append(
-            [
-                row["share"],
-                row["target_pct"],
-                row["phase1_pct"], row["phase1_relerr"],
-                row["phase2_pct"], row["phase2_relerr"],
-                row["phase3_pct"], row["phase3_relerr"],
-            ]
-        )
-    emit(
-        "TABLE 3 — Accuracy of multiple ALPSs (per-phase in-group %CPU)",
-        format_table(
-            ["S", "target%", "ph1 %cpu", "%re", "ph2 %cpu", "%re", "ph3 %cpu", "%re"],
-            rows,
-        ),
-    )
-    write_csv(results_dir / "table3_multi.csv", table)
 
     errors = [
         row[f"phase{p}_relerr"]

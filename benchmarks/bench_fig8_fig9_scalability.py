@@ -6,99 +6,22 @@ linearly then flattens below ~2.5 %; error is low until a knee; knees
 are ordered Q=10 < Q=20 < Q=40; the analytic prediction
 ``U_Q(N*) = 100/(N*+1)`` lands near the observed knee (paper: predicted
 39/54/75, observed 40/60/90).
+
+The sweep is the ``fig8`` row's full grid (N up to 120) at 25 cycles
+per cell and a 180 s simulated-time bound.
 """
 
-import pytest
-
-from benchmarks.conftest import emit
-from repro.analysis.ascii_plot import ascii_series_plot
-from repro.analysis.export import write_csv
-from repro.analysis.tables import format_table
-from repro.experiments.scalability import analyze_breakdown, scalability_sweep
-
-SIZES = (5, 10, 20, 30, 40, 50, 60, 80, 100, 120)
-QUANTA_MS = (10, 20, 40)
+from benchmarks.conftest import reproduce
+from repro.experiments.registry import FIG8
+from repro.experiments.scalability import analyze_breakdown
 
 
 def test_figures8_9_scalability(benchmark, results_dir):
-    points = benchmark.pedantic(
-        lambda: scalability_sweep(
-            sizes=SIZES, quanta_ms=QUANTA_MS, cycles=25, max_wall_s=180.0
-        ),
-        rounds=1,
-        iterations=1,
+    points = reproduce(
+        benchmark, results_dir, FIG8, "fig8_fig9_scalability.csv",
+        cells=FIG8.cells(full=True, cycles=25, max_wall_s=180.0),
     )
-
-    ov_series, err_series = {}, {}
-    rows = []
-    for p in points:
-        key = f"{int(p.quantum_ms)} ms quantum"
-        xs, ys = ov_series.setdefault(key, ([], []))
-        xs.append(p.n)
-        ys.append(p.overhead_pct)
-        xs2, ys2 = err_series.setdefault(key, ([], []))
-        xs2.append(p.n)
-        ys2.append(min(p.mean_rms_error_pct, 70.0))
-        rows.append(
-            [
-                p.n,
-                p.quantum_ms,
-                round(p.overhead_pct, 3),
-                round(p.mean_rms_error_pct, 1),
-                p.cycles_completed,
-            ]
-        )
-    emit(
-        "FIGURE 8 — Overhead (%) for equal-share workload vs N",
-        format_table(["N", "Q (ms)", "overhead %", "rms err %", "cycles"], rows)
-        + "\n\n"
-        + ascii_series_plot(ov_series, title="overhead % vs N", xlabel="N"),
-    )
-    emit(
-        "FIGURE 9 — Mean RMS relative error (%) vs N (clipped at 70)",
-        ascii_series_plot(err_series, title="error % vs N", xlabel="N"),
-    )
-
     analyses = analyze_breakdown(points)
-    arow = []
-    for a in analyses:
-        paper_fit = {10: (0.0639, 0.0604), 20: (0.0338, 0.0340), 40: (0.0172, 0.0160)}
-        paper_pred = {10: 39, 20: 54, 40: 75}
-        paper_obs = {10: 40, 20: 60, 40: 90}
-        arow.append(
-            [
-                a.quantum_ms,
-                f"{a.fit.slope:.4f}N + {a.fit.intercept:.4f}",
-                f"{paper_fit[int(a.quantum_ms)][0]}N + {paper_fit[int(a.quantum_ms)][1]}",
-                round(a.predicted_n),
-                paper_pred[int(a.quantum_ms)],
-                a.observed_n,
-                paper_obs[int(a.quantum_ms)],
-            ]
-        )
-    emit(
-        "SECTION 4.2 — Breakdown thresholds",
-        format_table(
-            [
-                "Q (ms)", "U_Q(N) fit", "paper fit",
-                "predicted N*", "paper pred.", "observed N*", "paper obs.",
-            ],
-            arow,
-        ),
-    )
-    write_csv(
-        results_dir / "fig8_fig9_scalability.csv",
-        [
-            {
-                "n": p.n,
-                "quantum_ms": p.quantum_ms,
-                "overhead_pct": p.overhead_pct,
-                "mean_rms_error_pct": p.mean_rms_error_pct,
-                "cycles_completed": p.cycles_completed,
-            }
-            for p in points
-        ],
-    )
 
     # Shape assertions.
     ov = {(p.quantum_ms, p.n): p.overhead_pct for p in points}

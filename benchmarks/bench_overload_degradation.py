@@ -21,8 +21,8 @@ import os
 
 from benchmarks.conftest import emit
 from repro.analysis.export import write_csv
-from repro.analysis.tables import format_table
-from repro.experiments.overload import PAST_KNEE_N, run_overload_comparison
+from repro.experiments.overload import PAST_KNEE_N, OverloadComparison
+from repro.experiments.registry import OVERLOAD
 
 SEEDS = (0, 1, 2)
 
@@ -33,47 +33,40 @@ MIN_CLIFF = float(os.environ.get("REPRO_OVERLOAD_MIN_CLIFF", "55.0"))
 
 
 def _sweep():
-    rows = []
-    for seed in SEEDS:
-        cmp = run_overload_comparison(seed=seed)
-        rows.append(
-            {
-                "seed": seed,
-                "n": PAST_KNEE_N,
-                "protected_err_pct": cmp.protected.mean_rms_error_pct,
-                "control_err_pct": cmp.control.mean_rms_error_pct,
-                "error_ratio": cmp.error_ratio,
-                "engagements": cmp.protected.engagements,
-                "sheds": cmp.protected.sheds,
-                "max_degraded_slip_quanta": (
-                    cmp.protected.max_degraded_slip_quanta
-                ),
-            }
-        )
-    return rows
+    """The ``overload`` row's full-protocol pair at 2x the knee, per seed."""
+    return {
+        seed: OVERLOAD.run([
+            cell for cell in OVERLOAD.cells(full=True, seed=seed)
+            if cell.params["n"] == PAST_KNEE_N
+        ]).values
+        for seed in SEEDS
+    }
 
 
 def test_ladder_bounds_past_knee_error(benchmark, results_dir):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+    points = benchmark.pedantic(_sweep, rounds=1, iterations=1)
 
-    emit(
-        f"OVERLOAD — accuracy at 2x the knee (n={PAST_KNEE_N}), "
-        "ladder vs control",
-        format_table(
-            ["seed", "protected", "control", "ratio", "sheds"],
-            [
-                [
-                    r["seed"],
-                    f"{r['protected_err_pct']:.1f}%",
-                    f"{r['control_err_pct']:.1f}%",
-                    f"{r['error_ratio']:.2f}",
-                    r["sheds"],
-                ]
-                for r in rows
-            ],
-        ),
+    rows = []
+    for seed, pair in points.items():
+        emit(f"{OVERLOAD.title} (seed {seed})", OVERLOAD.render(pair))
+        cmp = OverloadComparison(*pair)
+        rows.append(
+            {
+                "seed": seed,
+                "protected_err_pct": cmp.protected.mean_rms_error_pct,
+                "control_err_pct": cmp.control.mean_rms_error_pct,
+                "engagements": cmp.protected.engagements,
+                "sheds": cmp.protected.sheds,
+            }
+        )
+    write_csv(
+        results_dir / "overload_degradation.csv",
+        [
+            {"seed": seed, **r}
+            for seed, pair in points.items()
+            for r in OVERLOAD.csv_rows(pair)
+        ],
     )
-    write_csv(results_dir / "overload_degradation.csv", rows)
 
     for r in rows:
         # 1. The ladder bounds the error past the knee.

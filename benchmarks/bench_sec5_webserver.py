@@ -10,68 +10,12 @@ small overhead.
 
 import pytest
 
-from benchmarks.conftest import emit
-from repro.analysis.export import write_csv
-from repro.analysis.tables import format_table
-from repro.experiments.webserver import run_webserver_experiment
+from benchmarks.conftest import reproduce
+from repro.experiments.registry import SEC5
 
 
 def test_section5_webserver(benchmark, results_dir):
-    result = benchmark.pedantic(
-        lambda: run_webserver_experiment(warmup_s=15.0, measure_s=45.0, seed=0),
-        rounds=1,
-        iterations=1,
-    )
-
-    rows = []
-    paper_base = (29, 30, 40)
-    paper_alps = (18, 35, 53)
-    for i, share in enumerate(result.shares):
-        rows.append(
-            [
-                f"site {i + 1}",
-                share,
-                round(result.baseline_rps[i], 1),
-                paper_base[i],
-                round(result.alps_rps[i], 1),
-                paper_alps[i],
-            ]
-        )
-    rows.append(
-        [
-            "total",
-            sum(result.shares),
-            round(sum(result.baseline_rps), 1),
-            sum(paper_base),
-            round(sum(result.alps_rps), 1),
-            sum(paper_alps),
-        ]
-    )
-    emit(
-        "SECTION 5 — Shared web server throughput (requests/second)",
-        format_table(
-            [
-                "site", "share",
-                "kernel-only", "paper kernel-only",
-                "with ALPS", "paper with ALPS",
-            ],
-            rows,
-        )
-        + f"\n\nALPS overhead: {result.alps_overhead_pct:.2f}%"
-        + f"   DB utilisation: {result.db_utilization:.0%}",
-    )
-    write_csv(
-        results_dir / "sec5_webserver.csv",
-        [
-            {
-                "site": i + 1,
-                "share": result.shares[i],
-                "baseline_rps": result.baseline_rps[i],
-                "alps_rps": result.alps_rps[i],
-            }
-            for i in range(3)
-        ],
-    )
+    (result,) = reproduce(benchmark, results_dir, SEC5, "sec5_webserver.csv")
 
     # Kernel-only: roughly even split.
     for f in result.baseline_fractions:

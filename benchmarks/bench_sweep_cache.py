@@ -15,7 +15,8 @@ import time
 from benchmarks.conftest import emit
 from repro.analysis.export import write_csv
 from repro.analysis.tables import format_table
-from repro.experiments.accuracy import ACCURACY_EXPERIMENT, run_accuracy_point
+from repro.experiments.accuracy import run_accuracy_point
+from repro.experiments.registry import FIG4
 from repro.sweep import SweepCache, SweepCell, SweepSpec, run_sweep
 from repro.workloads.shares import DISTRIBUTIONS
 
@@ -33,7 +34,7 @@ def _spec() -> SweepSpec:
         worker=run_accuracy_point,
         cells=[
             SweepCell(
-                ACCURACY_EXPERIMENT,
+                FIG4.experiment,
                 {"model": model, "n": n, "quantum_ms": q,
                  "cycles": CYCLES[n], "seeds": (0,)},
             )

@@ -10,18 +10,8 @@ measurement operation dominates and grows linearly with n.
 import os
 import signal
 
-import pytest
-
-from benchmarks.conftest import emit
-from repro.analysis.export import write_csv
-from repro.analysis.tables import format_table
-from repro.experiments.table1_ops import (
-    Table1Result,
-    run_table1,
-    time_measure_ladder,
-    time_signal,
-    time_timer_event,
-)
+from benchmarks.conftest import reproduce
+from repro.experiments.registry import TABLE1
 from repro.hostos.procfs import read_proc_stat
 from repro.hostos.spawn import spawn_spinner
 
@@ -66,33 +56,6 @@ def test_bench_signal(benchmark):
 
 def test_table1_summary(benchmark, results_dir):
     """Fit the full Table 1 on this host and print it beside the paper."""
-    result = benchmark.pedantic(
-        lambda: run_table1(quick=True), rounds=1, iterations=1
-    )
-    rows = [
-        ["Receive a timer event",
-         f"{result.timer_event_us:.2f}", f"{Table1Result.PAPER_TIMER_US:.2f}"],
-        ["Measure CPU time of n processes",
-         f"{result.measure_fixed_us:.1f} + {result.measure_per_proc_us:.1f}n",
-         f"{Table1Result.PAPER_MEASURE_FIXED_US} + "
-         f"{Table1Result.PAPER_MEASURE_PER_PROC_US}n"],
-        ["Signal a process",
-         f"{result.signal_us:.2f}", f"{Table1Result.PAPER_SIGNAL_US:.2f}"],
-    ]
-    emit(
-        "TABLE 1 — Primary ALPS operation times (µs)",
-        format_table(["operation", "this host", "paper (P4/FreeBSD 4.8)"], rows),
-    )
-    write_csv(
-        results_dir / "table1_ops.csv",
-        [
-            {
-                "operation": r[0],
-                "this_host_us": r[1],
-                "paper_us": r[2],
-            }
-            for r in rows
-        ],
-    )
+    (result,) = reproduce(benchmark, results_dir, TABLE1, "table1_ops.csv")
     # Structural claim: per-process measurement dominates signalling.
     assert result.measure_per_proc_us > result.signal_us

@@ -8,51 +8,25 @@ from typing import Optional, Sequence
 
 from repro.cli import commands
 
-EXPERIMENTS = {
-    "table1": (
-        commands.cmd_table1,
-        "Table 1 — ALPS primitive operation costs (live host measurement)",
-    ),
-    "fig4": (
-        commands.cmd_fig4,
-        "Figure 4 — accuracy vs quantum length (Table 2 workloads)",
-    ),
-    "fig5": (
-        commands.cmd_fig5,
-        "Figure 5 — overhead vs workload size/distribution",
-    ),
-    "fig6": (
-        commands.cmd_fig6,
-        "Figure 6 — I/O redistribution timeline",
-    ),
-    "fig7": (
-        commands.cmd_fig7,
-        "Figure 7 + Table 3 — multiple concurrent ALPSs",
-    ),
-    "fig8": (
-        commands.cmd_fig8,
-        "Figures 8/9 + §4.2 — scalability and breakdown thresholds",
-    ),
-    "sec5": (
-        commands.cmd_sec5,
-        "Section 5 — shared web server isolation",
-    ),
-    "ablation": (
-        commands.cmd_ablation,
-        "§2.3/§3.2 ablation — measurement-postponement optimization",
-    ),
-    "overload": (
-        commands.cmd_overload,
-        "overload protection — bounded degradation past the §4.2 knee",
-    ),
-    "sharetree": (
-        commands.cmd_sharetree,
-        "share tree — Gunther's 'shares bound ratios, not guarantees'",
-    ),
-}
+
+def __getattr__(name: str):
+    # ``EXPERIMENTS`` (id -> registry row) resolves on first use, so
+    # importing the CLI loads no experiment module.
+    if name == "EXPERIMENTS":
+        from repro.experiments.registry import EXPERIMENTS
+
+        return EXPERIMENTS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _smoke_ids(experiments) -> list[str]:
+    """The experiments whose grid has a ``--smoke`` protocol."""
+    return [key for key, row in experiments.items() if row.smoke]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.registry import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -93,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--smoke",
         action="store_true",
-        help="CI-sized protocol (sharetree only): fewest load points, "
-        "short horizon",
+        help=f"CI-sized protocol ({', '.join(_smoke_ids(EXPERIMENTS))} "
+        "only): fewest load points, short horizon",
     )
 
     live = sub.add_parser(
@@ -344,25 +318,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
+    from repro.experiments.registry import EXPERIMENTS
+
     if args.command == "list":
         width = max(len(k) for k in EXPERIMENTS)
         for key in sorted(EXPERIMENTS):
-            print(f"  {key.ljust(width)}  {EXPERIMENTS[key][1]}")
+            print(f"  {key.ljust(width)}  {EXPERIMENTS[key].title}")
         return 0
     if args.command == "run":
-        fn = EXPERIMENTS[args.experiment][0]
-        kwargs = dict(
+        row = EXPERIMENTS[args.experiment]
+        if args.smoke and not row.smoke:
+            runs = " or ".join(f"'run {k}'" for k in _smoke_ids(EXPERIMENTS))
+            parser.error(f"--smoke is only supported by {runs}")
+        return commands.cmd_run(
+            row,
             full=args.full,
             seed=args.seed,
+            smoke=args.smoke,
             csv=args.csv,
             workers=args.workers,
             no_cache=args.no_cache,
         )
-        if args.experiment == "sharetree":
-            kwargs["smoke"] = args.smoke
-        elif args.smoke:
-            parser.error("--smoke is only supported by 'run sharetree'")
-        return fn(**kwargs)
     if args.command == "report":
         from repro.experiments.report import generate_report
 

@@ -1,25 +1,37 @@
 """Experiment runners: one module per paper table/figure.
 
-==========  ==========================================================
-Module       Paper artifact
-==========  ==========================================================
-table1_ops   Table 1 — ALPS primary operation costs
-accuracy     Figure 4 — accuracy vs quantum length (Table 2 workloads)
-overhead     Figure 5 — overhead vs workload size/distribution
-io           Figure 6 — I/O redistribution timeline
-multi        Figure 7 + Table 3 — multiple concurrent ALPSs
-scalability  Figures 8/9 + Section 4.2 breakdown thresholds
-webserver    Section 5 — shared web server isolation
-==========  ==========================================================
+============  =========================================================
+Module         Paper artifact (``repro run`` id)
+============  =========================================================
+table1_ops     Table 1 — ALPS primary operation costs (``table1``)
+accuracy       Figure 4 — accuracy vs quantum length (``fig4``)
+overhead       Figure 5 — overhead vs workload (``fig5``), and the
+               §2.3/§3.2 measurement-postponement ablation
+               (``ablation``)
+io             Figure 6 — I/O redistribution timeline (``fig6``)
+multi          Figure 7 + Table 3 — multiple concurrent ALPSs (``fig7``)
+scalability    Figures 8/9 + §4.2 breakdown thresholds (``fig8``)
+webserver      Section 5 — shared web server isolation (``sec5``)
+overload       bounded degradation past the §4.2 knee (``overload``)
+sharetree      Gunther's "shares bound ratios, not guarantees"
+               (``sharetree``)
+robustness     accuracy under injected faults (benchmark only)
+sensitivity    breakdown knee vs agent cost scale (benchmark only)
+============  =========================================================
 
 Every runner is deterministic given its seed(s) and returns plain
-dataclasses that the benchmark harness formats.
+dataclasses.  :mod:`repro.experiments.registry` holds one row per
+``repro run`` id: the grid of cells, the table the CLI prints and the
+CSV rows, which ``repro run``, ``repro report``
+(:mod:`repro.experiments.report`) and the ``benchmarks/bench_*.py``
+files all use.  :mod:`repro.experiments.common` holds the shared
+``run_for_cycles`` loop.
 """
 
-from repro.experiments.accuracy import AccuracyPoint, run_accuracy_point, accuracy_sweep
+from repro.experiments.accuracy import AccuracyPoint, run_accuracy_point
 from repro.experiments.io import IoExperimentResult, run_io_experiment
 from repro.experiments.multi import MultiAlpsResult, run_multi_alps_experiment
-from repro.experiments.overhead import OverheadPoint, overhead_sweep, run_overhead_point
+from repro.experiments.overhead import OverheadPoint, run_overhead_point
 from repro.experiments.scalability import ScalabilityPoint, scalability_sweep
 
 __all__ = [
@@ -28,8 +40,6 @@ __all__ = [
     "MultiAlpsResult",
     "OverheadPoint",
     "ScalabilityPoint",
-    "accuracy_sweep",
-    "overhead_sweep",
     "run_accuracy_point",
     "run_io_experiment",
     "run_multi_alps_experiment",

@@ -8,21 +8,16 @@ over the cycles, and average over 3 runs (seeds).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.alps.config import AlpsConfig
 from repro.experiments.common import run_for_cycles
 from repro.metrics.accuracy import mean_rms_relative_error
-from repro.sweep.cache import SweepCache
-from repro.sweep.scheduler import SweepCell, SweepSpec, run_sweep
 from repro.units import ms
 from repro.workloads.scenarios import build_controlled_workload
-from repro.workloads.shares import DISTRIBUTIONS, ShareDistribution, workload_shares
-
-#: Sweep-cache experiment id of one Figure 4 cell.
-ACCURACY_EXPERIMENT = "fig4.accuracy"
+from repro.workloads.shares import ShareDistribution, workload_shares
 
 #: Quantum lengths (ms) on Figure 4's x-axis.
 FIGURE4_QUANTA_MS = (10, 15, 20, 25, 30, 35, 40)
@@ -75,35 +70,3 @@ def run_accuracy_point(
         per_seed_errors=tuple(errors),
         cycles=cycles,
     )
-
-
-def accuracy_sweep(
-    *,
-    models: Sequence[ShareDistribution] = DISTRIBUTIONS,
-    sizes: Sequence[int] = FIGURE4_SIZES,
-    quanta_ms: Sequence[float] = FIGURE4_QUANTA_MS,
-    cycles: int = 200,
-    seeds: Sequence[int] = (0, 1, 2),
-    workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
-) -> list[AccuracyPoint]:
-    """The full Figure 4 sweep (9 workloads × quantum lengths).
-
-    Dispatches through :func:`repro.sweep.run_sweep`: pass ``workers``
-    to fan out over a process pool and ``cache`` to reuse (and store)
-    content-addressed cell results.
-    """
-    spec = SweepSpec(
-        worker=run_accuracy_point,
-        cells=[
-            SweepCell(
-                ACCURACY_EXPERIMENT,
-                {"model": model, "n": n, "quantum_ms": q, "cycles": cycles,
-                 "seeds": seeds},
-            )
-            for model in models
-            for n in sizes
-            for q in quanta_ms
-        ],
-    )
-    return run_sweep(spec, workers=workers, cache=cache).values

@@ -19,9 +19,6 @@ from repro.workloads.io_pattern import compute_sleep_behavior
 from repro.workloads.scenarios import ControlledWorkload, build_controlled_workload
 from repro.workloads.spinner import spinner_behavior
 
-#: Sweep-cache experiment id of the Figure 6 run.
-IO_EXPERIMENT = "fig6.io"
-
 
 @dataclass(slots=True, frozen=True)
 class IoExperimentResult:

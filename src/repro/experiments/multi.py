@@ -23,9 +23,6 @@ from repro.metrics.regression import phase_fractions
 from repro.units import ms, sec
 from repro.workloads.scenarios import MultiAlpsScenario, build_multi_alps_scenario
 
-#: Sweep-cache experiment id of the Figure 7 / Table 3 run.
-MULTI_EXPERIMENT = "fig7.multi"
-
 #: (label, shares, start time) of the paper's three groups.
 GROUP_SPECS = (
     ("A", (7, 8, 9), 0),

@@ -9,21 +9,15 @@ reports the optimization cuts overhead by 1.8–5.9×).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.alps.config import AlpsConfig
 from repro.experiments.common import run_for_cycles
-from repro.sweep.cache import SweepCache
-from repro.sweep.scheduler import SweepCell, SweepSpec, run_sweep
 from repro.units import ms
 from repro.workloads.scenarios import build_controlled_workload
-from repro.workloads.shares import DISTRIBUTIONS, ShareDistribution, workload_shares
+from repro.workloads.shares import ShareDistribution, workload_shares
 
 #: Quantum lengths (ms) plotted in Figure 5.
 FIGURE5_QUANTA_MS = (10, 20, 40)
-
-#: Sweep-cache experiment id of one Figure 5 / ablation cell.
-OVERHEAD_EXPERIMENT = "fig5.overhead"
 
 
 @dataclass(slots=True, frozen=True)
@@ -72,51 +66,3 @@ def run_overhead_point(
         invocations=cw.agent.invocations,
         reads=cw.agent.reads,
     )
-
-
-def overhead_sweep_spec(
-    *,
-    models: Sequence[ShareDistribution] = DISTRIBUTIONS,
-    sizes: Sequence[int] = (5, 10, 15, 20),
-    quanta_ms: Sequence[float] = FIGURE5_QUANTA_MS,
-    cycles: int = 60,
-    seed: int = 0,
-    optimized: bool = True,
-) -> SweepSpec:
-    """The Figure 5 matrix as a :class:`SweepSpec`."""
-    return SweepSpec(
-        worker=run_overhead_point,
-        cells=[
-            SweepCell(
-                OVERHEAD_EXPERIMENT,
-                {"model": model, "n": n, "quantum_ms": q, "cycles": cycles,
-                 "seed": seed, "optimized": optimized},
-            )
-            for model in models
-            for q in quanta_ms
-            for n in sizes
-        ],
-    )
-
-
-def overhead_sweep(
-    *,
-    models: Sequence[ShareDistribution] = DISTRIBUTIONS,
-    sizes: Sequence[int] = (5, 10, 15, 20),
-    quanta_ms: Sequence[float] = FIGURE5_QUANTA_MS,
-    cycles: int = 60,
-    seed: int = 0,
-    optimized: bool = True,
-    workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
-) -> list[OverheadPoint]:
-    """The Figure 5 sweep: overhead vs N for each model and quantum.
-
-    Dispatches through :func:`repro.sweep.run_sweep` (pooled and
-    cache-aware when ``workers``/``cache`` are given).
-    """
-    spec = overhead_sweep_spec(
-        models=models, sizes=sizes, quanta_ms=quanta_ms,
-        cycles=cycles, seed=seed, optimized=optimized,
-    )
-    return run_sweep(spec, workers=workers, cache=cache).values

@@ -20,20 +20,15 @@ graceful-degradation ladder is armed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.alps.config import AlpsConfig
 from repro.experiments.common import run_for_cycles
 from repro.metrics.accuracy import mean_rms_relative_error
 from repro.overload import OverloadConfig, OverloadGuard
-from repro.sweep.cache import SweepCache
-from repro.sweep.scheduler import SweepCell, SweepSpec, run_sweep
 from repro.units import SEC, ms
 from repro.workloads.scenarios import build_controlled_workload
 from repro.workloads.shares import equal_shares
-
-#: Sweep-cache experiment id of one overload cell.
-OVERLOAD_EXPERIMENT = "overload.past_knee"
 
 #: Observed Section 4.2 knee at Q = 10 ms (first N with error > 15 %).
 KNEE_N = 40
@@ -142,72 +137,3 @@ class OverloadComparison:
         if self.control.mean_rms_error_pct <= 0:
             return float("inf")
         return self.protected.mean_rms_error_pct / self.control.mean_rms_error_pct
-
-
-def overload_sweep_spec(
-    *,
-    sizes: Sequence[int] = (PAST_KNEE_N,),
-    quantum_ms: float = OVERLOAD_QUANTUM_MS,
-    cycles: int = 60,
-    seed: int = 0,
-    max_wall_s: float = 40.0,
-) -> SweepSpec:
-    """Ladder-on and ladder-off cells for every size, as one sweep."""
-    return SweepSpec(
-        worker=run_overload_point,
-        cells=[
-            SweepCell(
-                OVERLOAD_EXPERIMENT,
-                {"n": n, "quantum_ms": quantum_ms, "ladder": ladder,
-                 "cycles": cycles, "seed": seed, "max_wall_s": max_wall_s},
-            )
-            for n in sizes
-            for ladder in (True, False)
-        ],
-    )
-
-
-def overload_sweep(
-    *,
-    sizes: Sequence[int] = (PAST_KNEE_N,),
-    quantum_ms: float = OVERLOAD_QUANTUM_MS,
-    cycles: int = 60,
-    seed: int = 0,
-    max_wall_s: float = 40.0,
-    workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
-) -> list[OverloadPoint]:
-    """Run the overload matrix through the sweep scheduler."""
-    spec = overload_sweep_spec(
-        sizes=sizes,
-        quantum_ms=quantum_ms,
-        cycles=cycles,
-        seed=seed,
-        max_wall_s=max_wall_s,
-    )
-    return run_sweep(spec, workers=workers, cache=cache).values
-
-
-def run_overload_comparison(
-    n: int = PAST_KNEE_N,
-    quantum_ms: float = OVERLOAD_QUANTUM_MS,
-    *,
-    cycles: int = 60,
-    seed: int = 0,
-    max_wall_s: float = 40.0,
-    workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
-) -> OverloadComparison:
-    """The acceptance pair: protected and control at one size."""
-    points = overload_sweep(
-        sizes=(n,),
-        quantum_ms=quantum_ms,
-        cycles=cycles,
-        seed=seed,
-        max_wall_s=max_wall_s,
-        workers=workers,
-        cache=cache,
-    )
-    protected = next(p for p in points if p.ladder)
-    control = next(p for p in points if not p.ladder)
-    return OverloadComparison(protected=protected, control=control)

@@ -8,12 +8,13 @@ reproduction after a change.
 
 from __future__ import annotations
 
-import io
 import time
-from contextlib import redirect_stdout
 from pathlib import Path
 
-import numpy as np
+#: The registry rows the report shows, in order.
+REPORT_IDS = ("table1", "fig4", "fig5", "fig6", "fig7", "fig8", "sec5", "ablation")
+#: Heading of the closing observability section.
+OBS_HEADING = "Observability snapshot — canonical observed run"
 
 
 def generate_report(
@@ -34,34 +35,24 @@ def generate_report(
     recomputes cells whose configuration or code changed; ``no_cache``
     forces full recomputation and ``workers`` sizes the process pool.
     """
-    from repro.cli import commands
+    from repro.experiments.registry import EXPERIMENTS, run_experiment
+
+    def wanted(heading: str) -> bool:
+        return only is None or only.lower() in heading.lower()
 
     sections: list[tuple[str, str]] = []
     t0 = time.time()
-    for name, fn in (
-        ("Table 1 — primitive operation costs", commands.cmd_table1),
-        ("Figure 4 — accuracy vs quantum", commands.cmd_fig4),
-        ("Figure 5 — overhead", commands.cmd_fig5),
-        ("Figure 6 — I/O redistribution", commands.cmd_fig6),
-        ("Figure 7 / Table 3 — multiple ALPSs", commands.cmd_fig7),
-        ("Figures 8/9 — scalability & breakdown", commands.cmd_fig8),
-        ("Section 5 — shared web server", commands.cmd_sec5),
-        ("Ablation — measurement postponement", commands.cmd_ablation),
-        ("Observability snapshot — canonical observed run",
-         commands.cmd_obs_snapshot),
-    ):
-        if only is not None and only.lower() not in name.lower():
+    for row in (EXPERIMENTS[key] for key in REPORT_IDS):
+        if not wanted(row.heading):
             continue
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            fn(
-                full=not quick,
-                seed=seed,
-                csv=None,
-                workers=workers,
-                no_cache=no_cache,
-            )
-        sections.append((name, buf.getvalue()))
+        outcome = run_experiment(
+            row, full=not quick, seed=seed, workers=workers, no_cache=no_cache
+        )
+        sections.append(
+            (row.heading, f"{row.render(outcome.values)}\n\n{outcome.footer()}")
+        )
+    if wanted(OBS_HEADING):
+        sections.append((OBS_HEADING, obs_snapshot(full=not quick, seed=seed)))
 
     out = Path(path)
     lines = [
@@ -81,3 +72,45 @@ def generate_report(
         lines.append("")
     out.write_text("\n".join(lines))
     return out
+
+
+def obs_snapshot(*, full: bool, seed: int) -> str:
+    """Canonical observed run: entitlement table + Table 1 cost spans.
+
+    The report's observability section — everything below is produced
+    by the ``repro.obs`` exporters from one observed workload, so the
+    numbers are exactly reproducible from the seed.
+    """
+    from repro.alps.config import AlpsConfig
+    from repro.obs import Observer
+    from repro.obs.bridge import collect_workload
+    from repro.obs.export import rows_to_markdown
+    from repro.units import ms, sec
+    from repro.workloads.scenarios import build_controlled_workload
+
+    cw = build_controlled_workload(
+        [1, 2, 4], AlpsConfig(quantum_us=ms(10.0)), seed=seed, observer=Observer()
+    )
+    cw.engine.run_until(sec(30 if full else 10))
+    obs = collect_workload(cw, skip_cycles=5)
+    reg = obs.metrics
+    rows = []
+    for sid in range(len(cw.shares)):
+        lbl = {"sid": str(sid)}
+        target = reg.get("alps_subject_target_fraction", lbl).value
+        got = reg.get("alps_subject_attained_fraction", lbl).value
+        rows.append(
+            [sid, int(reg.get("alps_subject_share", lbl).value),
+             f"{target:.1%}", f"{got:.1%}", f"{got - target:+.2%}"]
+        )
+    return "\n".join([
+        "Shares 1:2:4, Q = 10 ms, skip 5 warm-up cycles "
+        f"(seed {seed}, `python -m repro obs export`):\n",
+        rows_to_markdown(["sid", "share", "target", "attained", "drift"], rows),
+        f"\nRMS error {reg.get('alps_rms_error_pct').value:.2f}%, "
+        f"overhead {reg.get('alps_overhead_fraction').value:.2%}, "
+        f"{int(reg.get('alps_cycles_completed').value)} cycles, "
+        f"{obs.events.emitted} structured events.\n",
+        "Agent cost breakdown (virtual µs, Table 1 cost model):\n",
+        obs.spans.format_breakdown(),
+    ])

@@ -29,17 +29,12 @@ sharding trade the docs chapter discusses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from repro.alps.config import AlpsConfig
 from repro.experiments.common import run_for_cycles
-from repro.sweep.cache import SweepCache
-from repro.sweep.scheduler import SweepCell, SweepSpec, run_sweep
 from repro.units import SEC, ms, sec
 from repro.workloads.scenarios import build_controlled_workload
-
-#: Sweep-cache experiment id of one Gunther share-tree cell.
-SHARETREE_EXPERIMENT = "sharetree.gunther"
 
 #: Tenant ``a``'s weight relative to each unit-weight sibling tenant.
 TENANT_WEIGHT = 2
@@ -204,53 +199,6 @@ def run_sharetree_point(
         wall_us=plane.kernel.now,
         migrations=plane.migrations,
     )
-
-
-def sharetree_sweep_spec(
-    *,
-    sibling_counts: Sequence[int] = SIBLING_COUNTS,
-    cell_counts: Sequence[int] = (1,),
-    quantum_ms: float = SHARETREE_QUANTUM_MS,
-    cycles: int = 40,
-    seed: int = 0,
-    horizon_s: float = 10.0,
-) -> SweepSpec:
-    """Every (k, cells) load point, as one sweep."""
-    return SweepSpec(
-        worker=run_sharetree_point,
-        cells=[
-            SweepCell(
-                SHARETREE_EXPERIMENT,
-                {"k": k, "cells": cells, "quantum_ms": quantum_ms,
-                 "cycles": cycles, "seed": seed, "horizon_s": horizon_s},
-            )
-            for cells in cell_counts
-            for k in sibling_counts
-        ],
-    )
-
-
-def sharetree_sweep(
-    *,
-    sibling_counts: Sequence[int] = SIBLING_COUNTS,
-    cell_counts: Sequence[int] = (1,),
-    quantum_ms: float = SHARETREE_QUANTUM_MS,
-    cycles: int = 40,
-    seed: int = 0,
-    horizon_s: float = 10.0,
-    workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
-) -> list[SharetreePoint]:
-    """Run the Gunther matrix through the sweep scheduler."""
-    spec = sharetree_sweep_spec(
-        sibling_counts=sibling_counts,
-        cell_counts=cell_counts,
-        quantum_ms=quantum_ms,
-        cycles=cycles,
-        seed=seed,
-        horizon_s=horizon_s,
-    )
-    return run_sweep(spec, workers=workers, cache=cache).values
 
 
 def throughput_variation(points: Sequence[SharetreePoint]) -> float:

@@ -20,7 +20,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.hostos.procfs import read_proc_stat
-from repro.sweep.scheduler import SweepCell, SweepSpec
 from repro.hostos.spawn import spawn_spinner
 
 
@@ -120,22 +119,4 @@ def run_table1(*, quick: bool = False) -> Table1Result:
         measure_fixed_us=fixed,
         measure_per_proc_us=per_proc,
         signal_us=sig,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Sweep-scheduler integration.  Table 1 measures *this host's* live
-# timings, so the sweep is declared non-cacheable: it always reruns,
-# but shares the scheduler's dispatch, retry, and footer machinery.
-# ---------------------------------------------------------------------------
-#: Sweep experiment id of the Table 1 measurement (never cached).
-TABLE1_EXPERIMENT = "table1.ops"
-
-
-def table1_sweep_spec(*, quick: bool = False) -> SweepSpec:
-    """The (single-cell, non-cacheable) Table 1 sweep."""
-    return SweepSpec(
-        worker=run_table1,
-        cells=[SweepCell(TABLE1_EXPERIMENT, {"quick": quick})],
-        cacheable=False,
     )

@@ -24,9 +24,6 @@ from repro.webserver.clients import ClosedLoopClients
 from repro.webserver.database import DatabaseServer
 from repro.webserver.requests import RequestFactory
 
-#: Sweep-cache experiment id of the Section 5 run.
-WEBSERVER_EXPERIMENT = "sec5.webserver"
-
 #: Site user ids.
 SITE_UIDS = (1001, 1002, 1003)
 

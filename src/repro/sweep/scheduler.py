@@ -56,12 +56,7 @@ RETRYABLE_EXCEPTIONS: tuple[type[BaseException], ...] = (TransientReadError,)
 
 
 def default_sweep_workers() -> int:
-    """Worker count: ``$REPRO_SWEEP_WORKERS`` or CPUs minus one.
-
-    (Deliberately not imported from :mod:`repro.experiments.parallel`,
-    whose package init pulls in the experiment modules that import this
-    package.)
-    """
+    """Worker count: ``$REPRO_SWEEP_WORKERS`` or CPUs minus one."""
     env = os.environ.get("REPRO_SWEEP_WORKERS")
     if env:
         try:

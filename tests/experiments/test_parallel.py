@@ -1,40 +1,46 @@
-"""Parallel sweep execution."""
+"""Experiment cells run in the sweep scheduler's process pool."""
 
-import pytest
-
-from repro.experiments.parallel import default_workers, parallel_map
+from repro.sweep import SweepCell, SweepSpec, default_sweep_workers, run_sweep
 from repro.workloads.shares import ShareDistribution
 
 
-def _square(x):
+def _square(x):  # module-level: picklable
     return x * x
 
 
-def _tiny_accuracy(args):
+def _tiny_accuracy(model, n, q):
     from repro.experiments.accuracy import run_accuracy_point
 
-    model, n, q = args
-    return run_accuracy_point(model, n, q, cycles=5, seeds=(0,)).mean_rms_error_pct
+    return run_accuracy_point(
+        ShareDistribution(model), n, q, cycles=5, seeds=(0,)
+    ).mean_rms_error_pct
+
+
+def _map(worker, params, workers):
+    cells = [SweepCell("test.parallel", p) for p in params]
+    return run_sweep(SweepSpec(worker=worker, cells=cells), workers=workers).values
 
 
 def test_serial_fallback_preserves_order():
-    assert parallel_map(_square, [3, 1, 2], workers=1) == [9, 1, 4]
+    params = [{"x": x} for x in (3, 1, 2)]
+    assert _map(_square, params, workers=1) == [9, 1, 4]
 
 
 def test_parallel_matches_serial():
     items = list(range(8))
-    assert parallel_map(_square, items, workers=2) == [x * x for x in items]
+    params = [{"x": x} for x in items]
+    assert _map(_square, params, workers=2) == [x * x for x in items]
 
 
 def test_default_workers_positive():
-    assert default_workers() >= 1
+    assert default_sweep_workers() >= 1
 
 
 def test_experiment_cells_run_in_pool():
     cells = [
-        (ShareDistribution.EQUAL, 5, 10),
-        (ShareDistribution.LINEAR, 5, 10),
+        {"model": ShareDistribution.EQUAL.value, "n": 5, "q": 10},
+        {"model": ShareDistribution.LINEAR.value, "n": 5, "q": 10},
     ]
-    serial = parallel_map(_tiny_accuracy, cells, workers=1)
-    pooled = parallel_map(_tiny_accuracy, cells, workers=2)
+    serial = _map(_tiny_accuracy, cells, workers=1)
+    pooled = _map(_tiny_accuracy, cells, workers=2)
     assert serial == pooled  # determinism across process boundaries

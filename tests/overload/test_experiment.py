@@ -7,15 +7,15 @@ experiment's machinery honest at sizes small enough for tier-1 time.
 
 from __future__ import annotations
 
+from repro.experiments import overload
 from repro.experiments.overload import (
     KNEE_N,
-    OVERLOAD_EXPERIMENT,
     PAST_KNEE_N,
     OverloadComparison,
     OverloadPoint,
-    overload_sweep_spec,
     run_overload_point,
 )
+from repro.experiments.registry import OVERLOAD
 from repro.sweep import SweepCache, SweepCell, SweepSpec, run_sweep
 
 
@@ -38,7 +38,7 @@ def test_control_point_reports_zero_telemetry():
 def test_cell_worker_and_codec_roundtrip(tmp_path):
     params = {"n": 6, "ladder": True, "cycles": 8, "seed": 1}
     spec = SweepSpec(
-        worker=run_overload_point, cells=[SweepCell(OVERLOAD_EXPERIMENT, params)]
+        worker=run_overload_point, cells=[SweepCell(OVERLOAD.experiment, params)]
     )
     cold = run_sweep(spec, workers=1, cache=SweepCache(tmp_path)).values[0]
     warm = run_sweep(spec, workers=1, cache=SweepCache(tmp_path)).values[0]
@@ -47,11 +47,14 @@ def test_cell_worker_and_codec_roundtrip(tmp_path):
     assert warm.n == 6
 
 
-def test_sweep_spec_pairs_ladder_and_control_per_size():
-    spec = overload_sweep_spec(sizes=(6, 8), cycles=8)
-    assert len(spec.cells) == 4
-    arms = [(c.params["n"], c.params["ladder"]) for c in spec.cells]
+def test_sweep_spec_pairs_ladder_and_control_per_size(monkeypatch):
+    monkeypatch.setattr(overload, "KNEE_N", 6)
+    monkeypatch.setattr(overload, "PAST_KNEE_N", 8)
+    cells = OVERLOAD.cells(cycles=8)
+    assert len(cells) == 4
+    arms = [(c.params["n"], c.params["ladder"]) for c in cells]
     assert arms == [(6, True), (6, False), (8, True), (8, False)]
+    assert {c.params["cycles"] for c in cells} == {8}
 
 
 def test_comparison_ratio():

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.registry import SHARETREE
 from repro.experiments.sharetree import (
-    SHARETREE_EXPERIMENT,
+    SIBLING_COUNTS,
     TENANT_WEIGHT,
     gunther_tree,
     run_sharetree_point,
-    sharetree_sweep_spec,
     throughput_variation,
 )
 from repro.sweep import SweepCache, SweepCell, SweepSpec, run_sweep
@@ -54,7 +54,7 @@ def test_cell_worker_and_payload_roundtrip(tmp_path):
     params = {"k": 2, "cycles": 10, "horizon_s": 4.0}
     spec = SweepSpec(
         worker=run_sharetree_point,
-        cells=[SweepCell(SHARETREE_EXPERIMENT, params)],
+        cells=[SweepCell(SHARETREE.experiment, params)],
     )
     cold = run_sweep(spec, workers=1, cache=SweepCache(tmp_path)).values[0]
     warm = run_sweep(spec, workers=1, cache=SweepCache(tmp_path)).values[0]
@@ -63,12 +63,10 @@ def test_cell_worker_and_payload_roundtrip(tmp_path):
 
 
 def test_sweep_spec_enumerates_the_grid():
-    spec = sharetree_sweep_spec(
-        sibling_counts=(1, 4), cell_counts=(1, 2)
-    )
-    assert len(spec.cells) == 4
-    ks = {(c.params["k"], c.params["cells"]) for c in spec.cells}
-    assert ks == {(1, 1), (4, 1), (1, 2), (4, 2)}
+    smoke = {(c.params["k"], c.params["cells"]) for c in SHARETREE.cells(smoke=True)}
+    assert smoke == {(1, 1), (4, 1)}
+    full = [(c.params["k"], c.params["cells"]) for c in SHARETREE.cells(full=True)]
+    assert full == [(k, cells) for cells in (1, 2) for k in SIBLING_COUNTS]
 
 
 def test_throughput_variation_degenerate_cases():

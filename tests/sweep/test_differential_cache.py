@@ -32,6 +32,7 @@ from repro.experiments import (
     table1_ops,
     webserver,
 )
+from repro.experiments.registry import EXPERIMENTS
 from repro.resilience import chaos
 from repro.sweep import SweepCache, SweepCell, SweepSpec, run_sweep
 from repro.sweep.codec import decode, encode
@@ -43,7 +44,7 @@ def _table2_spec() -> SweepSpec:
         worker=accuracy.run_accuracy_point,
         cells=[
             SweepCell(
-                accuracy.ACCURACY_EXPERIMENT,
+                EXPERIMENTS["fig4"].experiment,
                 {"model": model, "n": n, "quantum_ms": 10.0, "cycles": 5,
                  "seeds": (0, 1, 2)},
             )
@@ -107,34 +108,34 @@ def fixed_table1_timings(monkeypatch):
 #: Every experiment's smallest cell: (point function, experiment id, params).
 SMALLEST_CELLS = {
     "accuracy": (
-        accuracy.run_accuracy_point, accuracy.ACCURACY_EXPERIMENT,
+        accuracy.run_accuracy_point, EXPERIMENTS["fig4"].experiment,
         {"model": ShareDistribution.SKEWED, "n": 5, "quantum_ms": 10.0,
          "cycles": 5, "seeds": (0,)},
     ),
     "overhead": (
-        overhead.run_overhead_point, overhead.OVERHEAD_EXPERIMENT,
+        overhead.run_overhead_point, EXPERIMENTS["fig5"].experiment,
         {"model": ShareDistribution.LINEAR, "n": 5, "quantum_ms": 10,
          "cycles": 5},
     ),
     "io": (
-        io.run_io_experiment, io.IO_EXPERIMENT,
+        io.run_io_experiment, EXPERIMENTS["fig6"].experiment,
         {"total_cycles": 60, "warmup_cpu_s": 0.2},
     ),
     "multi": (
-        multi.run_multi_alps_experiment, multi.MULTI_EXPERIMENT,
+        multi.run_multi_alps_experiment, EXPERIMENTS["fig7"].experiment,
         # C starts at 6 s: its series stay empty arrays.
         {"phase_ends_s": (0.5, 1.0, 3.5)},
     ),
     "scalability": (
-        scalability.run_scalability_point, scalability.SCALABILITY_EXPERIMENT,
+        scalability.run_scalability_point, EXPERIMENTS["fig8"].experiment,
         {"n": 5, "quantum_ms": 10, "cycles": 5},
     ),
     "webserver": (
-        webserver.run_webserver_experiment, webserver.WEBSERVER_EXPERIMENT,
+        webserver.run_webserver_experiment, EXPERIMENTS["sec5"].experiment,
         {"n_clients": 5, "warmup_s": 0.5, "measure_s": 1.0},
     ),
     "overload": (
-        overload.run_overload_point, overload.OVERLOAD_EXPERIMENT,
+        overload.run_overload_point, EXPERIMENTS["overload"].experiment,
         {"n": 6, "cycles": 8},
     ),
     "robustness": (
@@ -148,7 +149,7 @@ SMALLEST_CELLS = {
         {"factor": 1.0, "sizes": (5, 10), "cycles": 5},
     ),
     "sharetree": (
-        sharetree.run_sharetree_point, sharetree.SHARETREE_EXPERIMENT,
+        sharetree.run_sharetree_point, EXPERIMENTS["sharetree"].experiment,
         {"k": 2, "cycles": 10, "horizon_s": 4.0},
     ),
     "chaos": (
@@ -156,7 +157,7 @@ SMALLEST_CELLS = {
         {"seed": 0, "fault_rate": 0.05, "cycles": 10, "warmup_cycles": 2},
     ),
     "table1": (
-        table1_ops.run_table1, table1_ops.TABLE1_EXPERIMENT, {"quick": True},
+        table1_ops.run_table1, EXPERIMENTS["table1"].experiment, {"quick": True},
     ),
 }
 
