@@ -9,6 +9,7 @@ measurement operation dominates and grows linearly with n.
 
 import os
 import signal
+import threading
 
 from benchmarks.conftest import reproduce
 from repro.experiments.registry import TABLE1
@@ -17,14 +18,16 @@ from repro.hostos.spawn import spawn_spinner
 
 
 def test_bench_timer_event(benchmark):
-    """Cost of receiving a timer-style event (signal + sigtimedwait)."""
+    """Cost of receiving a timer-style event (signal + sigtimedwait).
+    Thread-directed, as in ``time_timer_event``: another thread must not
+    catch (and drop) it."""
     signo = signal.SIGUSR1
     old = signal.signal(signo, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_BLOCK, {signo})
-    pid = os.getpid()
+    me = threading.get_ident()
 
     def one_event():
-        os.kill(pid, signo)
+        signal.pthread_kill(me, signo)
         signal.sigtimedwait({signo}, 1.0)
 
     try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -54,16 +55,20 @@ def time_timer_event(iterations: int = 2000) -> float:
     """Cost (µs) of receiving a timer-style event.
 
     Measured as self-signal delivery + ``sigtimedwait`` return — the
-    same wake-from-kernel path a quantum timer exercises.
+    same wake-from-kernel path a quantum timer exercises.  The signal
+    is sent to this thread, not the process: a process-directed one may
+    land on another thread that does not block it (numpy's BLAS
+    workers), which drops it under ``SIG_IGN`` and leaves
+    ``sigtimedwait`` to wait out its full timeout.
     """
     signo = signal.SIGUSR1
     old = signal.signal(signo, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_BLOCK, {signo})
     try:
-        pid = os.getpid()
+        me = threading.get_ident()
         t0 = time.perf_counter()
         for _ in range(iterations):
-            os.kill(pid, signo)
+            signal.pthread_kill(me, signo)
             signal.sigtimedwait({signo}, 1.0)
         elapsed = time.perf_counter() - t0
     finally:

@@ -1,13 +1,10 @@
 """A real user-level ALPS controller for Linux.
 
-Drives the same :class:`~repro.alps.algorithm.AlpsCore` as the
-simulator, but against live processes: progress comes from
-``/proc/<pid>/stat``, eligibility is enacted with SIGSTOP/SIGCONT, and
-the quantum timer is an absolute-deadline sleep loop.  It schedules the
-simulated agent's :mod:`~repro.alps.subjects` (Section 5 principals),
-measures them with the agent's own fold (:mod:`repro.alps.measure`),
-and makes every OS call through one host port
-(:class:`~repro.hostos.port.ProcfsHost`).
+The simulated agent's quantum body (:mod:`repro.alps.step`) and
+subjects (Section 5 principals) against live processes: progress from
+``/proc/<pid>/stat``, eligibility by SIGSTOP/SIGCONT, an
+absolute-deadline sleep loop for the timer, and every OS call through
+one host port (:class:`~repro.hostos.port.ProcfsHost`).
 """
 
 from __future__ import annotations
@@ -18,8 +15,8 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from repro.alps.algorithm import AlpsCore, QuantumDecisions
 from repro.alps.instrumentation import CycleLog
-from repro.alps.measure import measure_due
 from repro.alps.policy import AlpsPolicy
+from repro.alps.step import QuantumStep
 from repro.alps.subjects import ProcessSubject, Subject
 from repro.errors import (
     HostOSError,
@@ -29,12 +26,6 @@ from repro.errors import (
     TransientReadError,
 )
 from repro.hostos.port import ProcfsHost
-from repro.resilience.journal import (
-    journal_quantum,
-    restore_state,
-    schedule_debt,
-    state_snapshot,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
@@ -44,20 +35,36 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class ProcView:
-    """The host's process table as the view :mod:`repro.alps.subjects`
-    read membership through, blind to the ``excluded`` pids."""
+    """The host's process table as the kapi-shaped view the quantum step
+    and :mod:`repro.alps.subjects` read through, blind to the
+    ``excluded`` pids.  ``ours`` is the controller's stop-set."""
 
-    __slots__ = ("host", "excluded")
+    __slots__ = ("host", "excluded", "ours")
 
-    def __init__(self, host: ProcfsHost, excluded: set[int]) -> None:
+    def __init__(self, host: ProcfsHost, excluded: set[int], ours: set[int]) -> None:
         self.host = host
         self.excluded = excluded
+        self.ours = ours
 
     def pid_exists(self, pid: int) -> bool:
         return pid not in self.excluded and self.host.pid_exists(pid)
 
     def pids_of_uid(self, uid: int) -> list[int]:
         return [p for p in self.host.pids_of_uid(uid) if p not in self.excluded]
+
+    def read_progress(self, pid: int) -> tuple[int, bool, bool]:
+        """``(cpu_us, blocked, stopped)`` of ``pid`` from its one stat
+        read.  It votes blocked when asleep, or stopped by someone else
+        (one we stopped would run once resumed)."""
+        try:
+            usage, state = self.host.read(pid)
+        except HostOSError:
+            if self.host.pid_exists(pid):
+                raise TransientReadError(pid) from None
+            raise NoSuchProcessError(pid) from None
+        if state == "T":
+            return usage, pid not in self.ours, True
+        return usage, state in ("S", "D"), False
 
 
 def _proc_sids(members: Mapping[int, Subject]) -> dict[int, int]:
@@ -111,19 +118,16 @@ class HostAlps:
     (default :class:`~repro.hostos.port.ProcfsHost`, the real Linux
     host), where a zombie counts as dead.
 
-    Note: quanta below ~20 ms are dominated by Python/sleep jitter and
-    by the tick resolution of /proc CPU accounting; the simulator is
-    the instrument for quantitative claims (see package docstring).
+    Quanta below ~20 ms are dominated by Python/sleep jitter and by
+    the tick resolution of /proc CPU accounting; the simulator is the
+    instrument for quantitative claims.
 
-    Robustness (docs/fault_model.md): a procfs read that fails while
-    the pid exists is retried within ``read_retry_budget``, then skipped
-    for the quantum with its baseline kept, as in the simulated agent;
-    ``_signal`` discriminates a vanished process (ESRCH — forget it)
-    from one we may not signal (EPERM — stop scheduling the pid, it
-    cannot be controlled); and exit always runs :meth:`_resume_all`,
-    which resumes by *kernel truth* (any single-process member in state
-    ``T``), not just the controller's own stop-set, so a crash between
-    a SIGSTOP and its bookkeeping cannot wedge a process.
+    Robustness (docs/fault_model.md): reads retry as in the simulated
+    agent (one :class:`~repro.alps.step.QuantumStep`); ``_signal``
+    forgets a vanished pid (ESRCH) and stops scheduling one it may not
+    signal (EPERM); and exit always runs :meth:`_resume_all`, which
+    resumes by kernel truth, so a crash between a SIGSTOP and its
+    bookkeeping cannot wedge a process.
     """
 
     def __init__(
@@ -158,9 +162,7 @@ class HostAlps:
             if budget < 0:
                 raise HostOSError(f"{name}_retry_budget must be >= 0, got {budget}")
         self.quantum_us = int(quantum_s * 1_000_000)
-        self.track_io = track_io
         self.refresh_s = refresh_s
-        self.read_retry_budget = read_retry_budget
         self.resume_retry_budget = resume_retry_budget
         self.journal = journal
         self.observer = observer
@@ -171,43 +173,42 @@ class HostAlps:
             optimized=optimized,
             now_fn=self._now,
         )
-        self._last_read: dict[int, int] = {}
-        self._stopped: set[int] = set()
-        self._initial: dict[int, int] = {}
-        #: CPU (µs) measured per subject over the run (the report's
-        #: ``consumed_by_sid``).
-        self._cumulative: dict[int, int] = {}
         #: pids dropped because the controller may not signal them (EPERM).
         self.uncontrollable: set[int] = set()
         #: pids no subject may hold: the controller and its ancestors,
         #: and the uncontrollable ones.
         self._excluded = set(self.host.ancestors())
-        self.view = ProcView(self.host, self._excluded)
+        #: The quantum body and per-pid state (:mod:`repro.alps.step`);
+        #: its ``initial`` is each pid's first reading, for the report.
+        self.step = QuantumStep(
+            self.core,
+            members,
+            forget=self._forget_pid,
+            track_io=track_io,
+            read_retry_budget=read_retry_budget,
+            heal_wedges=False,
+            foreign_stops=True,
+            dead_leaves_now=True,
+            journal_pending=False,
+            excluded=self._excluded,
+        )
+        self.view = self.step.view = ProcView(
+            self.host, self._excluded, self.step.stopped
+        )
+        self.step.initial = {}
+        self.step.journal = journal
         #: pid -> sid of each single-process member (death finds it in O(1)).
         self._proc_sids = _proc_sids(members)
-        #: Transient procfs reads that needed a retry (statistics).
-        self.read_retries = 0
         #: SIGCONTs retried after a transient EINTR/EAGAIN failure.
         self.resume_retries = 0
         #: pids the controller could not resume within its retry budget.
         self.resume_failures = 0
         #: Whether state was replayed from the journal (crash recovery).
         self.recovered = False
-        #: Downtime CPU debt (µs) per subject awaiting amortized repayment.
-        self._deferred_debt: dict[int, int] = {}
-        #: Journaled state changed outside ``_one_quantum`` since the
-        #: last record (a run starting or winding down): the next
-        #: record must be a checkpoint, a delta would miss it.
-        self._journal_stale = True
-        #: pids signalled after the last record was written; the next
-        #: delta carries where that left them in the stop-set.
-        self._journal_signalled: list[int] = []
         #: Admission, degradation and share-tree policy
-        #: (:mod:`repro.alps.policy`); ``members`` is its member map.
-        #: The guard's state is volatile by design: after a journaled
-        #: restart protection re-engages from fresh slip evidence rather
-        #: than replaying the pre-crash ladder position.  Tree leaf sids
-        #: are subject sids; a flat-equivalent tree changes nothing.
+        #: (:mod:`repro.alps.policy`) over the member map.  The guard's
+        #: state is volatile: after a journaled restart protection
+        #: re-engages from fresh slip evidence.
         self.policy = AlpsPolicy(
             self.core, members, self._admit, self._release, self._now
         )
@@ -216,27 +217,27 @@ class HostAlps:
         self.policy.tree = sharetree
         self.policy.reweigh()
 
+    #: Transient procfs reads that needed a retry (statistics).
+    read_retries = property(lambda self: self.step.read_retries)
+
     # ------------------------------------------------------------------
     def run(self, duration_s: float) -> HostAlpsReport:
-        """Control the processes for ``duration_s`` seconds.
-
-        All controlled processes are resumed (SIGCONT) on the way out,
-        even if the run raises.
-        """
+        """Control the processes for ``duration_s`` seconds; all of them
+        are resumed (SIGCONT) on the way out, even if the run raises."""
         host = self.host
+        step = self.step
         t_start = host.clock()
         own_cpu_start = host.cpu_time()
-        self._journal_stale = True  # baselines below, _resume_all after
+        step.journal_stale = True  # baselines below, _resume_all after
         for sid, subj in list(self.policy.members.items()):
-            self._cumulative.setdefault(sid, 0)
-            for pid in self._pids_of(subj):
-                if pid in self._initial and pid in self._last_read:
+            step.cumulative.setdefault(sid, 0)
+            for pid in step.pids_of(subj):
+                if pid in step.initial and pid in step.last_read:
                     # Journal-restored: the outage debt was already
-                    # charged (capped) at restore time, and _initial keeps
+                    # charged (capped) at restore time, and initial keeps
                     # lifetime consumption accounting spanning the crash.
                     continue
-                if not self._baseline(pid):
-                    self._forget_pid(pid)
+                step.baseline(pid)
         self._refresh_principals()
         q = self.quantum_us
         deadline = t_start + int(duration_s * 1_000_000)
@@ -269,96 +270,46 @@ class HostAlps:
             self._resume_all()
         t_end = host.clock()
         consumed = {}
-        for pid, start in self._initial.items():
+        for pid, start in step.initial.items():
             try:
                 final = host.stat(pid)[0]  # a zombie's counter is final
             except HostOSError:
                 # Reaped mid-run: its last successful reading is the
                 # best (and an under-) estimate of what it consumed.
-                final = self._last_read.get(pid, start)
+                final = step.last_read.get(pid, start)
             consumed[pid] = final - start
         return HostAlpsReport(
             duration_s=(t_end - t_start) / 1_000_000,
             cycles=self.core.cycles_completed,
             cycle_log=self.core.cycle_log,
             consumed_us=consumed,
-            consumed_by_sid=dict(self._cumulative),
+            consumed_by_sid=dict(step.cumulative),
             controller_cpu_us=host.cpu_time() - own_cpu_start,
             overload_stats=guard.stats() if guard is not None else None,
         )
 
     # ------------------------------------------------------------------
     def _one_quantum(self) -> QuantumDecisions:
-        """One invocation: measure the due subjects, decide, journal,
-        signal.  Returns the core's decisions."""
-        members = self.policy.members
-        due = [(sid, self._pids_of(members[sid])) for sid in self.core.begin_quantum()]
-        shrunk: list[int] = []
-
-        def dead(sid: int, pid: int) -> None:
-            self._forget_pid(pid)  # a lone pid takes its subject with it
-            shrunk.append(sid)
-
-        measurements, _, _ = measure_due(
-            due,
-            self.core,
-            read=self._read,
-            retry=self._retry_read,
-            dead=dead,
-            last_read=self._last_read,
-            cumulative=self._cumulative,
-            debt=self._deferred_debt,
-            track_io=self.track_io,
-        )
-        decisions = self.core.complete_quantum(measurements)
-        if self.journal is not None:
-            # Write-ahead: the record is durable before the signals it
-            # encodes are sent.
-            journal_quantum(
-                self.journal,
-                self.snapshot_state,
-                self.core,
-                self._now(),
-                full=decisions.full_sweep or self._journal_stale,
-                stopped=self._stopped,
-                signalled=self._journal_signalled,
-                debt=self._deferred_debt,
-                touched={
-                    "last_read": (
-                        self._last_read, [pid for _, pids in due for pid in pids]
-                    ),
-                    "cumulative": (self._cumulative, measurements),
-                },
-            )
-            self._journal_stale = False
-        signalled: list[int] = []
-        for sid in decisions.to_suspend:
-            for pid in self._pids_of(members[sid]):
-                if self._stop(pid):
-                    signalled.append(pid)
-        for sid in decisions.to_resume:
-            for pid in self._pids_of(members[sid]):
-                if pid in self._stopped:  # never one someone else stopped
-                    self._signal(pid, signal.SIGCONT)
-                    signalled.append(pid)
-        self._journal_signalled = signalled
-        if shrunk:
-            # A member died: take it out of its subject now, so an
-            # emptied subject is measured as empty from the next quantum.
+        """One quantum step, its signals sent and the subjects a dead pid
+        shrank re-enumerated at once; returns the core's decisions."""
+        step = self.step
+        decisions, signals = step.quantum(step.due()[0], self._now())
+        for pid, stop in signals:
+            self._signal(pid, signal.SIGSTOP if stop else signal.SIGCONT)
+        if step.shrunk:
+            shrunk, step.shrunk = step.shrunk, []
             self._refresh_principals(shrunk)
         return decisions
 
     def _refresh_principals(self, sids: Optional[Sequence[int]] = None) -> None:
         """Apply :meth:`AlpsPolicy.refresh`'s rule to all (or ``sids``)
         subjects; a leaver we stopped is also resumed."""
-        for _sid, joined, left, suspended in self.policy.refresh(self.view, sids):
-            self._journal_stale = True
-            for pid in joined:
-                if self._baseline(pid) and suspended:
-                    self._stop(pid)
-            for pid in left:
-                if pid not in self._stopped or self._resume_one(pid):
-                    self._forget_pid(pid)
+        stops, leavers = self.step.refresh(self.policy.refresh(self.view, sids))
+        for pid in stops:
+            self._signal(pid, signal.SIGSTOP)
+        for pid in leavers:
+            if pid not in self.step.stopped or self._resume_one(pid):
+                self._forget_pid(pid)
 
     # ------------------------------------------------------------------
     # Admission and share tree (docs/overload.md, docs/share_tree.md);
@@ -395,85 +346,38 @@ class HostAlps:
         """Enumerate and baseline a joining subject's pids; 0 if none is left."""
         subj.refresh(self.view)
         self._proc_sids.update(_proc_sids({subj.sid: subj}))
-        return sum(self._baseline(pid) for pid in self._pids_of(subj))
+        step = self.step
+        return sum(step.baseline(pid) for pid in step.pids_of(subj))
 
     def _release(self, sid: int) -> int:
         """Hand a departing subject back to the kernel: resume its stopped pids."""
-        stopped = self._stopped.intersection(self.policy.members[sid].pids(self.view))
+        ours = self.step.stopped
+        stopped = ours.intersection(self.policy.members[sid].pids(self.view))
         for pid in stopped:
             if self._resume_one(pid):
-                self._stopped.discard(pid)
+                ours.discard(pid)
         return len(stopped)
 
     def _now(self) -> int:
         return self.host.clock()
 
-    def _pids_of(self, subj: Subject) -> list[int]:
-        """A subject's pids, less any excluded since its last refresh."""
-        return [p for p in subj.pids(self.view) if p not in self._excluded]
-
-    def _baseline(self, pid: int) -> bool:
-        """Start measuring ``pid`` from its current reading; False if gone."""
-        try:
-            usage = self.host.read(pid)[0]
-        except HostOSError:
-            return False
-        self._last_read[pid] = usage
-        self._initial.setdefault(pid, usage)
-        self._journal_stale = True
-        return True
-
-    def _read(self, pid: int) -> tuple[int, bool, bool]:
-        """The fold's reader: ``(cpu_us, blocked, stopped)`` of ``pid``
-        from its one stat read.  It votes blocked when asleep, or
-        stopped by someone else (one we stopped would run once
-        resumed)."""
-        try:
-            usage, state = self.host.read(pid)
-        except HostOSError:
-            if self.host.pid_exists(pid):
-                raise TransientReadError(pid) from None
-            raise NoSuchProcessError(pid) from None
-        if state == "T":
-            return usage, pid not in self._stopped, True
-        return usage, state in ("S", "D"), False
-
-    def _retry_read(self, pid: int) -> Optional[tuple[int, bool, bool]]:
-        """Retry a read that failed while its pid existed, up to
-        ``read_retry_budget`` times; None once the budget is spent."""
-        for _ in range(self.read_retry_budget):
-            self.read_retries += 1
-            try:
-                return self._read(pid)
-            except TransientReadError:
-                continue
-        return None
-
-    def _stop(self, pid: int) -> bool:
-        """SIGSTOP ``pid`` unless it is gone or someone else stopped it
-        (then resuming it is not ours to do either)."""
-        try:
-            if self.host.read(pid)[1] == "T" and pid not in self._stopped:
-                return False
-        except HostOSError:
-            return False
-        self._signal(pid, signal.SIGSTOP)
-        return True
-
     def _forget_pid(self, pid: int) -> None:
         """Stop tracking a dead, departed or unsignallable pid; a
-        single-process subject leaves with it."""
-        self._journal_stale |= pid in self._stopped or pid in self._proc_sids
-        self._stopped.discard(pid)
+        single-process subject leaves with it.  Its last reading stays,
+        for the run report."""
+        step = self.step
+        step.journal_stale |= pid in step.stopped or pid in self._proc_sids
+        step.stopped.discard(pid)
         sid = self._proc_sids.pop(pid, None)
         if sid is not None:
             self.policy.depart([sid])
 
     def _signal(self, pid: int, signo: int) -> None:
+        ours = self.step.stopped
         try:
             self.host.kill(pid, signo)
         except ProcessLookupError:  # ESRCH: gone — forget it
-            self._stopped.discard(pid)
+            ours.discard(pid)
             return
         except PermissionError:  # EPERM: alive but not ours to control
             self.uncontrollable.add(pid)
@@ -481,44 +385,33 @@ class HostAlps:
             self._forget_pid(pid)
             return
         if signo == signal.SIGSTOP:
-            self._stopped.add(pid)
+            ours.add(pid)
         else:
-            self._stopped.discard(pid)
+            ours.discard(pid)
 
     def _resume_all(self) -> None:
-        """Resume every process this controller may have stopped.
-
-        Consults kernel truth in addition to the stop-set: a
-        single-process member in procfs state ``T`` gets a SIGCONT,
-        covering pids stopped right before an exception (or under
-        bookkeeping lost to a crash).  A multi-process subject's own
-        ``^Z``'d jobs are not ours: its members rely on the stop-set.
-
-        A transient ``kill(2)`` failure (EINTR, EAGAIN) is retried with
-        bounded backoff, not swallowed: a SIGCONT lost on the way out
-        wedges the process forever.  A pid still unresumed after the
-        budget is counted in :attr:`resume_failures`, reported as a
-        ``hostalps.resume_failed`` event, and stays in the stop-set so a
-        later pass (or journaled restart) tries again.
-        """
-        candidates = self._stopped.union(self._proc_sids)
-        for pid in candidates:
-            if pid not in self._stopped:
+        """Resume every process this controller may have stopped: the
+        stop-set, and by kernel truth any single-process member in state
+        ``T`` (a multi-process subject's ``^Z``'d jobs are not ours).  A
+        transient ``kill(2)`` failure is retried (:meth:`_resume_one`);
+        a pid still unresumed stays in the stop-set for a later pass."""
+        ours = self.step.stopped
+        for pid in ours.union(self._proc_sids):
+            if pid not in ours:
                 try:
                     if self.host.read(pid)[1] != "T":
                         continue
                 except HostOSError:
                     continue
             if self._resume_one(pid):
-                self._stopped.discard(pid)
+                ours.discard(pid)
 
     def _resume_one(self, pid: int) -> bool:
-        """SIGCONT one pid, retrying transient EINTR/EAGAIN failures.
-
-        Returns True when the pid no longer needs resuming (delivered,
-        gone, or not ours to signal); False when the retry budget ran
-        out with the failure still transient.
-        """
+        """SIGCONT one pid, retrying EINTR/EAGAIN with bounded backoff:
+        a SIGCONT lost on the way out wedges the process forever.
+        Returns True once the pid needs no resuming (delivered, gone,
+        or not ours); False, counted and reported as a
+        ``hostalps.resume_failed`` event, when the budget ran out."""
         delay_us = 1_000
         for attempt in range(self.resume_retry_budget + 1):
             try:
@@ -547,55 +440,25 @@ class HostAlps:
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
         """JSON-safe snapshot of everything a restarted controller needs."""
-        return state_snapshot(
-            self.core,
-            self._now(),
-            self._stopped,
-            {
-                "last_read": self._last_read,
-                "initial": self._initial,
-                "cumulative": self._cumulative,
-                "debt": self._deferred_debt,
-            },
-        )
+        return self.step.snapshot(self._now())
 
     def restore_from_journal(self) -> bool:
-        """Replay the attached journal's latest snapshot, if usable.
-
-        Returns True when state was restored: the algorithm core resumes
-        the same cycle, and CPU consumed during the outage (current
-        procfs reading minus the journaled baseline) is scheduled for
-        amortized repayment
-        (:func:`~repro.resilience.journal.schedule_debt`) — a
-        share-proportional sliver per subsequent quantum, so the
-        fairness debt survives the crash without destabilising the
-        postponement optimization.  Dead pids are pruned against procfs,
-        and restored-stopped pids are resumed only by the algorithm's
-        own next decisions.  Returns False (leaving the fresh-start
-        state untouched) for a missing, empty, or corrupt-beyond-use
-        journal.
-        """
+        """Replay the attached journal's latest snapshot, if usable: the
+        step's restore and rejoin (docs/resilience.md), with the
+        journaled core as the membership.  Returns False, leaving the
+        fresh-start state untouched, for a missing, empty or corrupt
+        journal."""
         if self.journal is None:
             return False
         rec = self.journal.recover()
         if rec.snapshot is None:
             return False
         try:
-            state = restore_state(
-                self.core,
-                rec.snapshot,
-                ("last_read", "initial", "cumulative", "debt"),
-            )
+            state = self.step.restore(rec.snapshot)
         except JournalCorruptError:
             return False
-        last_read = state["last_read"]
-        deferred = state["debt"]
-        self._last_read = {}
-        self._initial = state["initial"]
-        self._cumulative = state["cumulative"]
-        self._stopped = state["stopped"]
-        # The journaled core is the membership: a sid it lacks departed,
-        # and one the constructor lacks joined through submit_pid.
+        # A sid the journaled core lacks departed, and one the
+        # constructor lacks joined through submit_pid.
         members = self.policy.members
         for sid in [sid for sid in members if sid not in self.core.subjects]:
             del members[sid]
@@ -603,24 +466,7 @@ class HostAlps:
             members.setdefault(sid, ProcessSubject(sid, st.share, sid))
         self._proc_sids = _proc_sids(members)
         self._refresh_principals()
-        debts: dict[int, int] = {}
-        for sid, subj in list(members.items()):
-            debt = 0
-            for pid in self._pids_of(subj):
-                try:
-                    usage = self.host.read(pid)[0]
-                except HostOSError:
-                    self._initial.pop(pid, None)
-                    self._forget_pid(pid)
-                    continue
-                base = last_read.get(pid)
-                if base is not None and usage > base:
-                    debt += usage - base
-                self._last_read[pid] = usage
-            debts[sid] = debt
-        debt_us = schedule_debt(self.core, debts, deferred)
-        self._deferred_debt = deferred
-        self._stopped = {pid for pid in self._stopped if self.host.pid_exists(pid)}
+        _, debt_us, _ = self.step.rejoin(state)
         self.recovered = True
         obs = self.observer
         if obs is not None and obs.enabled:

@@ -40,8 +40,8 @@ def test_death_between_begin_and_complete_quantum():
     kapi.now += 20
     act = agent.next_action(None, kapi)  # apply — must not raise
     assert isinstance(act, (Sleep, Compute))
-    assert 100 not in agent._last_read
-    assert 100 not in agent._stopped_pids
+    assert 100 not in agent.step.last_read
+    assert 100 not in agent.step.stopped
     # The subject itself is reaped at the next wake.
     kapi.now = 3 * Q
     agent.next_action(None, kapi)
@@ -98,16 +98,16 @@ def test_all_subjects_dead_agent_idles_cleanly():
 def test_reap_cleans_all_per_pid_maps():
     agent, kapi = make_agent((1, 1))
     _walk_to_second_wake(agent, kapi)
-    assert 100 in agent._last_read
+    assert 100 in agent.step.last_read
     kapi.now += 20
     agent.next_action(None, kapi)  # apply
-    agent._stopped_pids.add(100)  # as if previously suspended
+    agent.step.stopped.add(100)  # as if previously suspended
     kapi.alive[100] = False
     kapi.now = 3 * Q
     agent.next_action(None, kapi)  # wake → reap
     assert 0 not in agent.subjects
-    assert 100 not in agent._last_read
-    assert 100 not in agent._stopped_pids
+    assert 100 not in agent.step.last_read
+    assert 100 not in agent.step.stopped
 
 
 def test_lost_sigstop_is_resent_within_budget():
@@ -151,7 +151,7 @@ def test_stall_rebaselines_instead_of_catchup_burst():
     assert agent.missed_boundaries == 5
     assert agent.rebaselines == 1  # 5 > default tolerance of 2
     # The outage consumption was forgiven, not charged as one burst.
-    assert agent._last_read[100] == 5 * Q
+    assert agent.step.last_read[100] == 5 * Q
     kapi.now += 20
     agent.next_action(None, kapi)  # apply
     assert agent.signals_sent == 0  # no catch-up suspension storm
@@ -172,7 +172,7 @@ def test_restart_reconciles_stop_set_from_kernel_truth():
     kapi.stopped.add(101)  # wedged while the agent was down
     agent.restart()
     assert agent.restarts == 1
-    assert agent._last_read == {} and agent._stopped_pids == set()
+    assert agent.step.last_read == {} and agent.step.stopped == set()
     kapi.now = Q
     act = agent.next_action(None, kapi)  # reconcile pass
     assert isinstance(act, Compute)
@@ -191,7 +191,7 @@ def test_shutdown_resumes_by_kernel_truth():
     assert resumed == 1
     assert (100, SIGCONT) in kapi.kills
     assert kapi.stopped == set()
-    assert agent._stopped_pids == set()
+    assert agent.step.stopped == set()
 
 
 def test_wedge_healing_resumes_eligible_stopped_pid():
@@ -236,7 +236,7 @@ def test_discovery_stop_is_charged_signal_cost():
     kapi.uid_pids[7] = [300, 301]
     cost = agent._refresh_principals(kapi)
     assert (301, SIGSTOP) in kapi.kills
-    assert 301 in agent._stopped_pids
+    assert 301 in agent.step.stopped
     assert cost >= cfg.costs.principal_refresh_us + cfg.costs.signal_us
 
 

@@ -19,7 +19,7 @@ from repro.experiments.registry import EXPERIMENTS, REGISTRY
 #: import, so the registry must not grow it.
 SCALABILITY_IMPORTS = frozenset("""
 repro repro.alps repro.alps.agent repro.alps.algorithm repro.alps.config
-repro.alps.costs repro.alps.instrumentation repro.alps.measure
+repro.alps.costs repro.alps.instrumentation repro.alps.step
 repro.alps.policy repro.alps.state repro.alps.subjects repro.errors
 repro.experiments repro.experiments.accuracy repro.experiments.common
 repro.experiments.io repro.experiments.multi repro.experiments.overhead

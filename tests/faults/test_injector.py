@@ -97,8 +97,8 @@ def test_scheduled_crash_kills_victim_and_agent_reaps():
     assert 1 in cw.agent.core.subjects  # survivors still scheduled
     assert any(r.kind == "crash" for r in cw.injector.trace)
     # Stale per-pid state is gone with the subject (no leak).
-    assert cw.workers[0].pid not in cw.agent._last_read
-    assert cw.workers[0].pid not in cw.agent._stopped_pids
+    assert cw.workers[0].pid not in cw.agent.step.last_read
+    assert cw.workers[0].pid not in cw.agent.step.stopped
 
 
 def test_poisson_crashes_eventually_empty_the_group():

@@ -132,7 +132,7 @@ class SimDriver(Driver):
 
     def baseline_is_fresh(self, sid: int) -> bool:
         pid = self.pids[sid]
-        return self.agent._last_read[pid] == self.kapi.getrusage(pid)
+        return self.agent.step.last_read[pid] == self.kapi.getrusage(pid)
 
 
 class HostDriver(Driver):
@@ -169,7 +169,7 @@ class HostDriver(Driver):
         return sid in self.host.stopped
 
     def baseline_is_fresh(self, sid: int) -> bool:
-        return self.alps._last_read[sid] == self.host.usage(sid)
+        return self.alps.step.last_read[sid] == self.host.usage(sid)
 
 
 def test_both_drivers_enact_one_policy():

@@ -61,7 +61,7 @@ def test_transient_read_is_retried_then_succeeds():
     flaky_reads(host, 2)
     alps._one_quantum()
     assert alps.read_retries == 2
-    assert alps._last_read[pid] == host.usage(pid)
+    assert alps.step.last_read[pid] == host.usage(pid)
 
 
 def test_exhausted_read_budget_returns_none():
@@ -69,12 +69,12 @@ def test_exhausted_read_budget_returns_none():
     stays, so the next read charges the whole interval, and it is not
     taken for dead."""
     host, pid, alps = one_pid(read_retry_budget=1)
-    alps._baseline(pid)
+    alps.step.baseline(pid)
     measured_next(host, alps)
     flaky_reads(host, 2)
     alps._one_quantum()
     assert alps.read_retries == 1
-    assert alps._last_read[pid] == 0
+    assert alps.step.last_read[pid] == 0
     assert pid in alps.core.subjects
 
 
@@ -100,7 +100,7 @@ def test_signal_eperm_marks_uncontrollable_and_drops():
     alps._signal(a, signal.SIGSTOP)
     assert a in alps.uncontrollable
     assert a not in alps.core.subjects
-    assert a not in alps._stopped
+    assert a not in alps.step.stopped
     assert b in alps.core.subjects  # others unaffected
 
 
@@ -108,10 +108,10 @@ def test_signal_esrch_forgets_stop_state_but_keeps_subject():
     """A vanished pid (ESRCH) is not an EPERM: the stop-set entry goes,
     and the next measurement's death path removes the subject."""
     host, pid, alps = one_pid()
-    alps._stopped.add(pid)
+    alps.step.stopped.add(pid)
     host.kill = failing(ProcessLookupError("ESRCH"))
     alps._signal(pid, signal.SIGCONT)
-    assert pid not in alps._stopped
+    assert pid not in alps.step.stopped
     assert pid not in alps.uncontrollable
 
 
@@ -123,7 +123,7 @@ def test_resume_all_consults_kernel_truth():
     alps._resume_all()
     assert host.sent[-1][1:] == (pid, signal.SIGCONT)
     assert not host.stopped
-    assert alps._stopped == set()
+    assert alps.step.stopped == set()
 
 
 def test_resume_all_skips_running_processes():
@@ -198,8 +198,8 @@ def test_resume_all_keeps_unresumed_pid_in_stop_set():
     """A pid the budget could not resume stays in the stop-set: a later
     _resume_all (or the exit path's) gets another chance at it."""
     host, pid, alps = one_pid(resume_retry_budget=1)
-    alps._stopped.add(pid)
+    alps.step.stopped.add(pid)
     host.kill = failing(*[InterruptedError()] * 2)
     alps._resume_all()
-    assert pid in alps._stopped
+    assert pid in alps.step.stopped
     assert alps.resume_failures == 1

@@ -5,10 +5,12 @@ every quantum its due list and the readings of the due pids — CPU and
 run state from the PCB, as /proc would show them — are recorded at the
 instant the agent reads them.  ``HostAlps._one_quantum`` then runs the
 same quanta over a host port answering from that recording.  Both
-drivers measure with one fold, so the core must take identical
+drivers run one quantum step, so the core must take identical
 decisions on every quantum, and the two journals must hold the same
 records but for the differences docs/algorithm.md names
-("Two drivers, one fold").
+("Two drivers, one step").  After the replay, each driver recovers from
+its own journal over the same post-outage readings, and both must come
+back to the same state.
 """
 
 from __future__ import annotations
@@ -17,16 +19,21 @@ import json
 
 import pytest
 
+from repro.alps.agent import AlpsAgent
 from repro.alps.algorithm import QuantumDecisions
 from repro.alps.config import AlpsConfig
 from repro.alps.subjects import ProcessSubject
 from repro.hostos.controller import HostAlps
 from repro.hostos.port import ProcfsHost
 from repro.perf.differential import TABLE2_SIZES
-from repro.resilience.journal import MemoryJournal
+from repro.resilience.journal import MemoryJournal, core_snapshot
 from repro.units import ms, sec
 from repro.workloads.scenarios import build_controlled_workload
-from repro.workloads.shares import DISTRIBUTIONS, workload_shares
+from repro.workloads.shares import (
+    DISTRIBUTIONS,
+    ShareDistribution,
+    workload_shares,
+)
 from tests.hostos.fakehost import pcb_stat
 
 QUANTUM_US = ms(10)
@@ -69,7 +76,7 @@ def record_agent(shares):
 
     def recording_apply(kapi):
         if not quanta and not baselines:
-            baselines.update(agent._last_read)
+            baselines.update(agent.step.last_read)
         due = [(sid, list(pids)) for sid, pids in agent._due]
         readings = {pid: pcb_stat(kernel, pid) for _, pids in due for pid in pids}
         quanta.append((kapi.now, due, readings, None))
@@ -109,8 +116,8 @@ def test_host_replays_the_agents_quanta(model, n):
         host=host,
     )
     # What run() does before its first quantum, at the agent's readings.
-    alps._last_read = dict(baselines)
-    alps._cumulative = dict.fromkeys(alps.policy.members, 0)
+    alps.step.last_read = dict(baselines)
+    alps.step.cumulative = dict.fromkeys(alps.policy.members, 0)
     assert len(quanta) >= HORIZON_US // QUANTUM_US - 5
     for k, (now, due, readings, decisions) in enumerate(quanta):
         host.now = now
@@ -120,8 +127,8 @@ def test_host_replays_the_agents_quanta(model, n):
         assert got == decisions, f"quantum {k}"
     assert any(d.cycle_completed for *_, d in quanta)
     assert any(d.to_suspend for *_, d in quanta)
-    assert alps._last_read == agent._last_read
-    assert alps._cumulative == agent._cumulative
+    assert alps.step.last_read == agent.step.last_read
+    assert alps.step.cumulative == agent.step.cumulative
 
     agent_records, host_records = records(agent_journal), records(host_journal)
     assert len(agent_records) == len(host_records) == len(quanta)
@@ -140,3 +147,103 @@ def test_host_replays_the_agents_quanta(model, n):
             ours, hosts = mine["agent"].pop("stopped"), theirs["agent"].pop("stopped")
             assert hosts.items() <= ours.items(), f"record {k}"
         assert theirs == mine, f"record {k}"
+
+
+class ReadingsKapi:
+    """The agent's kapi surface over a :class:`ReplayHost`'s readings."""
+
+    def __init__(self, host: ReplayHost) -> None:
+        self.host = host
+
+    @property
+    def now(self) -> int:
+        return self.host.now
+
+    def read_progress(self, pid: int) -> tuple[int, bool, bool]:
+        cpu, state = self.host.readings[pid]
+        return cpu, state in ("S", "D"), state == "T"
+
+    def is_stopped(self, pid: int) -> bool:
+        return self.host.readings[pid][1] == "T"
+
+    def pid_exists(self, pid: int) -> bool:
+        return pid in self.host.readings
+
+    def exit_count(self) -> int:
+        return 0
+
+    def kill(self, pid: int, signo: int) -> None:
+        self.host.sent.append((pid, signo))
+
+
+@pytest.mark.parametrize("n", TABLE2_SIZES)
+def test_both_drivers_recover_the_same_state_from_their_journals(n):
+    """After the replay, a fresh agent and a fresh HostAlps each restore
+    from their own journal at the same instant over the same
+    post-outage readings: the same core, the same scheduled debt, and
+    the same decisions on the first quantum after recovery."""
+    model = ShareDistribution.LINEAR
+    agent, baselines, quanta, agent_journal = record_agent(workload_shares(model, n))
+    subjects = [
+        ProcessSubject(s.sid, s.share, s.pid) for s in agent.subjects.values()
+    ]
+    replay = ReplayHost()
+    host_journal = MemoryJournal()
+    alps = HostAlps(
+        subjects, quantum_s=QUANTUM_US / 1_000_000, journal=host_journal,
+        host=replay,
+    )
+    alps.step.last_read = dict(baselines)
+    alps.step.cumulative = dict.fromkeys(alps.policy.members, 0)
+    for now, _, readings, _ in quanta:
+        replay.now = now
+        replay.readings.update(readings)
+        alps._one_quantum()
+
+    # Down for 25 ms: every pid ran a pid-dependent amount and is
+    # running when both drivers come back.
+    outage = ReplayHost()
+    outage.now = quanta[-1][0] + 25_000
+    outage.readings = {
+        pid: (cpu + 1_000 * (1 + pid % 5), "R")
+        for pid, (cpu, _) in replay.readings.items()
+    }
+    fresh = AlpsAgent(
+        [ProcessSubject(s.sid, s.share, s.pid) for s in subjects],
+        AlpsConfig(quantum_us=QUANTUM_US),
+    )
+    fresh.attach_journal(agent_journal)
+    fresh.restart()
+    assert fresh.last_restart_journaled
+    kapi = ReadingsKapi(outage)
+    fresh.next_action(None, kapi)  # the RECOVERING activation
+    host = HostAlps(
+        [ProcessSubject(s.sid, s.share, s.pid) for s in subjects],
+        quantum_s=QUANTUM_US / 1_000_000,
+        journal=host_journal,
+        host=outage,
+    )
+    assert host.restore_from_journal()
+
+    assert core_snapshot(fresh.core) == core_snapshot(host.core)
+    assert fresh.step.debt == host.step.debt
+    assert sum(fresh.step.debt.values()) > 0
+    assert fresh.step.last_read == host.step.last_read
+
+    # Forty more quanta over the same readings, each driver's own step;
+    # every process gets an equal slice, so small shares run out.
+    fresh.step.view = kapi
+    fresh.core._now_fn = host.core._now_fn  # cycle records' end time
+    slice_us = QUANTUM_US // len(outage.readings)
+    transitions = 0
+    for k in range(40):
+        outage.now += QUANTUM_US
+        for pid, (cpu, state) in list(outage.readings.items()):
+            outage.readings[pid] = (cpu + slice_us, state)
+        ours = fresh.step.quantum(fresh.step.due()[0], outage.now)[0]
+        theirs = host.step.quantum(host.step.due()[0], outage.now)[0]
+        assert fresh.core._last_due == host.core._last_due, f"quantum {k}"
+        assert ours == theirs, f"quantum {k}"
+        transitions += len(ours.to_suspend) + len(ours.to_resume)
+    assert transitions
+    assert core_snapshot(fresh.core) == core_snapshot(host.core)

@@ -104,7 +104,7 @@ def test_newcomer_of_suspended_group_is_stopped_at_discovery(host):
     new = host.spawn()
     members.append(new)
     alps._refresh_principals()
-    assert new in host.stopped and alps._last_read[new] == 0
+    assert new in host.stopped and alps.step.last_read[new] == 0
     # It resumes with its group.
     while not state.eligible:
         host.sleep(ms(50))
@@ -191,7 +191,7 @@ def test_eperm_pid_leaves_its_group_but_the_group_stays(host):
     alps.run(3.0)
     assert alps.uncontrollable == {b}
     assert 0 in alps.core.subjects
-    assert alps._pids_of(alps.policy.members[0]) == [a]
+    assert alps.step.pids_of(alps.policy.members[0]) == [a]
 
 
 def test_controller_and_its_ancestors_are_never_members(host):

@@ -92,7 +92,7 @@ def test_deferred_debt_is_journaled_and_drains():
     rec = journal.recover()
     assert rec.snapshot is not None
     assert "debt" in rec.snapshot["agent"]
-    assert cw.agent._deferred_debt == {}
+    assert cw.agent.step.debt == {}
 
 
 def test_supervisor_budget_exhaustion_stands_down_and_resumes_all():

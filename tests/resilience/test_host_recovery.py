@@ -34,7 +34,7 @@ def test_restore_from_journal_resumes_core_and_schedules_debt(tmp_path):
     first = HostAlps({a: 1, b: 3}, quantum_s=0.05, journal=journal, host=host)
     first.core.count = 17  # mid-cycle state worth preserving
     base = {a: host.usage(a), b: host.usage(b)}
-    first._last_read = dict(base)
+    first.step.last_read = dict(base)
     journal.append(first.snapshot_state())
     journal.close()
 
@@ -53,10 +53,10 @@ def test_restore_from_journal_resumes_core_and_schedules_debt(tmp_path):
     # Downtime consumption became amortized debt, not a lump and not a
     # forgiven re-baseline.
     now = {a: host.usage(a), b: host.usage(b)}
-    assert second._deferred_debt == {pid: now[pid] - base[pid] for pid in now}
-    assert all(debt > 0 for debt in second._deferred_debt.values())
+    assert second.step.debt == {pid: now[pid] - base[pid] for pid in now}
+    assert all(debt > 0 for debt in second.step.debt.values())
     # Baselines moved to the fresh readings: the debt is charged once.
-    assert second._last_read == now
+    assert second.step.last_read == now
 
 
 def test_restore_prunes_pids_dead_during_outage(tmp_path):
@@ -64,7 +64,7 @@ def test_restore_prunes_pids_dead_during_outage(tmp_path):
     a, b = host.spawn(), host.spawn()
     journal = make_journal(tmp_path)
     first = HostAlps({a: 1, b: 3}, quantum_s=0.05, journal=journal, host=host)
-    first._last_read = {a: 0, b: 0}
+    first.step.last_read = {a: 0, b: 0}
     journal.append(first.snapshot_state())
     journal.close()
 
@@ -152,7 +152,7 @@ def test_host_journals_deltas_and_restores_from_them(tmp_path):
         dict(zip(pids, (1, 2, 3))), quantum_s=0.01, journal=journal, host=host
     )
     for pid in pids:
-        first._baseline(pid)
+        first.step.baseline(pid)
     at_write = record_writes(first, journal)
     late = None
     for quantum in range(60):
@@ -189,8 +189,8 @@ def test_host_journals_deltas_and_restores_from_them(tmp_path):
         )
     # Write-ahead: the stop-set as the last record found it, before the
     # signals it encodes went out.
-    assert sorted(second._stopped) == at_write[-1]["agent"]["stopped"]
-    assert second._initial == first._initial
+    assert sorted(second.step.stopped) == at_write[-1]["agent"]["stopped"]
+    assert second.step.initial == first.step.initial
     # Its first record is a checkpoint again, and the file still folds.
     host.sleep(ms(10))
     second._one_quantum()
@@ -213,7 +213,7 @@ def test_host_restores_from_a_v1_full_snapshot_journal(tmp_path):
     lines = []
     for seq in range(4):
         first.core.count = seq
-        first._last_read = {a: ua - 503 + seq, b: ub - 3 + seq}
+        first.step.last_read = {a: ua - 503 + seq, b: ub - 3 + seq}
         snapshot = first.snapshot_state()
         del snapshot["agent"]["cumulative"]  # not written back then
         body = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
@@ -228,7 +228,7 @@ def test_host_restores_from_a_v1_full_snapshot_journal(tmp_path):
     )
     assert second.restore_from_journal()
     assert second.core.count == 3
-    assert second._deferred_debt == {a: 500}
+    assert second.step.debt == {a: 500}
 
 
 def groups(pids: list[int]) -> list[PidGroupSubject]:
@@ -241,7 +241,7 @@ def test_restore_sums_a_groups_outage_debt_on_its_sid(tmp_path):
     host.kernel.kill(pids[2], SIGSTOP)  # group 1 consumes nothing
     journal = make_journal(tmp_path)
     first = HostAlps(groups(pids), quantum_s=0.05, journal=journal, host=host)
-    first._last_read = {pid: host.usage(pid) for pid in pids}
+    first.step.last_read = {pid: host.usage(pid) for pid in pids}
     journal.append(first.snapshot_state())
     journal.close()
     host.sleep(sec(1))
@@ -253,10 +253,10 @@ def test_restore_sums_a_groups_outage_debt_on_its_sid(tmp_path):
     )
     assert second.restore_from_journal()
     now = {pid: host.usage(pid) for pid in pids}
-    assert second._deferred_debt == {
-        0: sum(now[pid] - first._last_read[pid] for pid in pids[:2])
+    assert second.step.debt == {
+        0: sum(now[pid] - first.step.last_read[pid] for pid in pids[:2])
     }
-    assert second._last_read == now
+    assert second.step.last_read == now
 
 
 def test_group_journal_round_trip(tmp_path):
@@ -268,7 +268,7 @@ def test_group_journal_round_trip(tmp_path):
     journal = make_journal(tmp_path)
     first = HostAlps(groups(pids), quantum_s=0.01, journal=journal, host=host)
     for pid in pids:
-        first._baseline(pid)
+        first.step.baseline(pid)
     at_write = record_writes(first, journal)
     for _ in range(40):
         host.sleep(ms(10))
@@ -287,9 +287,9 @@ def test_group_journal_round_trip(tmp_path):
     assert second.restore_from_journal()
     assert second.core.count == first.core.count
     assert second.core.tc == first.core.tc
-    assert sorted(second._stopped) == at_write[-1]["agent"]["stopped"]
-    last = first._last_read
-    assert second._cumulative == first._cumulative == {
+    assert sorted(second.step.stopped) == at_write[-1]["agent"]["stopped"]
+    last = first.step.last_read
+    assert second.step.cumulative == first.step.cumulative == {
         0: last[pids[0]] + last[pids[1]],
         1: last[pids[2]],
     }

@@ -81,13 +81,13 @@ class DeltaJournalMachine(RuleBasedStateMachine):
         #: What a full-snapshot journal under the same mask would
         #: recover right now.
         self.expected = None
-        inner = self.agent._journal_quantum
+        inner = self.agent.step.record
 
-        def checked(journal, now, measurements, decisions):
-            inner(journal, now, measurements, decisions)
+        def checked(now, *rest):
+            inner(now, *rest)
             self.after_append(now)
 
-        self.agent._journal_quantum = checked
+        self.agent.step.record = checked
         # Stalls the way the fault injector makes them: the agent's next
         # timer sleep runs long, its intended wake time stays put.
         self.pending_stall = 0
