@@ -30,56 +30,35 @@ Quickstart::
     print(per_subject_fractions(cw.agent.cycle_log, skip=5))
 """
 
-from repro.alps import (
-    AlpsAgent,
-    AlpsConfig,
-    AlpsCore,
-    CostModel,
-    CycleLog,
-    CycleRecord,
-    ProcessSubject,
-    UserSubject,
-)
-from repro.alps.agent import spawn_alps
-from repro.kernel import Kernel, KernelConfig
-from repro.obs import Observer
-from repro.sharetree import ShardedAlpsPlane, ShareTree
-from repro.sim import Engine
-from repro.units import MSEC, SEC, USEC, ms, sec, usec
-from repro.workloads import (
-    ShareDistribution,
-    build_controlled_workload,
-    build_multi_alps_scenario,
-    workload_shares,
-)
+from repro._surface import lazy_surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlpsAgent",
-    "AlpsConfig",
-    "AlpsCore",
-    "CostModel",
-    "CycleLog",
-    "CycleRecord",
-    "Engine",
-    "Kernel",
-    "KernelConfig",
-    "MSEC",
-    "Observer",
-    "ProcessSubject",
-    "SEC",
-    "ShardedAlpsPlane",
-    "ShareDistribution",
-    "ShareTree",
-    "USEC",
-    "UserSubject",
-    "__version__",
-    "build_controlled_workload",
-    "build_multi_alps_scenario",
-    "ms",
-    "sec",
-    "spawn_alps",
-    "usec",
-    "workload_shares",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "AlpsAgent": "repro.alps.agent",
+    "AlpsConfig": "repro.alps.config",
+    "AlpsCore": "repro.alps.algorithm",
+    "CostModel": "repro.alps.costs",
+    "CycleLog": "repro.alps.instrumentation",
+    "CycleRecord": "repro.alps.instrumentation",
+    "Engine": "repro.sim.engine",
+    "Kernel": "repro.kernel.kernel",
+    "KernelConfig": "repro.kernel.kconfig",
+    "MSEC": "repro.units",
+    "Observer": "repro.obs.observer",
+    "ProcessSubject": "repro.alps.subjects",
+    "SEC": "repro.units",
+    "ShardedAlpsPlane": "repro.sharetree.plane",
+    "ShareDistribution": "repro.workloads.shares",
+    "ShareTree": "repro.sharetree.tree",
+    "USEC": "repro.units",
+    "UserSubject": "repro.alps.subjects",
+    "build_controlled_workload": "repro.workloads.scenarios",
+    "build_multi_alps_scenario": "repro.workloads.scenarios",
+    "ms": "repro.units",
+    "sec": "repro.units",
+    "spawn_alps": "repro.alps.agent",
+    "usec": "repro.units",
+    "workload_shares": "repro.workloads.shares",
+})
+__all__.append("__version__")

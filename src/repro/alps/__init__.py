@@ -20,26 +20,20 @@ The same :class:`~repro.alps.algorithm.AlpsCore` also drives the
 real-Linux controller in :mod:`repro.hostos`.
 """
 
-from repro.alps.agent import AlpsAgent
-from repro.alps.algorithm import AlpsCore, QuantumDecisions
-from repro.alps.config import AlpsConfig
-from repro.alps.costs import CostAccumulator, CostModel
-from repro.alps.instrumentation import CycleLog, CycleRecord
-from repro.alps.state import SubjectState
-from repro.alps.subjects import PidGroupSubject, ProcessSubject, Subject, UserSubject
+from repro._surface import lazy_surface
 
-__all__ = [
-    "AlpsAgent",
-    "AlpsConfig",
-    "AlpsCore",
-    "CostAccumulator",
-    "CostModel",
-    "CycleLog",
-    "CycleRecord",
-    "PidGroupSubject",
-    "ProcessSubject",
-    "QuantumDecisions",
-    "Subject",
-    "SubjectState",
-    "UserSubject",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "AlpsAgent": "repro.alps.agent",
+    "AlpsConfig": "repro.alps.config",
+    "AlpsCore": "repro.alps.algorithm",
+    "CostAccumulator": "repro.alps.costs",
+    "CostModel": "repro.alps.costs",
+    "CycleLog": "repro.alps.instrumentation",
+    "CycleRecord": "repro.alps.instrumentation",
+    "PidGroupSubject": "repro.alps.subjects",
+    "ProcessSubject": "repro.alps.subjects",
+    "QuantumDecisions": "repro.alps.algorithm",
+    "Subject": "repro.alps.subjects",
+    "SubjectState": "repro.alps.state",
+    "UserSubject": "repro.alps.subjects",
+})

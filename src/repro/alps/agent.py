@@ -31,7 +31,6 @@ from repro.alps.subjects import ProcessSubject, Subject
 from repro.errors import JournalCorruptError, NoSuchProcessError
 from repro.kernel.actions import Action, Compute, Sleep
 from repro.kernel.signals import SIGCONT, SIGSTOP
-from repro.resilience.journal import validate_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
@@ -295,6 +294,8 @@ class AlpsAgent:
         self._recovered = None
         if step.journal is None:
             return
+        from repro.resilience.journal import validate_snapshot
+
         try:
             rec = step.journal.recover()
             if rec.snapshot is None:
@@ -353,14 +354,19 @@ class AlpsAgent:
         raise AssertionError(f"unknown phase {phase}")  # pragma: no cover
 
     # -- phase bodies ----------------------------------------------------
-    def _do_init(self, kapi: "KernelAPI") -> Action:
-        step = self.step
-        step.view = kapi
-        step.epoch = kapi.now
+    def _bind(self, kapi: "KernelAPI") -> None:
+        """Bind the process view, the core's clock and the observer; the
+        first activation runs this, whether it is INIT or a restart's."""
+        self.step.view = kapi
         # Duck-typed kapi surfaces (unit-test fakes, alternative hosts)
         # may not expose an observability handle; absence means None.
         self._obs = self.policy.obs = getattr(kapi, "observer", None)
         self.core._now_fn = lambda: kapi.now
+
+    def _do_init(self, kapi: "KernelAPI") -> Action:
+        self._bind(kapi)
+        step = self.step
+        step.epoch = kapi.now
         step.cumulative = {s: 0 for s in self.subjects}
         for subj in self.subjects.values():
             subj.refresh(kapi)
@@ -477,8 +483,8 @@ class AlpsAgent:
         every read, and resume every controlled process found stopped —
         the next quantum re-suspends the truly ineligible, and one
         quantum of lost proportions beats a subject wedged forever."""
+        self._bind(kapi)
         step = self.step
-        step.view = kapi
         npids = 0
         resume: list[tuple[int, bool]] = []
         for subj in self.subjects.values():
@@ -504,8 +510,8 @@ class AlpsAgent:
         partition).  An unusable payload degrades to reconciliation."""
         payload = self._recovered
         self._recovered = None
+        self._bind(kapi)
         step = self.step
-        step.view = kapi
         now = kapi.now
         obs = self._obs
         try:

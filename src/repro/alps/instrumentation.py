@@ -8,9 +8,10 @@ log; the metrics in :mod:`repro.metrics.accuracy` consume it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(slots=True, frozen=True)
@@ -62,6 +63,8 @@ class CycleLog:
 
     def consumption_matrix(self, subject_ids: list[int]) -> np.ndarray:
         """(cycles × subjects) array of per-cycle CPU consumption (µs)."""
+        import numpy as np
+
         out = np.zeros((len(self.records), len(subject_ids)), dtype=np.int64)
         for row, rec in enumerate(self.records):
             for col, sid in enumerate(subject_ids):

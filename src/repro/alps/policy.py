@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import SchedulerConfigError
-from repro.overload.ladder import Rung
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.alps.algorithm import AlpsCore
@@ -292,6 +291,8 @@ class AlpsPolicy:
         Returns ``(resumed, readmitted)``: stopped pids resumed by a
         shed, pids re-baselined by a readmission.
         """
+        from repro.overload.ladder import Rung
+
         guard = self.guard
         assert guard is not None
         self.core.postpone_boost = guard.postpone_boost

@@ -40,18 +40,12 @@ arguments (docs/algorithm.md, "Two drivers, one step"):
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Any, Callable, Collection, Mapping, Optional, Sequence,
+    TYPE_CHECKING, Any, Callable, Collection, Mapping, MutableMapping, Optional,
+    Sequence,
 )
 
 from repro.alps.state import Eligibility
 from repro.errors import NoSuchProcessError, TransientReadError
-from repro.resilience.journal import (
-    drain_debt,
-    journal_quantum,
-    restore_state,
-    schedule_debt,
-    state_snapshot,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.alps.algorithm import AlpsCore, QuantumDecisions
@@ -60,6 +54,34 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Signal = tuple[int, bool]
 
 _ELIGIBLE = Eligibility.ELIGIBLE
+
+
+def drain_debt(
+    deferred: MutableMapping[int, int],
+    sid: int,
+    share: int,
+    quantum_us: int,
+    total_shares: int,
+) -> int:
+    """One measurement's repayment of ``sid``'s deferred downtime debt.
+
+    Removes and returns at most the subject's fair-share rate — one
+    share-proportional quantum slice, ``share · Q / S`` µs — so the
+    extra charge per quantum never exceeds what a cycle already credits
+    back, keeping allowances (and the postponement feedback loop)
+    damped while the debt is repaid in full.  Returns 0 when ``sid``
+    owes nothing; callers add the result to the quantum's measured
+    consumption.
+    """
+    owed = deferred.get(sid)
+    if not owed:
+        return 0
+    rate = max(1, (share * quantum_us) // max(1, total_shares))
+    if owed <= rate:
+        del deferred[sid]
+        return owed
+    deferred[sid] = owed - rate
+    return rate
 
 
 def measure_due(
@@ -96,7 +118,7 @@ def measure_due(
     and tc never reaches 0, holding the cycle open for everyone.
     ``cumulative`` gains the measured CPU; a share-proportional sliver
     of post-crash ``debt`` rides on the charge
-    (:func:`~repro.resilience.journal.drain_debt`).
+    (:func:`drain_debt`).
     """
     measurements: dict[int, tuple[int, bool]] = {}
     anomalies = 0
@@ -345,7 +367,10 @@ class QuantumStep:
         decisions: "QuantumDecisions",
         signals: list[Signal],
     ) -> None:
-        """Append this quantum's record (see :func:`journal_quantum`)."""
+        """Append this quantum's record (see
+        :func:`~repro.resilience.journal.journal_quantum`)."""
+        from repro.resilience.journal import journal_quantum
+
         pending = [pid for pid, _ in signals]
         signalled = self.journal_signalled
         journal_quantum(
@@ -430,6 +455,8 @@ class QuantumStep:
     # ------------------------------------------------------------------
     def snapshot(self, now: int) -> dict:
         """JSON-safe checkpoint of all state a restart must not lose."""
+        from repro.resilience.journal import state_snapshot
+
         maps = {
             "last_read": self.last_read,
             "cumulative": self.cumulative,
@@ -450,6 +477,8 @@ class QuantumStep:
         or, under ``foreign_stops``, as journaled — and the baselines
         restart empty until :meth:`rejoin` reads them.
         """
+        from repro.resilience.journal import restore_state
+
         maps = ("last_read", "cumulative", "debt")
         if self.initial is not None:
             maps += ("initial",)
@@ -471,12 +500,15 @@ class QuantumStep:
         with ``read_progress``; ``is_stopped`` is asked only when the
         read and its retries fail.  The CPU a subject consumed while the
         driver was down (reading minus journaled baseline) is scheduled
-        for amortized repayment (:func:`schedule_debt`), not forgiven.
+        for amortized repayment
+        (:func:`~repro.resilience.journal.schedule_debt`), not forgiven.
         Without ``foreign_stops`` the stop-set becomes the pids read
         stopped, and each pid whose stopped-ness contradicts its
         subject's restored eligibility gets a fix-up signal.  Returns
         the fix-ups, the debt scheduled (µs) and the pids walked.
         """
+        from repro.resilience.journal import schedule_debt
+
         base = state["last_read"]
         view = self.view
         read = view.read_progress

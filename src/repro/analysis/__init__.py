@@ -4,16 +4,13 @@ The benchmark harness uses these to print the same rows/series the
 paper's tables and figures report.
 """
 
-from repro.analysis.ascii_plot import ascii_series_plot
-from repro.analysis.export import write_csv
-from repro.analysis.tables import format_table
-from repro.analysis.timeline import RunInterval, Timeline, attach_timeline
+from repro._surface import lazy_surface
 
-__all__ = [
-    "RunInterval",
-    "Timeline",
-    "ascii_series_plot",
-    "attach_timeline",
-    "format_table",
-    "write_csv",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "RunInterval": "repro.analysis.timeline",
+    "Timeline": "repro.analysis.timeline",
+    "ascii_series_plot": "repro.analysis.ascii_plot",
+    "attach_timeline": "repro.analysis.timeline",
+    "format_table": "repro.analysis.tables",
+    "write_csv": "repro.analysis.export",
+})

@@ -16,13 +16,11 @@ module — construct :class:`~repro.alps.config.AlpsConfig` with
 ``optimized=False``.
 """
 
-from repro.baselines.duty_cycle import DutyCycleAgent, spawn_duty_cycle
-from repro.baselines.lottery import LotteryScheduler
-from repro.baselines.stride import StrideScheduler
+from repro._surface import lazy_surface
 
-__all__ = [
-    "DutyCycleAgent",
-    "LotteryScheduler",
-    "StrideScheduler",
-    "spawn_duty_cycle",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "DutyCycleAgent": "repro.baselines.duty_cycle",
+    "LotteryScheduler": "repro.baselines.lottery",
+    "StrideScheduler": "repro.baselines.stride",
+    "spawn_duty_cycle": "repro.baselines.duty_cycle",
+})

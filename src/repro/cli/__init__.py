@@ -5,6 +5,8 @@ run the live Linux controller (``live``), or print the experiment
 index (``list``).
 """
 
-from repro.cli.main import main
+from repro._surface import lazy_surface
 
-__all__ = ["main"]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "main": "repro.cli.main",
+})

@@ -28,21 +28,17 @@ files all use.  :mod:`repro.experiments.common` holds the shared
 ``run_for_cycles`` loop.
 """
 
-from repro.experiments.accuracy import AccuracyPoint, run_accuracy_point
-from repro.experiments.io import IoExperimentResult, run_io_experiment
-from repro.experiments.multi import MultiAlpsResult, run_multi_alps_experiment
-from repro.experiments.overhead import OverheadPoint, run_overhead_point
-from repro.experiments.scalability import ScalabilityPoint, scalability_sweep
+from repro._surface import lazy_surface
 
-__all__ = [
-    "AccuracyPoint",
-    "IoExperimentResult",
-    "MultiAlpsResult",
-    "OverheadPoint",
-    "ScalabilityPoint",
-    "run_accuracy_point",
-    "run_io_experiment",
-    "run_multi_alps_experiment",
-    "run_overhead_point",
-    "scalability_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "AccuracyPoint": "repro.experiments.accuracy",
+    "IoExperimentResult": "repro.experiments.io",
+    "MultiAlpsResult": "repro.experiments.multi",
+    "OverheadPoint": "repro.experiments.overhead",
+    "ScalabilityPoint": "repro.experiments.scalability",
+    "run_accuracy_point": "repro.experiments.accuracy",
+    "run_io_experiment": "repro.experiments.io",
+    "run_multi_alps_experiment": "repro.experiments.multi",
+    "run_overhead_point": "repro.experiments.overhead",
+    "scalability_sweep": "repro.experiments.scalability",
+})

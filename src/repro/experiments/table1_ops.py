@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.hostos.procfs import read_proc_stat
+from repro.hostos.procfs import proc_state, read_proc_stat
 from repro.hostos.spawn import spawn_spinner
 
 
@@ -83,12 +83,21 @@ def time_measure_ladder(
     """Fit ``a + b·n`` to the cost of reading n processes' CPU time.
 
     Returns ``(fixed_us, per_proc_us)`` — the live analogue of the
-    paper's 1.1 + 17.4·n.
+    paper's 1.1 + 17.4·n.  The spinners are read while SIGSTOPped:
+    running, they would take the reader's CPU, and the slope would be
+    the reader's wait for a CPU rather than the read.
     """
     ns: list[int] = []
     costs: list[float] = []
     with _spinners(max(sizes)) as pids:
         time.sleep(0.05)  # let /proc entries settle
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        deadline = time.monotonic() + 1.0
+        while any(proc_state(pid) != "T" for pid in pids):
+            if time.monotonic() > deadline:
+                raise RuntimeError("spinners did not stop")
+            time.sleep(0.001)
         for n in sizes:
             subset = pids[:n]
             t0 = time.perf_counter()

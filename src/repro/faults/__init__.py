@@ -13,34 +13,19 @@ See ``docs/fault_model.md`` for the fault taxonomy and the determinism
 contract.
 """
 
-from repro.faults.injector import (
-    FaultableAlpsBehavior,
-    FaultInjector,
-    FaultyKernelAPI,
-)
-from repro.faults.plan import (
-    AgentCrash,
-    AgentStall,
-    CellCrash,
-    FaultPlan,
-    FaultRecord,
-    ForkStorm,
-    MigrationTear,
-    ProcessCrash,
-    default_fault_plan,
-)
+from repro._surface import lazy_surface
 
-__all__ = [
-    "AgentCrash",
-    "AgentStall",
-    "CellCrash",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRecord",
-    "FaultableAlpsBehavior",
-    "FaultyKernelAPI",
-    "ForkStorm",
-    "MigrationTear",
-    "ProcessCrash",
-    "default_fault_plan",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "AgentCrash": "repro.faults.plan",
+    "AgentStall": "repro.faults.plan",
+    "CellCrash": "repro.faults.plan",
+    "FaultInjector": "repro.faults.injector",
+    "FaultPlan": "repro.faults.plan",
+    "FaultRecord": "repro.faults.plan",
+    "FaultableAlpsBehavior": "repro.faults.injector",
+    "FaultyKernelAPI": "repro.faults.injector",
+    "ForkStorm": "repro.faults.plan",
+    "MigrationTear": "repro.faults.plan",
+    "ProcessCrash": "repro.faults.plan",
+    "default_fault_plan": "repro.faults.plan",
+})

@@ -17,26 +17,17 @@ use the simulator; this backend demonstrates the system end-to-end and
 feeds the Table 1 micro-benchmarks.
 """
 
-from repro.hostos.controller import HostAlps, HostAlpsReport
-from repro.hostos.port import ProcfsHost
-from repro.hostos.procfs import (
-    cpu_time_us,
-    is_alive,
-    is_blocked,
-    proc_state,
-    read_proc_stat,
-)
-from repro.hostos.spawn import spawn_io_child, spawn_spinner
+from repro._surface import lazy_surface
 
-__all__ = [
-    "HostAlps",
-    "HostAlpsReport",
-    "ProcfsHost",
-    "cpu_time_us",
-    "is_alive",
-    "is_blocked",
-    "proc_state",
-    "read_proc_stat",
-    "spawn_io_child",
-    "spawn_spinner",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "HostAlps": "repro.hostos.controller",
+    "HostAlpsReport": "repro.hostos.controller",
+    "ProcfsHost": "repro.hostos.port",
+    "cpu_time_us": "repro.hostos.procfs",
+    "is_alive": "repro.hostos.procfs",
+    "is_blocked": "repro.hostos.procfs",
+    "proc_state": "repro.hostos.procfs",
+    "read_proc_stat": "repro.hostos.procfs",
+    "spawn_io_child": "repro.hostos.spawn",
+    "spawn_spinner": "repro.hostos.spawn",
+})

@@ -18,65 +18,25 @@ express their work as :class:`~repro.kernel.behaviors.Behavior` objects
 that emit :mod:`~repro.kernel.actions`.
 """
 
-from repro.kernel.actions import Compute, Exit, Sleep, SleepOn
-from repro.kernel.behaviors import Behavior, GeneratorBehavior, behavior
-from repro.kernel.cfs import CfsKernel
-from repro.kernel.kapi import KernelAPI
-from repro.kernel.kconfig import KERNEL_BACKENDS, KernelConfig
-from repro.kernel.kernel import Kernel
-from repro.kernel.process import Process, ProcState
-from repro.kernel.signals import SIGCONT, SIGKILL, SIGSTOP
+from repro._surface import lazy_surface
 
-
-def make_kernel(engine, config: KernelConfig = None) -> Kernel:
-    """Build the kernel implementation selected by ``config.backend``.
-
-    ``"strict"`` and ``"optimized"`` both map to :class:`Kernel` (with
-    the matching eager/lazy bookkeeping); ``"batch"`` maps to the
-    struct-of-arrays :class:`repro.kernel.batch.BatchKernel`;
-    ``"resident"`` maps to :class:`repro.kernel.resident.ResidentKernel`
-    (arrays as the authoritative state, PCBs as views).  The batch and
-    resident modules are imported only when selected.
-    """
-    from dataclasses import replace
-
-    from repro.kernel.kconfig import DEFAULT_CONFIG
-
-    if config is None:
-        config = DEFAULT_CONFIG
-    backend = config.resolve_backend()
-    if backend == "batch":
-        from repro.kernel.batch import BatchKernel
-
-        return BatchKernel(engine, config)
-    if backend == "resident":
-        from repro.kernel.resident import ResidentKernel
-
-        return ResidentKernel(engine, config)
-    if backend == "strict" and not config.strict:
-        config = replace(config, strict=True)
-    elif backend == "optimized" and config.strict:
-        config = replace(config, strict=False)
-    return Kernel(engine, config)
-
-
-__all__ = [
-    "Behavior",
-    "CfsKernel",
-    "Compute",
-    "Exit",
-    "GeneratorBehavior",
-    "KERNEL_BACKENDS",
-    "Kernel",
-    "KernelAPI",
-    "KernelConfig",
-    "Process",
-    "ProcState",
-    "SIGCONT",
-    "SIGKILL",
-    "SIGSTOP",
-    "Sleep",
-    "SleepOn",
-    "behavior",
-    "make_kernel",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "Behavior": "repro.kernel.behaviors",
+    "CfsKernel": "repro.kernel.cfs",
+    "Compute": "repro.kernel.actions",
+    "Exit": "repro.kernel.actions",
+    "GeneratorBehavior": "repro.kernel.behaviors",
+    "KERNEL_BACKENDS": "repro.kernel.kconfig",
+    "Kernel": "repro.kernel.kernel",
+    "KernelAPI": "repro.kernel.kapi",
+    "KernelConfig": "repro.kernel.kconfig",
+    "Process": "repro.kernel.process",
+    "ProcState": "repro.kernel.process",
+    "SIGCONT": "repro.kernel.signals",
+    "SIGKILL": "repro.kernel.signals",
+    "SIGSTOP": "repro.kernel.signals",
+    "Sleep": "repro.kernel.actions",
+    "SleepOn": "repro.kernel.actions",
+    "behavior": "repro.kernel.behaviors",
+    "make_kernel": "repro.kernel.kconfig",
+})

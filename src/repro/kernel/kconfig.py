@@ -8,9 +8,13 @@ formula ``p_usrpri = PUSER + p_estcpu / 4 + 2 * p_nice``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Optional
 
 from repro.units import MSEC, SEC
+
+if TYPE_CHECKING:
+    from repro.kernel.kernel import Kernel
 
 #: Valid values of :attr:`KernelConfig.backend` besides ``"auto"``.
 KERNEL_BACKENDS = frozenset({"strict", "optimized", "batch", "resident"})
@@ -102,3 +106,34 @@ class KernelConfig:
 
 #: Default kernel configuration (FreeBSD 4.x-like).
 DEFAULT_CONFIG = KernelConfig()
+
+
+def make_kernel(engine, config: Optional[KernelConfig] = None) -> Kernel:
+    """Build the kernel implementation selected by ``config.backend``.
+
+    ``"strict"`` and ``"optimized"`` both map to
+    :class:`~repro.kernel.kernel.Kernel` (with the matching eager/lazy
+    bookkeeping); ``"batch"`` maps to the struct-of-arrays
+    :class:`repro.kernel.batch.BatchKernel`; ``"resident"`` maps to
+    :class:`repro.kernel.resident.ResidentKernel` (arrays as the
+    authoritative state, PCBs as views).  Each kernel module is imported
+    only when selected.
+    """
+    if config is None:
+        config = DEFAULT_CONFIG
+    backend = config.resolve_backend()
+    if backend == "batch":
+        from repro.kernel.batch import BatchKernel
+
+        return BatchKernel(engine, config)
+    if backend == "resident":
+        from repro.kernel.resident import ResidentKernel
+
+        return ResidentKernel(engine, config)
+    if backend == "strict" and not config.strict:
+        config = replace(config, strict=True)
+    elif backend == "optimized" and config.strict:
+        config = replace(config, strict=False)
+    from repro.kernel.kernel import Kernel
+
+    return Kernel(engine, config)

@@ -10,25 +10,17 @@
   model ``U_Q(N*) = 100/(N*+1)`` of Section 4.2.
 """
 
-from repro.metrics.accuracy import (
-    cycle_rms_relative_errors,
-    mean_rms_relative_error,
-    per_subject_fractions,
-)
-from repro.metrics.breakdown import predicted_threshold
-from repro.metrics.latency import LatencySummary, summarize_latencies
-from repro.metrics.overhead import OverheadFit, fit_overhead_line
-from repro.metrics.regression import phase_fractions, slope
+from repro._surface import lazy_surface
 
-__all__ = [
-    "LatencySummary",
-    "OverheadFit",
-    "summarize_latencies",
-    "cycle_rms_relative_errors",
-    "fit_overhead_line",
-    "mean_rms_relative_error",
-    "per_subject_fractions",
-    "phase_fractions",
-    "predicted_threshold",
-    "slope",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "LatencySummary": "repro.metrics.latency",
+    "OverheadFit": "repro.metrics.overhead",
+    "cycle_rms_relative_errors": "repro.metrics.accuracy",
+    "fit_overhead_line": "repro.metrics.overhead",
+    "mean_rms_relative_error": "repro.metrics.accuracy",
+    "per_subject_fractions": "repro.metrics.accuracy",
+    "phase_fractions": "repro.metrics.regression",
+    "predicted_threshold": "repro.metrics.breakdown",
+    "slope": "repro.metrics.regression",
+    "summarize_latencies": "repro.metrics.latency",
+})

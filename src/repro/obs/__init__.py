@@ -24,73 +24,38 @@ docs/observability.md).  Observation is schedule-invisible: equal seeds
 produce byte-identical schedules with or without an observer attached.
 """
 
-from repro.obs.bridge import collect_plane, collect_workload
-from repro.obs.events import (
-    SCHEMA_VERSION,
-    CallbackSink,
-    EventLog,
-    JsonlSink,
-    NullSink,
-    ObsEvent,
-    Sink,
-)
-from repro.obs.export import (
-    events_to_jsonl,
-    metrics_to_csv,
-    metrics_to_jsonl,
-    metrics_to_prometheus,
-    parse_events_jsonl,
-    parse_metrics_csv,
-    parse_metrics_jsonl,
-    parse_prometheus_text,
-    rows_to_markdown,
-)
-from repro.obs.observer import Observer
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    restore_snapshot,
-)
-from repro.obs.spans import Span, SpanRecorder, SpanStats
-from repro.obs.top import (
-    render_plane_frame,
-    render_top_frame,
-    run_plane_top,
-    run_top,
-)
+from repro._surface import lazy_surface
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "CallbackSink",
-    "Counter",
-    "EventLog",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "MetricsRegistry",
-    "NullSink",
-    "ObsEvent",
-    "Observer",
-    "Sink",
-    "Span",
-    "SpanRecorder",
-    "SpanStats",
-    "collect_plane",
-    "collect_workload",
-    "events_to_jsonl",
-    "metrics_to_csv",
-    "metrics_to_jsonl",
-    "metrics_to_prometheus",
-    "parse_events_jsonl",
-    "parse_metrics_csv",
-    "parse_metrics_jsonl",
-    "parse_prometheus_text",
-    "render_plane_frame",
-    "render_top_frame",
-    "restore_snapshot",
-    "rows_to_markdown",
-    "run_plane_top",
-    "run_top",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "CallbackSink": "repro.obs.events",
+    "Counter": "repro.obs.registry",
+    "EventLog": "repro.obs.events",
+    "Gauge": "repro.obs.registry",
+    "Histogram": "repro.obs.registry",
+    "JsonlSink": "repro.obs.events",
+    "MetricsRegistry": "repro.obs.registry",
+    "NullSink": "repro.obs.events",
+    "ObsEvent": "repro.obs.events",
+    "Observer": "repro.obs.observer",
+    "SCHEMA_VERSION": "repro.obs.events",
+    "Sink": "repro.obs.events",
+    "Span": "repro.obs.spans",
+    "SpanRecorder": "repro.obs.spans",
+    "SpanStats": "repro.obs.spans",
+    "collect_plane": "repro.obs.bridge",
+    "collect_workload": "repro.obs.bridge",
+    "events_to_jsonl": "repro.obs.export",
+    "metrics_to_csv": "repro.obs.export",
+    "metrics_to_jsonl": "repro.obs.export",
+    "metrics_to_prometheus": "repro.obs.export",
+    "parse_events_jsonl": "repro.obs.export",
+    "parse_metrics_csv": "repro.obs.export",
+    "parse_metrics_jsonl": "repro.obs.export",
+    "parse_prometheus_text": "repro.obs.export",
+    "render_plane_frame": "repro.obs.top",
+    "render_top_frame": "repro.obs.top",
+    "restore_snapshot": "repro.obs.registry",
+    "rows_to_markdown": "repro.obs.export",
+    "run_plane_top": "repro.obs.top",
+    "run_top": "repro.obs.top",
+})

@@ -15,17 +15,13 @@ with a guard attached and no overload is byte-identical to a bare run
 (tests/overload/test_overload_differential.py).
 """
 
-from repro.overload.admission import AdmissionQueue
-from repro.overload.config import OverloadConfig
-from repro.overload.guard import OverloadGuard
-from repro.overload.ladder import DegradationLadder, Rung
-from repro.overload.slip import SlipMonitor
+from repro._surface import lazy_surface
 
-__all__ = [
-    "AdmissionQueue",
-    "DegradationLadder",
-    "OverloadConfig",
-    "OverloadGuard",
-    "Rung",
-    "SlipMonitor",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "AdmissionQueue": "repro.overload.admission",
+    "DegradationLadder": "repro.overload.ladder",
+    "OverloadConfig": "repro.overload.config",
+    "OverloadGuard": "repro.overload.guard",
+    "Rung": "repro.overload.ladder",
+    "SlipMonitor": "repro.overload.slip",
+})

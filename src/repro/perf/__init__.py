@@ -15,6 +15,8 @@ Three concerns, kept deliberately separate:
 See docs/performance.md for the methodology.
 """
 
-from repro.perf.counters import PerfCounters
+from repro._surface import lazy_surface
 
-__all__ = ["PerfCounters"]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "PerfCounters": "repro.perf.counters",
+})

@@ -16,70 +16,31 @@ Three layers, composable and individually optional:
   state (``repro chaos run|report``).
 """
 
-from repro.resilience.invariants import (
-    InvariantResult,
-    evaluate_episode_invariants,
-)
-from repro.resilience.journal import (
-    FileJournal,
-    MemoryJournal,
-    RecoveredJournal,
-    SNAPSHOT_VERSION,
-    core_snapshot,
-    encode_record,
-    recover_journal,
-    restore_core,
-    validate_snapshot,
-)
-from repro.resilience.supervisor import (
-    RestartDecision,
-    RestartPolicy,
-    SupervisedAlpsBehavior,
-    SupervisedHostAlps,
-    Supervisor,
-    SupervisorState,
-)
+from repro._surface import lazy_surface
 
-#: Chaos names resolved lazily (PEP 562): :mod:`repro.resilience.chaos`
-#: imports the workload/experiment stack, which itself imports the agent
-#: — and the agent imports this package for the journal codec.  Lazy
-#: loading keeps ``import repro.alps.agent`` cycle-free.
-_CHAOS_EXPORTS = (
-    "CHAOS_EXPERIMENT",
-    "attained_error_pct",
-    "ChaosEpisode",
-    "ChaosReport",
-    "episode_plan",
-    "run_chaos_campaign",
-    "run_chaos_episode",
-)
-
-
-def __getattr__(name: str):
-    if name in _CHAOS_EXPORTS:
-        from repro.resilience import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "FileJournal",
-    "InvariantResult",
-    "MemoryJournal",
-    "RecoveredJournal",
-    "RestartDecision",
-    "RestartPolicy",
-    "SNAPSHOT_VERSION",
-    "SupervisedAlpsBehavior",
-    "SupervisedHostAlps",
-    "Supervisor",
-    "SupervisorState",
-    "core_snapshot",
-    "encode_record",
-    "evaluate_episode_invariants",
-    "recover_journal",
-    "restore_core",
-    "validate_snapshot",
-    *_CHAOS_EXPORTS,
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "CHAOS_EXPERIMENT": "repro.resilience.chaos",
+    "ChaosEpisode": "repro.resilience.chaos",
+    "ChaosReport": "repro.resilience.chaos",
+    "FileJournal": "repro.resilience.journal",
+    "InvariantResult": "repro.resilience.invariants",
+    "MemoryJournal": "repro.resilience.journal",
+    "RecoveredJournal": "repro.resilience.journal",
+    "RestartDecision": "repro.resilience.supervisor",
+    "RestartPolicy": "repro.resilience.supervisor",
+    "SNAPSHOT_VERSION": "repro.resilience.journal",
+    "SupervisedAlpsBehavior": "repro.resilience.supervisor",
+    "SupervisedHostAlps": "repro.resilience.supervisor",
+    "Supervisor": "repro.resilience.supervisor",
+    "SupervisorState": "repro.resilience.supervisor",
+    "attained_error_pct": "repro.resilience.chaos",
+    "core_snapshot": "repro.resilience.journal",
+    "encode_record": "repro.resilience.journal",
+    "episode_plan": "repro.resilience.chaos",
+    "evaluate_episode_invariants": "repro.resilience.invariants",
+    "recover_journal": "repro.resilience.journal",
+    "restore_core": "repro.resilience.journal",
+    "run_chaos_campaign": "repro.resilience.chaos",
+    "run_chaos_episode": "repro.resilience.chaos",
+    "validate_snapshot": "repro.resilience.journal",
+})

@@ -897,7 +897,7 @@ def schedule_debt(
     credits, large allowances open long measurement-blind windows, and
     the next lump is bigger still (a growing oscillation observed under
     chaos testing).  Instead each debt is merged into ``deferred``, to
-    be repaid by :func:`drain_debt` a share-proportional sliver per
+    be repaid by :func:`repro.alps.step.drain_debt` a share-proportional sliver per
     measured quantum, and the debtor gets ``update = count + 1`` so
     repayment starts on the next quantum.  Returns total µs scheduled.
     """
@@ -910,34 +910,6 @@ def schedule_debt(
         st.update = core.count + 1
         total += int(debt_us)
     return total
-
-
-def drain_debt(
-    deferred: MutableMapping[int, int],
-    sid: int,
-    share: int,
-    quantum_us: int,
-    total_shares: int,
-) -> int:
-    """One measurement's repayment of ``sid``'s deferred downtime debt.
-
-    Removes and returns at most the subject's fair-share rate — one
-    share-proportional quantum slice, ``share · Q / S`` µs — so the
-    extra charge per quantum never exceeds what a cycle already credits
-    back, keeping allowances (and the postponement feedback loop)
-    damped while the debt is repaid in full.  Returns 0 when ``sid``
-    owes nothing; callers add the result to the quantum's measured
-    consumption.
-    """
-    owed = deferred.get(sid)
-    if not owed:
-        return 0
-    rate = max(1, (share * quantum_us) // max(1, total_shares))
-    if owed <= rate:
-        del deferred[sid]
-        return owed
-    deferred[sid] = owed - rate
-    return rate
 
 
 def validate_snapshot(payload: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -960,7 +932,6 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "WriteFaults",
     "core_snapshot",
-    "drain_debt",
     "encode_delta",
     "encode_record",
     "journal_quantum",

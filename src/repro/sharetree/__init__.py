@@ -18,35 +18,13 @@ The architectural layer that turns "N processes, N shares" into
   "Plane fault tolerance").
 """
 
-from repro.sharetree.plane import ShardedAlpsPlane
-from repro.sharetree.resilience import PlaneResilience, PlaneResilienceConfig
-from repro.sharetree.tree import ShareNode, ShareTree
+from repro._surface import lazy_surface
 
-
-def demo_tree() -> ShareTree:
-    """The docs chapter's worked example, ready to attach.
-
-    Tenant ``a`` (weight 3) runs a 2:1 pair of workers; tenants ``b``
-    (weight 2) and ``c`` (weight 1) run one worker each.  Effective
-    shares resolve to ``{0: 6, 1: 3, 2: 6, 3: 3}`` on a scale of 18 —
-    half the machine to tenant ``a``, split 2:1 inside it.
-    """
-    tree = ShareTree()
-    tree.group("a", 3)
-    tree.leaf("a/a0", sid=0, weight=2)
-    tree.leaf("a/a1", sid=1, weight=1)
-    tree.group("b", 2)
-    tree.leaf("b/b0", sid=2, weight=1)
-    tree.group("c", 1)
-    tree.leaf("c/c0", sid=3, weight=1)
-    return tree
-
-
-__all__ = [
-    "PlaneResilience",
-    "PlaneResilienceConfig",
-    "ShardedAlpsPlane",
-    "ShareNode",
-    "ShareTree",
-    "demo_tree",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "PlaneResilience": "repro.sharetree.resilience",
+    "PlaneResilienceConfig": "repro.sharetree.resilience",
+    "ShardedAlpsPlane": "repro.sharetree.plane",
+    "ShareNode": "repro.sharetree.tree",
+    "ShareTree": "repro.sharetree.tree",
+    "demo_tree": "repro.sharetree.tree",
+})

@@ -40,8 +40,7 @@ from repro.alps.agent import AlpsAgent, spawn_alps
 from repro.alps.config import AlpsConfig
 from repro.alps.subjects import ProcessSubject, Subject
 from repro.errors import SchedulerConfigError, TransientReadError
-from repro.kernel import make_kernel
-from repro.kernel.kconfig import KernelConfig
+from repro.kernel.kconfig import KernelConfig, make_kernel
 from repro.kernel.process import Process
 from repro.sharetree.tree import ShareNode, ShareTree
 from repro.sim.engine import Engine

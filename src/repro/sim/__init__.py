@@ -7,19 +7,15 @@ orders :class:`Event` records by ``(time, priority, sequence)``, and the
 agents, workloads, the web-server model) is built out of events.
 """
 
-from repro.sim.clock import Clock
-from repro.sim.engine import Engine
-from repro.sim.event_queue import Event, EventHandle, EventQueue
-from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceRecord, Tracer
+from repro._surface import lazy_surface
 
-__all__ = [
-    "Clock",
-    "Engine",
-    "Event",
-    "EventHandle",
-    "EventQueue",
-    "RngStreams",
-    "TraceRecord",
-    "Tracer",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "Clock": "repro.sim.clock",
+    "Engine": "repro.sim.engine",
+    "Event": "repro.sim.event_queue",
+    "EventHandle": "repro.sim.event_queue",
+    "EventQueue": "repro.sim.event_queue",
+    "RngStreams": "repro.sim.rng",
+    "TraceRecord": "repro.sim.trace",
+    "Tracer": "repro.sim.trace",
+})

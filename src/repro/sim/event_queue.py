@@ -3,9 +3,11 @@
 Events are ordered by ``(time, priority, sequence)``.  The sequence number
 makes ordering *stable*: two events scheduled for the same time and
 priority fire in the order they were scheduled, which keeps the simulation
-deterministic.  Cancellation is lazy — cancelled entries stay in the heap
-and are skipped on pop — which is the standard O(log n) approach and, per
-the HPC guides, is both the simple and the fast choice here.
+deterministic.  Cancellation is lazy, the standard O(log n) approach:
+cancelled entries stay in the heap and are skipped on pop, until they
+outnumber the live entries and the heap is compacted.  So a run that
+cancels most of what it schedules (kernel callouts, re-armed timers)
+keeps the heap near its live size.
 
 Performance notes
 -----------------
@@ -27,6 +29,9 @@ from repro.errors import SimulationError
 from repro.sim import fastloop as _fastloop
 
 EventCallback = Callable[["Event"], None]
+
+#: Heaps at most this long are never compacted (asyncio's threshold).
+COMPACT_MIN = 64
 
 
 @dataclass(slots=True)
@@ -81,10 +86,22 @@ class EventHandle:
         return not self._event.cancelled and not self._event.fired
 
     def cancel(self) -> None:
-        """Cancel the event.  Cancelling twice (or after firing) is harmless."""
-        if not self._event.cancelled and not self._event.fired:
-            self._event.cancelled = True
-            self._queue._live -= 1
+        """Cancel the event.  Cancelling twice (or after firing) is harmless.
+
+        Once cancelled entries outnumber the live ones in a heap of more
+        than :data:`COMPACT_MIN` entries, the heap is rebuilt without
+        them, in place (a run loop may hold the list).  Keys are unique,
+        so the pop order cannot change.
+        """
+        event = self._event
+        if not event.cancelled and not event.fired:
+            event.cancelled = True
+            queue = self._queue
+            queue._live -= 1
+            heap = queue._heap
+            if len(heap) > COMPACT_MIN and len(heap) > 2 * queue._live:
+                heap[:] = [entry for entry in heap if not entry[3].cancelled]
+                heapq.heapify(heap)
 
 
 class EventQueue:

@@ -33,42 +33,22 @@ incremental.  Cache hit/miss totals are exported through the
 footer.
 """
 
-from repro.sweep.cache import (
-    CacheStats,
-    SweepCache,
-    cache_key,
-    canonicalize,
-    canonical_json,
-    default_cache_root,
-    load_persistent_stats,
-)
-from repro.sweep.fingerprint import (
-    clear_fingerprint_cache,
-    code_fingerprint,
-)
-from repro.sweep.scheduler import (
-    CellResult,
-    SweepCell,
-    SweepOutcome,
-    SweepSpec,
-    default_sweep_workers,
-    run_sweep,
-)
+from repro._surface import lazy_surface
 
-__all__ = [
-    "CacheStats",
-    "CellResult",
-    "SweepCache",
-    "SweepCell",
-    "SweepOutcome",
-    "SweepSpec",
-    "cache_key",
-    "canonical_json",
-    "canonicalize",
-    "clear_fingerprint_cache",
-    "code_fingerprint",
-    "default_cache_root",
-    "default_sweep_workers",
-    "load_persistent_stats",
-    "run_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "CacheStats": "repro.sweep.cache",
+    "CellResult": "repro.sweep.scheduler",
+    "SweepCache": "repro.sweep.cache",
+    "SweepCell": "repro.sweep.scheduler",
+    "SweepOutcome": "repro.sweep.scheduler",
+    "SweepSpec": "repro.sweep.scheduler",
+    "cache_key": "repro.sweep.cache",
+    "canonical_json": "repro.sweep.cache",
+    "canonicalize": "repro.sweep.cache",
+    "clear_fingerprint_cache": "repro.sweep.fingerprint",
+    "code_fingerprint": "repro.sweep.fingerprint",
+    "default_cache_root": "repro.sweep.cache",
+    "default_sweep_workers": "repro.sweep.scheduler",
+    "load_persistent_stats": "repro.sweep.cache",
+    "run_sweep": "repro.sweep.scheduler",
+})

@@ -12,15 +12,12 @@ resource, as in the paper's characterisation of the bulletin-board
 benchmark, so apportioning it with ALPS reapportions throughput.
 """
 
-from repro.webserver.apache import PreforkSite
-from repro.webserver.clients import ClosedLoopClients
-from repro.webserver.database import DatabaseServer
-from repro.webserver.requests import PageRequest, RequestFactory
+from repro._surface import lazy_surface
 
-__all__ = [
-    "ClosedLoopClients",
-    "DatabaseServer",
-    "PageRequest",
-    "PreforkSite",
-    "RequestFactory",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "ClosedLoopClients": "repro.webserver.clients",
+    "DatabaseServer": "repro.webserver.database",
+    "PageRequest": "repro.webserver.requests",
+    "PreforkSite": "repro.webserver.apache",
+    "RequestFactory": "repro.webserver.requests",
+})

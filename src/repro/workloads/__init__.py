@@ -10,36 +10,20 @@
   the Section 4.2 scalability sweep configuration.
 """
 
-from repro.workloads.io_pattern import compute_sleep_behavior
-from repro.workloads.shares import (
-    DISTRIBUTIONS,
-    ShareDistribution,
-    equal_shares,
-    linear_shares,
-    normalize_shares,
-    skewed_shares,
-    workload_shares,
-)
-from repro.workloads.spinner import spinner_behavior
-from repro.workloads.scenarios import (
-    ControlledWorkload,
-    build_controlled_workload,
-    MultiAlpsScenario,
-    build_multi_alps_scenario,
-)
+from repro._surface import lazy_surface
 
-__all__ = [
-    "DISTRIBUTIONS",
-    "ControlledWorkload",
-    "MultiAlpsScenario",
-    "ShareDistribution",
-    "build_controlled_workload",
-    "build_multi_alps_scenario",
-    "compute_sleep_behavior",
-    "equal_shares",
-    "linear_shares",
-    "normalize_shares",
-    "skewed_shares",
-    "spinner_behavior",
-    "workload_shares",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "ControlledWorkload": "repro.workloads.scenarios",
+    "DISTRIBUTIONS": "repro.workloads.shares",
+    "MultiAlpsScenario": "repro.workloads.scenarios",
+    "ShareDistribution": "repro.workloads.shares",
+    "build_controlled_workload": "repro.workloads.scenarios",
+    "build_multi_alps_scenario": "repro.workloads.scenarios",
+    "compute_sleep_behavior": "repro.workloads.io_pattern",
+    "equal_shares": "repro.workloads.shares",
+    "linear_shares": "repro.workloads.shares",
+    "normalize_shares": "repro.workloads.shares",
+    "skewed_shares": "repro.workloads.shares",
+    "spinner_behavior": "repro.workloads.spinner",
+    "workload_shares": "repro.workloads.shares",
+})

@@ -14,11 +14,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from repro.alps.agent import AlpsAgent, spawn_alps
 from repro.alps.config import AlpsConfig
 from repro.alps.subjects import ProcessSubject
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
-from repro.kernel import make_kernel
 from repro.kernel.behaviors import Behavior
-from repro.kernel.kconfig import DEFAULT_CONFIG, KernelConfig
+from repro.kernel.kconfig import DEFAULT_CONFIG, KernelConfig, make_kernel
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.sim.engine import Engine
@@ -26,6 +23,8 @@ from repro.sim.trace import Tracer
 from repro.workloads.spinner import spinner_behavior
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
     from repro.obs.observer import Observer
     from repro.overload.guard import OverloadGuard
     from repro.perf.counters import PerfCounters
@@ -141,6 +140,8 @@ def build_controlled_workload(
     ]
     injector: Optional[FaultInjector] = None
     if fault_plan is not None:
+        from repro.faults.injector import FaultInjector
+
         injector = FaultInjector(fault_plan, engine, kernel)
         injector.arm([w.pid for w in workers])
     if journal is not None and injector is not None and journal.fault_hook is None:

@@ -264,3 +264,39 @@ def test_wedge_healing_covers_a_pid_left_unread():
     agent.next_action(None, flaky)  # deliver
     assert (100, SIGCONT) in flaky.kills
     assert agent.heals == 1
+
+
+def _step_until_a_cycle_completes(agent, kapi, limit=200):
+    """Drive ``agent`` (each runnable pid gains what the clock advances)
+    until its cycle log grows; returns the clock of that activation."""
+    cycles = len(agent.cycle_log)
+    for _ in range(limit):
+        act = agent.next_action(None, kapi)
+        if len(agent.cycle_log) > cycles:
+            return kapi.now
+        elapsed = max(1, act.duration_us)
+        kapi.now += elapsed
+        for pid in kapi.rusage:
+            if pid not in kapi.stopped:
+                kapi.rusage[pid] += elapsed
+    raise AssertionError("no cycle completed")
+
+
+def test_first_activation_as_journaled_restart_binds_the_clock():
+    """An agent restarted from a journal before it ever ran INIT stamps
+    its cycle records with the kernel clock, as one that ran INIT does."""
+    from repro.resilience.journal import MemoryJournal
+
+    journal = MemoryJournal()
+    first, kapi = make_agent((1, 2))
+    first.attach_journal(journal)
+    kapi.rusage = {100: 0, 101: 0}
+    _step_until_a_cycle_completes(first, kapi)
+
+    fresh, _ = make_agent((1, 2))
+    fresh.attach_journal(journal)
+    fresh.restart()  # before INIT: the first activation is the recovery
+    assert fresh.last_restart_journaled
+    completed_at = _step_until_a_cycle_completes(fresh, kapi)
+    assert fresh.journal_recoveries == 1
+    assert fresh.cycle_log[-1].end_time == completed_at > 0

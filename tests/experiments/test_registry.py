@@ -2,64 +2,36 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import repro
 from repro.cli import commands
 from repro.cli.main import build_parser, main
 from repro.experiments.registry import EXPERIMENTS, REGISTRY
+from tests.test_import_footprint import loaded_after, repro_modules
 
-#: Every ``repro`` module ``import repro.experiments.scalability``
-#: loaded before the registry existed; the sweep ledger times this
-#: import, so the registry must not grow it.
+#: Every ``repro`` module ``import repro.experiments.scalability`` may
+#: load: the sweep ledger times this import, so it must not grow.  No
+#: optional layer (faults, journal, supervisor, overload, share tree) is
+#: among them.
 SCALABILITY_IMPORTS = frozenset("""
-repro repro.alps repro.alps.agent repro.alps.algorithm repro.alps.config
-repro.alps.costs repro.alps.instrumentation repro.alps.step
-repro.alps.policy repro.alps.state repro.alps.subjects repro.errors
-repro.experiments repro.experiments.accuracy repro.experiments.common
-repro.experiments.io repro.experiments.multi repro.experiments.overhead
-repro.experiments.scalability repro.faults repro.faults.injector
-repro.faults.plan repro.kernel repro.kernel.actions repro.kernel.behaviors
-repro.kernel.cfs repro.kernel.kapi repro.kernel.kconfig repro.kernel.kernel
-repro.kernel.loadavg repro.kernel.priorities repro.kernel.process
-repro.kernel.runqueue repro.kernel.signals repro.metrics
-repro.metrics.accuracy repro.metrics.breakdown repro.metrics.latency
-repro.metrics.overhead repro.metrics.regression repro.obs repro.obs.bridge
-repro.obs.events repro.obs.export repro.obs.observer repro.obs.registry
-repro.obs.spans repro.obs.top repro.overload repro.overload.admission
-repro.overload.config repro.overload.guard repro.overload.ladder
-repro.overload.slip repro.perf repro.perf.counters repro.perf.report
-repro.resilience repro.resilience.invariants repro.resilience.journal
-repro.resilience.supervisor repro.sharetree repro.sharetree.plane
-repro.sharetree.resilience repro.sharetree.tree repro.sim
+repro repro._surface repro.alps repro.alps.agent repro.alps.algorithm
+repro.alps.config repro.alps.costs repro.alps.instrumentation
+repro.alps.policy repro.alps.state repro.alps.step repro.alps.subjects
+repro.errors repro.experiments repro.experiments.common
+repro.experiments.scalability repro.kernel repro.kernel.actions
+repro.kernel.behaviors repro.kernel.kapi repro.kernel.kconfig
+repro.kernel.kernel repro.kernel.loadavg repro.kernel.priorities
+repro.kernel.process repro.kernel.runqueue repro.kernel.signals
+repro.metrics repro.metrics.accuracy repro.metrics.breakdown
+repro.metrics.overhead repro.obs repro.obs.registry repro.sim
 repro.sim._fastloop repro.sim.clock repro.sim.engine repro.sim.event_queue
 repro.sim.fastloop repro.sim.rng repro.sim.trace repro.sweep
 repro.sweep.cache repro.sweep.codec repro.sweep.fingerprint
-repro.sweep.scheduler repro.units repro.workloads
-repro.workloads.io_pattern repro.workloads.scenarios
+repro.sweep.scheduler repro.units repro.workloads repro.workloads.scenarios
 repro.workloads.shares repro.workloads.spinner
 """.split())
-
-
-def _loaded_after(statement: str) -> set[str]:
-    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
-    probe = (
-        f"{statement}\nimport sys\n"
-        "print('\\n'.join(m for m in sys.modules "
-        "if m == 'repro' or m.startswith('repro.')))"
-    )
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], check=True, capture_output=True,
-        text=True, env=env,
-    ).stdout
-    return set(out.split())
 
 
 def test_list_prints_exactly_the_registry(capsys):
@@ -121,10 +93,10 @@ def test_docs_name_exactly_the_registry_ids():
 
 
 def test_cli_import_loads_no_experiment_module():
-    loaded = _loaded_after("import repro.cli.main")
+    loaded = loaded_after("import repro.cli.main")
     assert not {m for m in loaded if m.startswith("repro.experiments")}
 
 
 def test_scalability_import_footprint_does_not_grow():
-    loaded = _loaded_after("import repro.experiments.scalability")
+    loaded = repro_modules(loaded_after("import repro.experiments.scalability"))
     assert loaded - SCALABILITY_IMPORTS == set()

@@ -233,7 +233,6 @@ def test_both_drivers_recover_the_same_state_from_their_journals(n):
     # Forty more quanta over the same readings, each driver's own step;
     # every process gets an equal slice, so small shares run out.
     fresh.step.view = kapi
-    fresh.core._now_fn = host.core._now_fn  # cycle records' end time
     slice_us = QUANTUM_US // len(outage.readings)
     transitions = 0
     for k in range(40):

@@ -13,8 +13,8 @@ import dataclasses
 
 import pytest
 
-import repro.alps.step as step_module
 import repro.resilience.chaos as chaos_module
+import repro.resilience.journal as journal_module
 import repro.sharetree.resilience as plane_module
 from repro.alps.algorithm import AlpsCore
 from repro.alps.config import AlpsConfig
@@ -126,7 +126,7 @@ def both_ways(monkeypatch, run, module):
             return journal
 
         with monkeypatch.context() as patch:
-            patch.setattr(step_module, "journal_quantum", writer)
+            patch.setattr(journal_module, "journal_quantum", writer)
             patch.setattr(module, "MemoryJournal", make)
             result = run()
         outcomes.append((result, [journal.data for journal in made]))
@@ -158,7 +158,7 @@ def stacked_journals(
     journals = []
     for cls, writer in WRITERS:
         with monkeypatch.context() as patch:
-            patch.setattr(step_module, "journal_quantum", writer)
+            patch.setattr(journal_module, "journal_quantum", writer)
             journal = cls(**journal_kwargs)
             stacked_cell(shares, seed, journal, horizon_us, plan)
         journals.append(journal)

@@ -1,9 +1,12 @@
 """Event queue ordering, cancellation, and stability."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
+from repro.sim import event_queue
 from repro.sim.event_queue import EventQueue
 
 
@@ -127,3 +130,39 @@ def test_cancellation_preserves_rest(times, data):
         popped.append(e.time)
     assert popped == expected
     assert len(q) == 0
+
+
+def _random_walk(seed):
+    """A seeded schedule/cancel/pop sequence, mostly cancels as the kernel's
+    re-armed callouts make it; returns the popped ``(time, seq)`` order
+    and the ``(heap, live)`` sizes seen after every cancel."""
+    rng = random.Random(seed)
+    q = EventQueue()
+    handles = []
+    popped, sizes = [], []
+    for _ in range(4000):
+        roll = rng.random()
+        if roll < 0.45:
+            handles.append(q.schedule(rng.randrange(10_000), _noop, rng.randrange(3)))
+        elif roll < 0.9 and handles:
+            handles.pop(rng.randrange(len(handles))).cancel()
+            sizes.append((len(q._heap), len(q)))
+        else:
+            event = q.pop()
+            if event is not None:
+                popped.append((event.time, event.seq))
+    while (event := q.pop()) is not None:
+        popped.append((event.time, event.seq))
+    return popped, sizes
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_compaction_keeps_the_pop_order_and_bounds_the_heap(seed, monkeypatch):
+    slack = event_queue.COMPACT_MIN
+    compacted, sizes = _random_walk(seed)
+    assert all(heap <= 2 * live + slack for heap, live in sizes)
+    monkeypatch.setattr(event_queue, "COMPACT_MIN", float("inf"))
+    lazy, lazy_sizes = _random_walk(seed)
+    assert compacted == lazy
+    # The walk does pile up cancelled entries when nothing compacts them.
+    assert max(heap - 2 * live for heap, live in lazy_sizes) > slack
