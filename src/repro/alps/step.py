@@ -55,6 +55,19 @@ Signal = tuple[int, bool]
 
 _ELIGIBLE = Eligibility.ELIGIBLE
 
+#: :mod:`repro.resilience.journal`, imported by the first journaled
+#: step that needs it (a bare run never loads it) and bound here once.
+_journal: Any = None
+
+
+def _journal_module() -> Any:
+    global _journal
+    if _journal is None:
+        import repro.resilience.journal
+
+        _journal = repro.resilience.journal
+    return _journal
+
 
 def drain_debt(
     deferred: MutableMapping[int, int],
@@ -369,25 +382,13 @@ class QuantumStep:
     ) -> None:
         """Append this quantum's record (see
         :func:`~repro.resilience.journal.journal_quantum`)."""
-        from repro.resilience.journal import journal_quantum
-
-        pending = [pid for pid, _ in signals]
+        pending = [pid for pid, _ in signals] if signals else []
         signalled = self.journal_signalled
-        journal_quantum(
-            self.journal,
-            lambda: self.snapshot(now),
-            self.core,
-            now,
-            full=decisions.full_sweep or self.journal_stale,
-            stopped=self.stopped,
-            signalled=signalled + pending if self.journal_pending else signalled,
-            debt=self.debt,
-            touched={
-                "last_read": (
-                    self.last_read, [pid for _, pids in due for pid in pids]
-                ),
-                "cumulative": (self.cumulative, measurements),
-            },
+        if self.journal_pending:
+            signalled = signalled + pending
+        _journal_module().journal_quantum(
+            self, now, due, measurements,
+            decisions.full_sweep or self.journal_stale, signalled,
         )
         self.journal_stale = False
         self.journal_signalled = pending
@@ -455,8 +456,7 @@ class QuantumStep:
     # ------------------------------------------------------------------
     def snapshot(self, now: int) -> dict:
         """JSON-safe checkpoint of all state a restart must not lose."""
-        from repro.resilience.journal import state_snapshot
-
+        state_snapshot = _journal_module().state_snapshot
         maps = {
             "last_read": self.last_read,
             "cumulative": self.cumulative,
@@ -477,8 +477,7 @@ class QuantumStep:
         or, under ``foreign_stops``, as journaled — and the baselines
         restart empty until :meth:`rejoin` reads them.
         """
-        from repro.resilience.journal import restore_state
-
+        restore_state = _journal_module().restore_state
         maps = ("last_read", "cumulative", "debt")
         if self.initial is not None:
             maps += ("initial",)
@@ -507,8 +506,7 @@ class QuantumStep:
         subject's restored eligibility gets a fix-up signal.  Returns
         the fix-ups, the debt scheduled (µs) and the pids walked.
         """
-        from repro.resilience.journal import schedule_debt
-
+        schedule_debt = _journal_module().schedule_debt
         base = state["last_read"]
         view = self.view
         read = view.read_progress

@@ -9,9 +9,13 @@ exact same event stream byte for byte.
 
 The :class:`EventLog` keeps the most recent events in a bounded ring
 buffer (old events fall off; :attr:`EventLog.emitted` keeps the true
-total) and fans each event out to any attached streaming sinks.  With
-no sinks attached, an emit is one record construction plus one deque
-append — cheap enough to leave on.
+total) and fans each event out to any attached streaming sinks.  The
+ring holds each event as a plain ``(time_us, kind, fields)`` record;
+the frozen :class:`ObsEvent` is built only when something reads the
+log (iteration, :meth:`~EventLog.tail`, :meth:`~EventLog.of_kind`) or
+a sink is attached.  With no sinks attached, an emit is one tuple and
+one deque append — cheap enough to leave on, even for the kernel's
+per-dispatch ``kernel.ctxsw``.
 
 Well-known event kinds (see docs/observability.md for the full schema
 reference):
@@ -36,7 +40,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from itertools import islice, starmap
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 #: Version stamp carried by every serialized event record.  Bump when a
 #: field is renamed/removed or its meaning changes; adding new kinds or
@@ -128,7 +133,10 @@ class EventLog:
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self._buf: deque[ObsEvent] = deque(maxlen=capacity)
+        #: ``(time_us, kind, fields)`` records, oldest first.
+        self._buf: deque[tuple[int, str, Mapping[str, Any]]] = deque(
+            maxlen=capacity
+        )
         self.sinks: list[Sink] = list(sinks)
         self.emitted = 0
 
@@ -144,33 +152,40 @@ class EventLog:
 
     def emit(self, time_us: int, kind: str, **fields: Any) -> None:
         """Record one event and stream it to every sink."""
-        event = ObsEvent(time_us, kind, fields)
         self.emitted += 1
-        self._buf.append(event)
-        for sink in self.sinks:
-            sink.write(event)
+        self._buf.append((time_us, kind, fields))
+        if self.sinks:
+            event = ObsEvent(time_us, kind, fields)
+            for sink in self.sinks:
+                sink.write(event)
 
     def __len__(self) -> int:
         return len(self._buf)
 
     def __iter__(self) -> Iterator[ObsEvent]:
-        return iter(self._buf)
+        return starmap(ObsEvent, self._buf)
 
     def tail(self, n: int) -> list[ObsEvent]:
         """The most recent ``n`` buffered events, oldest first."""
         if n <= 0:
             return []
-        buf = self._buf
-        if n >= len(buf):
-            return list(buf)
-        return list(buf)[-n:]
+        newest_first = list(islice(reversed(self._buf), n))
+        newest_first.reverse()
+        return list(starmap(ObsEvent, newest_first))
 
     def of_kind(self, kind: str) -> list[ObsEvent]:
         """All buffered events of one kind (or a ``prefix.*`` family)."""
         if kind.endswith(".*"):
             prefix = kind[:-1]
-            return [e for e in self._buf if e.kind.startswith(prefix)]
-        return [e for e in self._buf if e.kind == kind]
+            return [ObsEvent(*r) for r in self._buf if r[1].startswith(prefix)]
+        return [ObsEvent(*r) for r in self._buf if r[1] == kind]
+
+    def last(self, kind: str) -> Optional[ObsEvent]:
+        """The newest buffered event of one kind, or None."""
+        for record in reversed(self._buf):
+            if record[1] == kind:
+                return ObsEvent(*record)
+        return None
 
     def clear(self) -> None:
         """Drop the buffer (``emitted`` keeps counting from here)."""

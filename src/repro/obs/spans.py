@@ -9,9 +9,12 @@ out of the recorder instead of requiring bespoke timers in each
 experiment.
 
 Virtual-duration spans (:meth:`SpanRecorder.record`) are
-seed-deterministic.  Wall-clock spans (:meth:`SpanRecorder.measure`)
-exist for host-side drivers and tooling; they never feed back into the
-simulation, so they cannot perturb the schedule.
+seed-deterministic.  The recorder keeps recent spans as plain
+``(name, start_us, duration_us)`` records and builds :class:`Span`
+objects only for :meth:`SpanRecorder.recent`.  Wall-clock spans
+(:meth:`SpanRecorder.measure`) exist for host-side drivers and tooling;
+they never feed back into the simulation, so they cannot perturb the
+schedule.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class SpanRecorder:
     def __init__(self, keep_recent: int = 1024) -> None:
         #: name -> [count, total, min, max]
         self._agg: dict[str, list[float]] = {}
-        self._recent: deque[Span] = deque(maxlen=keep_recent)
+        #: ``(name, start_us, duration_us)`` records, oldest first.
+        self._recent: deque[tuple[str, int, float]] = deque(maxlen=keep_recent)
         self.recorded = 0
 
     def record(
@@ -66,7 +70,7 @@ class SpanRecorder:
     ) -> None:
         """Record one span with an explicit (virtual) duration."""
         self.recorded += 1
-        self._recent.append(Span(name, start_us, duration_us))
+        self._recent.append((name, start_us, duration_us))
         agg = self._agg.get(name)
         if agg is None:
             self._agg[name] = [1, duration_us, duration_us, duration_us]
@@ -93,8 +97,10 @@ class SpanRecorder:
 
     def recent(self, n: int = 20) -> list[Span]:
         """The last ``n`` recorded spans, oldest first."""
-        items = list(self._recent)
-        return items[-n:] if n < len(items) else items
+        items = self._recent
+        if n < len(items):
+            items = list(items)[-n:]
+        return [Span(*item) for item in items]
 
     def stats(self, name: str) -> Optional[SpanStats]:
         """Aggregate for one span name, or None if never recorded."""

@@ -224,11 +224,10 @@ def check_agent_liveness(
         return InvariantResult(
             "agent_liveness", False, "no observer attached: cannot audit"
         )
-    ticks = obs.events.of_kind("quantum.tick")
-    if not ticks:
+    tick = obs.events.last("quantum.tick")
+    if tick is None:
         return InvariantResult("agent_liveness", False, "agent never ticked")
-    last = ticks[-1].time_us
-    gap = cw.engine.now - last
+    gap = cw.engine.now - tick.time_us
     return InvariantResult(
         "agent_liveness",
         gap <= window_us,

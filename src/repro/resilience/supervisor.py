@@ -100,6 +100,11 @@ class SupervisorState(enum.Enum):
     DEGRADED = "degraded"
 
 
+#: Read on every supervised agent action: an enum member lookup costs
+#: ten times a module global's.
+_DEGRADED = SupervisorState.DEGRADED
+
+
 @dataclass(slots=True, frozen=True)
 class RestartDecision:
     """What the supervisor granted for one failure."""
@@ -281,7 +286,7 @@ class SupervisedAlpsBehavior:
         sup = self.supervisor
         if not self._bound:
             self._bind(kapi)
-        if sup.state is SupervisorState.DEGRADED:
+        if sup.state is _DEGRADED:
             return Sleep(STAND_DOWN_SLEEP_US, channel="alpsdown")
         now = kapi.now
         agent = self.agent

@@ -97,3 +97,12 @@ def test_clear_keeps_the_emitted_total():
     log.emit(0, "k")
     log.clear()
     assert len(log) == 0 and log.emitted == 1 and log.dropped == 1
+
+
+def test_last_is_the_newest_buffered_event_of_a_kind():
+    log = EventLog(capacity=3)
+    for i, kind in enumerate(["a", "b", "a", "b", "b"]):
+        log.emit(i, kind, i=i)
+    assert log.last("a") == ObsEvent(2, "a", {"i": 2})
+    assert log.last("b") == log.tail(1)[0]
+    assert log.last("c") is None

@@ -10,6 +10,7 @@ and under write faults the injector's trace, must come out identical.
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,21 +45,28 @@ QUANTUM_US = ms(10)
 FAST = dict(cycles=20, warmup_cycles=2)
 
 
-def eager_journal_quantum(
-    journal, checkpoint, core, t, *, full, stopped, signalled, debt, touched
-):
+def eager_journal_quantum(step, t, due, measurements, full, signalled):
     """The delta writer with nothing deferred: the record is a dict,
     encoded by ``append_delta`` before this returns."""
+    journal, core = step.journal, step.core
     if full or journal.needs_checkpoint:
-        journal.append(checkpoint())
+        journal.append(step.snapshot(t))
         return
+    last_read, cumulative = step.last_read, step.cumulative
     agent = {
-        name: {key: table[key] for key in keys if key in table}
-        for name, (table, keys) in touched.items()
+        "last_read": {
+            pid: last_read[pid]
+            for _, pids in due
+            for pid in pids
+            if pid in last_read
+        },
+        "cumulative": {
+            sid: cumulative[sid] for sid in measurements if sid in cumulative
+        },
+        "stopped": {pid: pid in step.stopped for pid in signalled},
     }
-    agent["stopped"] = {pid: pid in stopped for pid in signalled}
-    if debt:
-        agent["debt"] = dict(debt)
+    if step.debt:
+        agent["debt"] = dict(step.debt)
     due = core._last_due
     journal.append_delta(
         {
@@ -72,6 +80,22 @@ def eager_journal_quantum(
             },
             "agent": agent,
         }
+    )
+
+
+def driver_state(journal, core, debt):
+    """The few fields of a :class:`~repro.alps.step.QuantumStep` the
+    writers read, for a driver that measures and signals nothing."""
+    return SimpleNamespace(
+        journal=journal,
+        core=core,
+        last_read={},
+        cumulative={},
+        stopped=set(),
+        debt=debt,
+        snapshot=lambda t: state_snapshot(
+            core, t, (), {"last_read": {}, "cumulative": {}, "debt": debt}
+        ),
     )
 
 
@@ -249,18 +273,10 @@ def test_a_captured_delta_keeps_the_debt_it_was_appended_with():
     debt = {0: 500}
     journal = MemoryJournal()
 
+    step = driver_state(journal, core, debt)
+
     def append(t: int) -> None:
-        journal_quantum(
-            journal,
-            lambda: state_snapshot(core, t, (), {"debt": debt}),
-            core,
-            t,
-            full=False,
-            stopped=(),
-            signalled=(),
-            debt=debt,
-            touched={},
-        )
+        journal_quantum(step, t, (), (), False, ())
 
     append(0)  # the first record is a checkpoint
     append(1)  # then a delta, still unencoded
@@ -278,20 +294,11 @@ def test_a_torn_write_is_held_in_order_however_short_it_is():
     for cls, writer in WRITERS:
         core = AlpsCore({0: 1, 1: 2, 2: 3}, QUANTUM_US)
         journal = cls(fault_hook=scripted_faults(fates))
+        step = driver_state(journal, core, {})
         for t in range(len(fates)):
             core.begin_quantum()
             core.complete_quantum({})
-            writer(
-                journal,
-                lambda: state_snapshot(core, t, (), {}),
-                core,
-                t,
-                full=False,
-                stopped=(),
-                signalled=(),
-                debt={},
-                touched={},
-            )
+            writer(step, t, (), (), False, ())
         journals.append(journal)
     shipped, eager = journals
     assert shipped.data == eager.data
