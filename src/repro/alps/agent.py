@@ -1,25 +1,29 @@
 """The ALPS agent: a simulated *process* running the ALPS algorithm.
 
-The agent is an ordinary unprivileged process in the simulated kernel.
-Every quantum its timer fires; once scheduled, it pays the Table 1 CPU
-for the timer event and the due subjects' reads, runs one
-:class:`~repro.alps.step.QuantumStep` (measure, Figure 3, signal plan,
-journal record), pays for and sends the SIGSTOP/SIGCONT transitions,
-and sleeps until the next quantum boundary.  Because it competes for
-the CPU like everyone else, sampling jitter, overhead and the §4.2
-loss of control emerge from the simulation rather than being asserted.
+The agent is an ordinary unprivileged process in the simulated kernel,
+and its body is one loop (:meth:`AlpsAgent._run`), a generator that
+each ``next_action`` resumes: the timer fires; once scheduled, the
+agent pays the Table 1 CPU for the timer event and the due subjects'
+reads, runs one :class:`~repro.alps.step.QuantumStep` (measure, Figure
+3, signal plan, journal record), pays for and sends the SIGSTOP/SIGCONT
+transitions, and sleeps until the next quantum boundary.  Because it
+competes for the CPU like everyone else, sampling jitter, overhead and
+the §4.2 loss of control emerge from the simulation rather than being
+asserted.
 
 Robustness (docs/fault_model.md): signal delivery is verified and
 re-sent within budget, oversleeping re-establishes the read baselines
 instead of a burst of catch-up decisions, and :meth:`AlpsAgent.restart`
-replays the journal (docs/resilience.md) or, without a usable one,
-reconciles the stop-set against kernel truth.
+starts the loop over behind a recovery prelude that replays the journal
+(docs/resilience.md) or, without a usable one, reconciles the stop-set
+against kernel truth.  Faults, crashes and supervision come from the
+one host around the agent,
+:class:`~repro.resilience.supervisor.SupervisedAlpsBehavior`.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.alps.algorithm import AlpsCore
 from repro.alps.config import AlpsConfig
@@ -41,16 +45,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
     from repro.overload.guard import OverloadGuard
     from repro.resilience.journal import MemoryJournal
+    from repro.resilience.supervisor import Supervisor
     from repro.sharetree.tree import ShareTree
 
 
-class _Phase(enum.Enum):
-    INIT = "init"
-    SLEEPING = "sleeping"
-    MEASURING = "measuring"
-    SIGNALING = "signaling"
-    RECONCILING = "reconciling"
-    RECOVERING = "recovering"
+#: What the loop yields (an engine action) and is resumed with (the
+#: activation's kapi).
+_Loop = Generator[Action, "KernelAPI", None]
+
+
+def _primed(loop: _Loop) -> _Loop:
+    """Run ``loop`` to its first ``yield``, where it waits for a kapi."""
+    next(loop)
+    return loop
 
 
 class AlpsAgent:
@@ -92,22 +99,10 @@ class AlpsAgent:
         self.policy = AlpsPolicy(
             self.core, self.subjects, self._admit, self._release, self._now
         )
-        self._acc = CostAccumulator()
-        # Hoisted scalars for the per-quantum charge arithmetic (the
-        # cost model is a frozen dataclass; these cannot drift).
-        costs = config.costs
         self._quantum_us = config.quantum_us
-        self._cost_timer_us = costs.timer_event_us
-        self._cost_measure_fixed = costs.measure_fixed_us
-        self._cost_measure_per = costs.measure_per_proc_us
-        self._cost_signal_us = costs.signal_us
         #: Most recent wake's timer slip (µs); 0 without a guard (the
-        #: supervision wrapper's heartbeat reads it).
+        #: supervised host's heartbeat reads it).
         self.timer_slip_us = 0
-        self._phase = _Phase.INIT
-        self._next_refresh = 0
-        self._due: list[tuple[int, list[int]]] = []
-        self._pending_signals: list[tuple[int, bool]] = []  # (pid, stop)
         #: Kernel exit counter at the last liveness sweep; -1 forces one.
         self._seen_exit_count = -1
         #: The boundary the agent intended to wake at (stall detection).
@@ -119,19 +114,18 @@ class AlpsAgent:
         #: Delay (µs) from each quantum boundary to its reads — the
         #: sampling-latency distribution whose growth is §4.2's breakdown.
         self.sampling_delays_us: list[int] = []
-        self._wake_boundary = 0
         # Robustness (docs/fault_model.md): boundaries slept through,
         # stall re-baselines, re-sent signals, crash-restarts.
         self.missed_boundaries = self.rebaselines = 0
         self.signal_retries = self.restarts = 0
         #: The kernel's observer (repro.obs), taken at first activation.
         self._obs: Optional["Observer"] = None
-        #: Snapshot payload restart() recovered, for the next activation.
-        self._recovered: Optional[dict] = None
         # Restarts that replayed the journal, and that fell back to lossy
         # reconciliation; whether the last one replayed it.
         self.journal_recoveries = self.recovery_fallbacks = 0
         self.last_restart_journaled = False
+        #: The agent's loop, waiting for its first activation.
+        self._loop = _primed(self._run())
 
     # Read retries and failures, wedge heals, backwards counters.
     read_retries = property(lambda self: self.step.read_retries)
@@ -270,42 +264,37 @@ class AlpsAgent:
         """JSON-safe snapshot of all state a restart must not lose."""
         return self.step.snapshot(now)
 
-    def restart(self) -> None:
-        """Simulate a crash-with-restart: wipe all volatile state.  The
-        next activation replays the journal's last valid snapshot
-        (:meth:`_do_recover`), or without one reconciles against kernel
-        truth, forgiving all fairness debt (:meth:`_do_reconcile`)."""
-        self._phase = _Phase.RECONCILING
-        self._due = []
-        self._pending_signals = []
+    def restart(self) -> Optional[dict]:
+        """Simulate a crash-with-restart: wipe all volatile state and
+        start the loop over behind a recovery prelude (:meth:`_rejoin`).
+        Returns the journal's last valid snapshot, which the next
+        activation replays; None when it reconciles against kernel truth
+        instead, forgiving all fairness debt."""
         step = self.step
         step.last_read = {}
         step.stopped.clear()
         step.debt = {}
         step.journal_stale = True
         self._seen_exit_count = -1
-        self._acc = CostAccumulator()
         self._deferred_cost_us = 0.0
         #: Downtime must not read as kernel starvation: the cadence-slip
         #: baseline restarts with the agent.
         self.policy.last_wake_us = -1
         self.restarts += 1
-        self.last_restart_journaled = False
-        self._recovered = None
-        if step.journal is None:
-            return
-        from repro.resilience.journal import validate_snapshot
+        payload = None
+        if step.journal is not None:
+            from repro.resilience.journal import validate_snapshot
 
-        try:
-            rec = step.journal.recover()
-            if rec.snapshot is None:
-                raise JournalCorruptError("journal holds no snapshot")
-            self._recovered = dict(validate_snapshot(rec.snapshot))
-        except JournalCorruptError:
-            self.recovery_fallbacks += 1
-            return
-        self._phase = _Phase.RECOVERING
-        self.last_restart_journaled = True
+            try:
+                rec = step.journal.recover()
+                if rec.snapshot is None:
+                    raise JournalCorruptError("journal holds no snapshot")
+                payload = dict(validate_snapshot(rec.snapshot))
+            except JournalCorruptError:
+                self.recovery_fallbacks += 1
+        self.last_restart_journaled = payload is not None
+        self._loop = _primed(self._run(restarted=True, payload=payload))
+        return payload
 
     def shutdown(self, kapi: "KernelAPI") -> int:
         """Resume every pid of every member and shed subject left
@@ -334,157 +323,191 @@ class AlpsAgent:
         return resumed
 
     # ------------------------------------------------------------------
-    # Behavior protocol
+    # Behavior protocol: one loop, resumed per activation
     # ------------------------------------------------------------------
     def next_action(self, proc: "Process", kapi: "KernelAPI") -> Action:
-        # Steady-state phases first (INIT/RECONCILING fire once each).
-        phase = self._phase
-        if phase is _Phase.SLEEPING:
-            return self._do_wake(kapi)
-        if phase is _Phase.MEASURING:
-            return self._do_apply(kapi)
-        if phase is _Phase.SIGNALING:
-            return self._do_deliver(kapi)
-        if phase is _Phase.INIT:
-            return self._do_init(kapi)
-        if phase is _Phase.RECONCILING:
-            return self._do_reconcile(kapi)
-        if phase is _Phase.RECOVERING:
-            return self._do_recover(kapi)
-        raise AssertionError(f"unknown phase {phase}")  # pragma: no cover
+        return self._loop.send(kapi)
 
-    # -- phase bodies ----------------------------------------------------
+    def _run(self, restarted: bool = False, payload: Optional[dict] = None) -> _Loop:
+        """The agent's life: start (or a restart's recovery prelude),
+        then every quantum wake → Compute (timer + reads), the quantum
+        step → Compute (signals) or Sleep, deliver → Sleep.  Each
+        ``yield`` hands the engine an action and receives the kapi of
+        the activation that follows it."""
+        kapi = yield  # primed: the first activation's kapi arrives here
+        self._bind(kapi)
+        step = self.step
+        policy = self.policy
+        obs = self._obs
+        cfg = self.cfg
+        costs = cfg.costs
+        timer_us = costs.timer_event_us
+        fixed_us = costs.measure_fixed_us
+        per_us = costs.measure_per_proc_us
+        signal_us = costs.signal_us
+        refresh_us = cfg.principal_refresh_us
+        charge = CostAccumulator().charge
+        if restarted:
+            npids, signals = self._rejoin(kapi, payload)
+            next_refresh = kapi.now + refresh_us
+            # The restart's walk over npids pids costs a measurement
+            # pass, and its signals are real kill(2) calls.
+            cost = costs.measure_cost(npids)
+            self.reads += npids
+            cost += signal_us * len(signals)
+            kapi = yield Compute(charge(cost))
+            for pid, stop in signals:
+                self._deliver_signal(kapi, pid, stop)
+        else:
+            step.epoch = kapi.now
+            step.cumulative = {s: 0 for s in self.subjects}
+            for subj in self.subjects.values():
+                subj.refresh(kapi)
+            step.rebaseline()
+            next_refresh = kapi.now + refresh_us
+        while True:
+            kapi = yield self._sleep_until_boundary(kapi.now)
+            # The timer fired: select who to measure and pay for the work.
+            now = wake = kapi.now
+            step.view = kapi
+            cost = timer_us + self._deferred_cost_us
+            self._deferred_cost_us = 0.0
+            if policy.guard is not None or policy.tree is not None:
+                # Slip is *cadence* slip (wake-to-wake gap minus the
+                # intended period): a deprioritised agent crawls between
+                # boundaries, while its wakeups, priority-boosted, arrive
+                # on time.
+                resumed, readmitted, drained, gated = policy.wake(now)
+                self._note_slip()
+                if resumed:
+                    # The shed's signals are one subtotal, added once:
+                    # regrouping the float sum changes the charge's last
+                    # bits, which the accumulator's carry turns into a
+                    # different schedule.
+                    shed_cost = 0.0
+                    for _ in range(resumed):
+                        shed_cost += signal_us
+                    cost += shed_cost
+                for npids in (readmitted, drained, gated):
+                    if npids:
+                        self.reads += npids
+                        cost += costs.measure_cost(npids)
+            if now - self._sleep_target >= self._quantum_us:
+                # At least one whole quantum overslept (the guard mirrors
+                # _absorb_stall's own missed <= 0 early-out).
+                cost += self._absorb_stall(now)
+            if now >= next_refresh:
+                cost += self._refresh_principals(kapi)
+                next_refresh = now + refresh_us
+            self._reap_dead_subjects(kapi)
+            due, npids = step.due()
+            self.invocations += 1
+            if npids:
+                cost += fixed_us + per_us * npids
+                self.reads += npids
+            if obs is not None and obs.enabled:
+                obs.events.emit(
+                    now, "quantum.tick",
+                    count=self.core.count, due=len(due), pids=npids,
+                )
+                obs.spans.record("timer_event", timer_us, start_us=now)
+                if npids:
+                    obs.spans.record(
+                        "measure", fixed_us + per_us * npids, start_us=now
+                    )
+            kapi = yield Compute(charge(cost))
+            # Measurement CPU spent: run the quantum step now (a dead pid
+            # is forgotten; the next wake's liveness sweep takes its
+            # subject out of the core) and pay for its signals.
+            now = kapi.now  # no events fire inside next_action: read once
+            self.sampling_delays_us.append(now - wake)
+            step.view = kapi
+            retries = step.read_retries
+            decisions, signals = step.quantum(due, now)
+            if step.read_retries != retries:
+                self._charge_retries(retries)
+            if cfg.enforce_invariants:
+                self.core.check_runtime_invariants()
+            if obs is not None and obs.enabled:
+                events = obs.events
+                for sid in decisions.to_suspend:
+                    events.emit(now, "eligibility.stop", sid=sid)
+                for sid in decisions.to_resume:
+                    events.emit(now, "eligibility.cont", sid=sid)
+                if decisions.cycle_completed:
+                    rec = decisions.cycle_record
+                    events.emit(
+                        now, "cycle.complete",
+                        index=rec.index if rec is not None else -1,
+                        consumed_us=rec.total_consumed if rec is not None else 0,
+                    )
+                if signals:
+                    obs.spans.record(
+                        "signal", signal_us * len(signals), start_us=now
+                    )
+            if signals:
+                kapi = yield Compute(charge(signal_us * len(signals)))
+                # Signal CPU spent: deliver, verify, retry.
+                for pid, stop in signals:
+                    self._deliver_signal(kapi, pid, stop)
+
     def _bind(self, kapi: "KernelAPI") -> None:
         """Bind the process view, the core's clock and the observer; the
-        first activation runs this, whether it is INIT or a restart's."""
+        loop's first activation runs this, whether it starts or
+        restarts."""
         self.step.view = kapi
         # Duck-typed kapi surfaces (unit-test fakes, alternative hosts)
         # may not expose an observability handle; absence means None.
         self._obs = self.policy.obs = getattr(kapi, "observer", None)
         self.core._now_fn = lambda: kapi.now
 
-    def _do_init(self, kapi: "KernelAPI") -> Action:
-        self._bind(kapi)
+    def _rejoin(
+        self, kapi: "KernelAPI", payload: Optional[dict]
+    ) -> tuple[int, list[tuple[int, bool]]]:
+        """A restart's first activation; returns the pids it walked and
+        the signals to send.  With a journaled ``payload``: the step's
+        restore and rejoin (the outage's CPU becomes amortized debt;
+        fix-up signals where kernel truth contradicts the restored
+        partition).  Without one, or if it proves unusable, reconcile:
+        re-enumerate, re-baseline every read, and resume every
+        controlled process found stopped — the next quantum re-suspends
+        the truly ineligible, and one quantum of lost proportions beats
+        a subject wedged forever."""
         step = self.step
-        step.epoch = kapi.now
-        step.cumulative = {s: 0 for s in self.subjects}
-        for subj in self.subjects.values():
-            subj.refresh(kapi)
-        step.rebaseline()
-        self._next_refresh = kapi.now + self.cfg.principal_refresh_us
-        self._phase = _Phase.SLEEPING
-        return self._sleep_until_boundary(kapi.now)
-
-    def _do_wake(self, kapi: "KernelAPI") -> Action:
-        """Timer fired: select who to measure and pay for the work."""
-        now = kapi.now
-        self.step.view = kapi
-        cost = self._cost_timer_us + self._deferred_cost_us
-        self._deferred_cost_us = 0.0
-        policy = self.policy
-        if policy.guard is not None or policy.tree is not None:
-            # Slip is *cadence* slip (wake-to-wake gap minus the intended
-            # period): a deprioritised agent crawls between boundaries,
-            # while its wakeups, priority-boosted, arrive on time.
-            resumed, readmitted, drained, gated = policy.wake(now)
-            self._note_slip()
-            if resumed:
-                # The shed's signals are one subtotal, added once:
-                # regrouping the float sum changes the charge's last
-                # bits, which the accumulator's carry turns into a
-                # different schedule.
-                shed_cost = 0.0
-                for _ in range(resumed):
-                    shed_cost += self._cost_signal_us
-                cost += shed_cost
-            for npids in (readmitted, drained, gated):
-                if npids:
-                    self.reads += npids
-                    cost += self.cfg.costs.measure_cost(npids)
-        if now - self._sleep_target >= self._quantum_us:
-            # At least one whole quantum overslept (the guard mirrors
-            # _absorb_stall's own missed <= 0 early-out).
-            cost += self._absorb_stall(now)
-        if now >= self._next_refresh:
-            cost += self._refresh_principals(kapi)
-            self._next_refresh = now + self.cfg.principal_refresh_us
-        self._reap_dead_subjects(kapi)
-        self._due, npids = self.step.due()
-        self.invocations += 1
-        self._wake_boundary = now
-        if npids:
-            cost += self._cost_measure_fixed + self._cost_measure_per * npids
-            self.reads += npids
         obs = self._obs
-        if obs is not None and obs.enabled:
-            obs.events.emit(
-                now, "quantum.tick",
-                count=self.core.count, due=len(self._due), pids=npids,
-            )
-            obs.spans.record("timer_event", self._cost_timer_us, start_us=now)
-            if npids:
-                obs.spans.record(
-                    "measure",
-                    self._cost_measure_fixed + self._cost_measure_per * npids,
-                    start_us=now,
-                )
-        self._phase = _Phase.MEASURING
-        return Compute(self._acc.charge(cost))
-
-    def _do_apply(self, kapi: "KernelAPI") -> Action:
-        """Measurement CPU spent: run the quantum step now (a dead pid
-        is forgotten; the next wake's liveness sweep takes its subject
-        out of the core) and pay for its signals."""
-        now = kapi.now  # no events fire inside next_action: read once
-        self.sampling_delays_us.append(now - self._wake_boundary)
-        step = self.step
-        step.view = kapi
-        retries = step.read_retries
-        decisions, signals = step.quantum(self._due, now)
-        if step.read_retries != retries:
-            self._charge_retries(retries)
-        if self.cfg.enforce_invariants:
-            self.core.check_runtime_invariants()
-        self._pending_signals = signals
-        obs = self._obs
-        if obs is not None and obs.enabled:
-            events = obs.events
-            for sid in decisions.to_suspend:
-                events.emit(now, "eligibility.stop", sid=sid)
-            for sid in decisions.to_resume:
-                events.emit(now, "eligibility.cont", sid=sid)
-            if decisions.cycle_completed:
-                rec = decisions.cycle_record
-                events.emit(
-                    now, "cycle.complete",
-                    index=rec.index if rec is not None else -1,
-                    consumed_us=rec.total_consumed if rec is not None else 0,
-                )
-            if signals:
-                obs.spans.record(
-                    "signal", self._cost_signal_us * len(signals), start_us=now
-                )
-        if not signals:
-            self._phase = _Phase.SLEEPING
-            return self._sleep_until_boundary(now)
-        self._phase = _Phase.SIGNALING
-        return Compute(self._acc.charge(self._cost_signal_us * len(signals)))
-
-    def _do_deliver(self, kapi: "KernelAPI") -> Action:
-        """Signal CPU spent: deliver the queued signals, verify, retry."""
-        for pid, stop in self._pending_signals:
-            self._deliver_signal(kapi, pid, stop)
-        self._pending_signals = []
-        self._phase = _Phase.SLEEPING
-        return self._sleep_until_boundary(kapi.now)
-
-    def _do_reconcile(self, kapi: "KernelAPI") -> Action:
-        """First activation after a lossy restart: re-enumerate, re-baseline
-        every read, and resume every controlled process found stopped —
-        the next quantum re-suspends the truly ineligible, and one
-        quantum of lost proportions beats a subject wedged forever."""
-        self._bind(kapi)
-        step = self.step
+        if payload is not None:
+            try:
+                state = step.restore(payload)
+            except JournalCorruptError:
+                self.recovery_fallbacks += 1
+                self.last_restart_journaled = False
+                if obs is not None and obs.enabled:
+                    obs.events.emit(kapi.now, "agent.recovery_fallback")
+            else:
+                # The core snapshot predates any subject deaths the
+                # liveness sweep noticed between snapshot and crash:
+                # self.subjects is kernel-adjacent truth, so prune
+                # restored sids it lost.
+                for sid in list(self.core.subjects):
+                    if sid not in self.subjects:
+                        self.core.remove_subject(sid)
+                step.epoch = state.get("epoch", step.epoch)
+                for subj in self.subjects.values():
+                    subj.refresh(kapi)
+                retries = step.read_retries
+                fixups, scheduled_us, npids = step.rejoin(state)
+                self._charge_retries(retries)
+                self._reap_dead_subjects(kapi)
+                for sid in self.subjects:
+                    step.cumulative.setdefault(sid, 0)
+                self.journal_recoveries += 1
+                if obs is not None and obs.enabled:
+                    obs.events.emit(
+                        kapi.now, "agent.recovered",
+                        subjects=len(self.core.subjects), fixups=len(fixups),
+                        debt_us=scheduled_us,
+                    )
+                return npids, fixups
         npids = 0
         resume: list[tuple[int, bool]] = []
         for subj in self.subjects.values():
@@ -501,81 +524,19 @@ class AlpsAgent:
                     step.stopped.add(pid)
                     resume.append((pid, False))
         self._reap_dead_subjects(kapi)
-        return self._resynced(kapi, npids, resume)
-
-    def _do_recover(self, kapi: "KernelAPI") -> Action:
-        """First activation after a journaled restart: the step's
-        restore and rejoin (the outage's CPU becomes amortized debt;
-        fix-up signals where kernel truth contradicts the restored
-        partition).  An unusable payload degrades to reconciliation."""
-        payload = self._recovered
-        self._recovered = None
-        self._bind(kapi)
-        step = self.step
-        now = kapi.now
-        obs = self._obs
-        try:
-            if payload is None:
-                raise JournalCorruptError("recovery payload missing")
-            state = step.restore(payload)
-        except JournalCorruptError:
-            self.recovery_fallbacks += 1
-            self.last_restart_journaled = False
-            if obs is not None and obs.enabled:
-                obs.events.emit(now, "agent.recovery_fallback")
-            self._phase = _Phase.RECONCILING
-            return self._do_reconcile(kapi)
-        # The core snapshot predates any subject deaths the liveness
-        # sweep noticed between snapshot and crash: self.subjects is
-        # kernel-adjacent truth, so prune restored sids it lost.
-        for sid in list(self.core.subjects):
-            if sid not in self.subjects:
-                self.core.remove_subject(sid)
-        step.epoch = state.get("epoch", step.epoch)
-        for subj in self.subjects.values():
-            subj.refresh(kapi)
-        retries = step.read_retries
-        fixups, scheduled_us, npids = step.rejoin(state)
-        self._charge_retries(retries)
-        self._reap_dead_subjects(kapi)
-        for sid in self.subjects:
-            step.cumulative.setdefault(sid, 0)
-        self.journal_recoveries += 1
-        if obs is not None and obs.enabled:
-            obs.events.emit(
-                now, "agent.recovered",
-                subjects=len(self.core.subjects), fixups=len(fixups),
-                debt_us=scheduled_us,
-            )
-        return self._resynced(kapi, npids, fixups)
-
-    def _resynced(
-        self, kapi: "KernelAPI", npids: int, signals: list[tuple[int, bool]]
-    ) -> Action:
-        """End a restart's activation: the walk over ``npids`` pids costs
-        a measurement pass, and its ``signals`` are real kill(2) calls."""
-        self._next_refresh = kapi.now + self.cfg.principal_refresh_us
-        self._pending_signals = signals
-        cost = self.cfg.costs.measure_cost(npids)
-        self.reads += npids
-        cost += self.cfg.costs.signal_us * len(signals)
-        self._phase = _Phase.SIGNALING
-        return Compute(self._acc.charge(cost))
+        return npids, resume
 
     # -- helpers ----------------------------------------------------------
     def _charge_retries(self, before: int) -> None:
         """Owe the next quantum one read's CPU per retry since ``before``."""
+        per_us = self.cfg.costs.measure_per_proc_us
         for _ in range(self.step.read_retries - before):
-            self._deferred_cost_us += self._cost_measure_per
-
-    def _until_next_boundary(self, now: int) -> int:
-        q = self._quantum_us
-        epoch = self.step.epoch
-        k = (now - epoch) // q + 1
-        return epoch + k * q - now
+            self._deferred_cost_us += per_us
 
     def _sleep_until_boundary(self, now: int) -> Sleep:
-        duration = self._until_next_boundary(now)
+        q = self._quantum_us
+        epoch = self.step.epoch
+        duration = epoch + ((now - epoch) // q + 1) * q - now
         guard = self.policy.guard
         if guard is not None:
             # STRETCH and above: skip ahead extra boundaries so the
@@ -701,19 +662,20 @@ def spawn_alps(
     start_delay: int = 0,
     injector: Optional["FaultInjector"] = None,
     journal: Optional["MemoryJournal"] = None,
-    supervisor=None,
+    supervisor: Optional["Supervisor"] = None,
     overload: Optional["OverloadGuard"] = None,
     sharetree: Optional["ShareTree"] = None,
 ) -> tuple["Process", AlpsAgent]:
     """Spawn an ALPS scheduler process in the simulated kernel; returns
     its process (``proc.cpu_time`` is the overhead) and the agent.
 
-    An ``injector`` puts the agent behind its faulty system-call
-    surface; a ``supervisor`` hosts it behind
-    :class:`~repro.resilience.supervisor.SupervisedAlpsBehavior` (which
-    subsumes the fault wrapper); ``journal``, ``overload`` and
-    ``sharetree`` are attached (:meth:`AlpsAgent.attach_journal` and
-    its siblings).
+    ``journal``, ``overload`` and ``sharetree`` are attached
+    (:meth:`AlpsAgent.attach_journal` and its siblings).  An
+    ``injector`` (its faulty system-call surface, stalls and agent
+    crashes) or a ``supervisor`` (heartbeats, backoff restarts,
+    stand-down) puts the agent behind the one supervised host,
+    :class:`~repro.resilience.supervisor.SupervisedAlpsBehavior`;
+    with neither, the kernel runs the bare agent.
     """
     agent = AlpsAgent(subjects, config)
     if journal is not None:
@@ -723,13 +685,9 @@ def spawn_alps(
     if sharetree is not None:
         agent.attach_sharetree(sharetree)
     behavior: "Behavior" = agent
-    if supervisor is not None:
+    if supervisor is not None or injector is not None:
         from repro.resilience.supervisor import SupervisedAlpsBehavior
 
         behavior = SupervisedAlpsBehavior(agent, supervisor, injector)
-    elif injector is not None:
-        from repro.faults.injector import FaultableAlpsBehavior
-
-        behavior = FaultableAlpsBehavior(agent, injector)
     proc = kernel.spawn(name, behavior, uid=uid, nice=nice, start_delay=start_delay)
     return proc, agent

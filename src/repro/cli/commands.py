@@ -444,8 +444,8 @@ def cmd_obs_tail(
         return 2
     cw.engine.run_until(sec(seconds))
     log = cw.observer.events
-    events = log.of_kind(kind) if kind else list(log.tail(len(log)))
-    for ev in events[-count:]:
+    events = log.of_kind(kind)[-count:] if kind else log.tail(count)
+    for ev in events:
         print(ev.to_json())
     print(
         f"# {log.emitted} events emitted, {log.dropped} dropped "

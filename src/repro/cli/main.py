@@ -24,6 +24,14 @@ def _smoke_ids(experiments) -> list[str]:
     return [key for key, row in experiments.items() if row.smoke]
 
 
+def _at_least_one(text: str) -> int:
+    """An argparse ``type`` for counts that must be positive."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.registry import EXPERIMENTS
 
@@ -277,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_tail.add_argument("--seconds", type=float, default=5.0)
     obs_tail.add_argument("--seed", type=int, default=0)
     obs_tail.add_argument(
-        "-n", "--count", type=int, default=20, help="events to print"
+        "-n", "--count", type=_at_least_one, default=20,
+        help="events to print (>= 1)",
     )
     obs_tail.add_argument(
         "--kind",

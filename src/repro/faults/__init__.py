@@ -22,7 +22,6 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "FaultInjector": "repro.faults.injector",
     "FaultPlan": "repro.faults.plan",
     "FaultRecord": "repro.faults.plan",
-    "FaultableAlpsBehavior": "repro.faults.injector",
     "FaultyKernelAPI": "repro.faults.injector",
     "ForkStorm": "repro.faults.plan",
     "MigrationTear": "repro.faults.plan",

@@ -8,9 +8,11 @@ into runtime misbehavior along three seams:
 * **the system-call surface** — :meth:`wrap` returns a
   :class:`FaultyKernelAPI` that transparently drops/delays signals and
   fails accounting reads with the plan's probabilities;
-* **the agent's own execution** — :class:`FaultableAlpsBehavior`
-  interposes on the agent's action stream to stretch its sleeps past
-  quantum boundaries (stalls) and to crash-and-restart it.
+* **the agent's own execution** — the agent's one host,
+  :class:`~repro.resilience.supervisor.SupervisedAlpsBehavior`, draws
+  :meth:`~FaultInjector.stall_quanta` to stretch the agent's sleeps past
+  quantum boundaries (stalls) and :meth:`~FaultInjector.agent_crash_due`
+  to crash-and-restart it.
 
 Every injected fault is appended to :attr:`FaultInjector.trace`;
 :meth:`trace_lines` renders it as a stable text form so tests can assert
@@ -23,7 +25,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import NoSuchProcessError, TransientReadError
 from repro.faults.plan import AgentCrash, FaultPlan, FaultRecord
-from repro.kernel.actions import Action, Sleep
 from repro.kernel.signals import SIGKILL, signal_name
 from repro.sim.rng import RngStreams
 
@@ -32,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.behaviors import Behavior
     from repro.kernel.kapi import KernelAPI
     from repro.kernel.kernel import Kernel
-    from repro.kernel.process import Process
     from repro.resilience.journal import WriteFaults
     from repro.sim.engine import Engine
 
@@ -336,7 +336,7 @@ class FaultInjector:
             pass
 
     # ------------------------------------------------------------------
-    # Agent faults (called by FaultableAlpsBehavior)
+    # Agent faults (drawn by the agent's host, SupervisedAlpsBehavior)
     # ------------------------------------------------------------------
     def stall_quanta(self, now: int) -> int:
         """Quanta the agent must oversleep right now (0 = no stall)."""
@@ -478,38 +478,4 @@ class FaultyKernelAPI:
         return self._inner.wakeup_one(channel)
 
 
-class FaultableAlpsBehavior:
-    """Behavior wrapper hosting an ALPS agent under fault injection.
-
-    The wrapped agent sees the world through the injector's faulty
-    KernelAPI; on top of that the wrapper stretches the agent's sleeps
-    (stall faults) and simulates crash-with-restart by wiping the
-    agent's volatile state and idling it for the crash's downtime.
-    """
-
-    __slots__ = ("agent", "injector", "_fkapi")
-
-    def __init__(self, agent: "AlpsAgent", injector: FaultInjector) -> None:
-        self.agent = agent
-        self.injector = injector
-        self._fkapi: "KernelAPI | FaultyKernelAPI | None" = None
-
-    def next_action(self, proc: "Process", kapi: "KernelAPI") -> Action:
-        if self._fkapi is None:
-            self._fkapi = self.injector.wrap(kapi)
-        crash = self.injector.agent_crash_due(kapi.now)
-        if crash is not None:
-            self.agent.restart()
-            return Sleep(crash.downtime_us, channel="alpsrestart")
-        action = self.agent.next_action(proc, self._fkapi)
-        if isinstance(action, Sleep) and action.channel == "alpstimer":
-            extra = self.injector.stall_quanta(kapi.now)
-            if extra:
-                action = Sleep(
-                    action.duration_us + extra * self.agent.cfg.quantum_us,
-                    channel=action.channel,
-                )
-        return action
-
-
-__all__ = ["FaultInjector", "FaultyKernelAPI", "FaultableAlpsBehavior"]
+__all__ = ["FaultInjector", "FaultyKernelAPI"]

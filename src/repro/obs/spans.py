@@ -96,7 +96,10 @@ class SpanRecorder:
         return len(self._agg)
 
     def recent(self, n: int = 20) -> list[Span]:
-        """The last ``n`` recorded spans, oldest first."""
+        """The last ``n`` recorded spans, oldest first (none for
+        ``n <= 0``, as :meth:`~repro.obs.events.EventLog.tail`)."""
+        if n <= 0:
+            return []
         items = self._recent
         if n < len(items):
             items = list(items)[-n:]

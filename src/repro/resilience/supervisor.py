@@ -22,8 +22,10 @@ Every transition is emitted as a ``supervisor.*`` event on the attached
 :class:`repro.obs.Observer`, so chaos invariants can audit liveness and
 escalation from the event log alone.
 
-:class:`SupervisedAlpsBehavior` wraps the simulated agent (subsuming
-:class:`~repro.faults.injector.FaultableAlpsBehavior`'s fault plumbing);
+:class:`SupervisedAlpsBehavior` is the one host of a simulated agent:
+the fault injector's kapi proxy and stalls, the crash source (the
+injector's agent crashes or a plane cell's), restarts, and — with a
+supervisor — backoff, heartbeats and stand-down.
 :class:`SupervisedHostAlps` wraps the live Linux controller in a
 recover/run/backoff loop around a :class:`FileJournal`.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import RestartBudgetExhausted, SchedulerConfigError
 from repro.kernel.actions import Action, Sleep
@@ -254,71 +256,80 @@ class Supervisor:
 
 
 class SupervisedAlpsBehavior:
-    """Simulated-agent wrapper: fault plumbing plus supervision.
+    """The one host of a simulated agent: faults, crashes, supervision.
 
-    A superset of :class:`~repro.faults.injector.FaultableAlpsBehavior`:
-    the agent still sees the injector's faulty system-call surface and
-    stretched sleeps, but agent crashes are adjudicated by the
-    supervisor — journaled restart with backoff while the budget lasts,
-    then resume-all and stand down.  Without an injector the wrapper is
-    pure monitoring: it delegates verbatim, so supervision alone is
+    Every activation runs, in this order: the crash check, the
+    supervisor's heartbeat, the agent's own action, and the stall draw
+    on an ``alpstimer`` sleep.
+
+    * An ``injector`` puts the agent behind its faulty system-call
+      surface (wrapped at the first activation); when its plan can
+      perturb the agent, its stalls stretch the agent's timer sleeps
+      and its agent crashes are the crash source.
+    * ``crash_due(now)`` is the crash source otherwise (a plane cell's
+      :meth:`~repro.sharetree.resilience.PlaneResilience.crash_due`).
+    * A crash restarts the agent (:meth:`~repro.alps.agent.AlpsAgent.restart`)
+      and sleeps out the crash's downtime.  With a ``supervisor`` the
+      restart adds its backoff while the budget lasts; past the budget
+      the host resumes everything the agent stopped, stands down, and
+      reports it through ``on_dead(now, resumed=...)``.  A granted
+      restart is reported through ``on_restarted(now)``.
+
+    Without a crash source, stalls or system-call faults the host only
+    monitors: it delegates verbatim, so supervision alone is
     schedule-invisible (the differential tests pin this).
     """
 
-    __slots__ = ("agent", "supervisor", "injector", "_fkapi", "_agent_faults", "_bound")
+    __slots__ = (
+        "agent", "supervisor", "injector", "crash_due", "on_restarted",
+        "on_dead", "_kapi", "_stalls",
+    )
 
     def __init__(
         self,
         agent: "AlpsAgent",
-        supervisor: Supervisor,
+        supervisor: Optional[Supervisor] = None,
         injector: Optional["FaultInjector"] = None,
+        *,
+        crash_due: Optional[Callable[[int], Any]] = None,
+        on_restarted: Optional[Callable[[int], None]] = None,
+        on_dead: Optional[Callable[..., None]] = None,
     ) -> None:
         self.agent = agent
         self.supervisor = supervisor
         self.injector = injector
-        self._fkapi: "KernelAPI | FaultyKernelAPI | None" = None
-        self._agent_faults: Optional["FaultInjector"] = None
-        self._bound = False
+        self._stalls: Optional[Callable[[int], int]] = None
+        if injector is not None and injector.perturbs_agent():
+            crash_due = injector.agent_crash_due
+            self._stalls = injector.stall_quanta
+        self.crash_due = crash_due
+        self.on_restarted = on_restarted
+        self.on_dead = on_dead
+        self._kapi: "KernelAPI | FaultyKernelAPI | None" = None
 
     def next_action(self, proc: "Process", kapi: "KernelAPI") -> Action:
         # Runs on every agent action: no property of its own to read and
         # no keyword call.
-        sup = self.supervisor
-        if not self._bound:
+        if self._kapi is None:
             self._bind(kapi)
-        if sup.state is _DEGRADED:
+        sup = self.supervisor
+        if sup is not None and sup.state is _DEGRADED:
             return Sleep(STAND_DOWN_SLEEP_US, channel="alpsdown")
         now = kapi.now
         agent = self.agent
-        injector = self._agent_faults
-        if injector is None:
+        if self.crash_due is not None:
+            crash = self.crash_due(now)
+            if crash is not None:
+                return self._crash(now, crash.downtime_us, kapi)
+        if sup is not None:
             sup.heartbeat(now, agent.timer_slip_us)
-            return agent.next_action(proc, self._fkapi)
-        crash = injector.agent_crash_due(now)
-        if crash is not None:
-            try:
-                decision = sup.on_failure(now)
-            except RestartBudgetExhausted:
-                # Escalation: release everything and stand down.  The
-                # supervisor acts through the raw kernel surface — it
-                # is a separate, simpler entity than the agent whose
-                # system calls the plan perturbs.
-                resumed = agent.shutdown(kapi)
-                sup.stand_down(now, resumed=resumed)
-                return Sleep(STAND_DOWN_SLEEP_US, channel="alpsdown")
-            agent.restart()
-            sup.on_recovered(
-                now + crash.downtime_us + decision.backoff_us,
-                journaled=agent.last_restart_journaled,
-            )
-            return Sleep(
-                crash.downtime_us + decision.backoff_us,
-                channel="alpsrestart",
-            )
-        sup.heartbeat(now, agent.timer_slip_us)
-        action = agent.next_action(proc, self._fkapi)
-        if type(action) is Sleep and action.channel == "alpstimer":
-            extra = injector.stall_quanta(now)
+        action = agent.next_action(proc, self._kapi)
+        if (
+            self._stalls is not None
+            and type(action) is Sleep
+            and action.channel == "alpstimer"
+        ):
+            extra = self._stalls(now)
             if extra:
                 action = Sleep(
                     action.duration_us + extra * agent.cfg.quantum_us,
@@ -327,18 +338,38 @@ class SupervisedAlpsBehavior:
         return action
 
     def _bind(self, kapi: "KernelAPI") -> None:
-        """First activation: late-bind the observer and the agent's view
-        of the kernel, and look once at what the plan can do to the
-        agent itself (an injector without agent faults is skipped)."""
-        self.supervisor.bind_observer(getattr(kapi, "observer", None))
+        """First activation: late-bind the supervisor's observer and the
+        agent's view of the kernel."""
+        if self.supervisor is not None:
+            self.supervisor.bind_observer(getattr(kapi, "observer", None))
         injector = self.injector
-        if injector is None:
-            self._fkapi = kapi
-        else:
-            self._fkapi = injector.wrap(kapi)
-            if injector.perturbs_agent():
-                self._agent_faults = injector
-        self._bound = True
+        self._kapi = kapi if injector is None else injector.wrap(kapi)
+
+    def _crash(self, now: int, downtime_us: int, kapi: "KernelAPI") -> Action:
+        """Restart the crashed agent, or stand it down past the budget."""
+        agent = self.agent
+        sup = self.supervisor
+        if sup is not None:
+            try:
+                downtime_us += sup.on_failure(now).backoff_us
+            except RestartBudgetExhausted:
+                # Escalation: release everything and stand down.  The
+                # host acts through the raw kernel surface — it is a
+                # separate, simpler entity than the agent whose system
+                # calls the plan perturbs.
+                resumed = agent.shutdown(kapi)
+                sup.stand_down(now, resumed=resumed)
+                if self.on_dead is not None:
+                    self.on_dead(now, resumed=resumed)
+                return Sleep(STAND_DOWN_SLEEP_US, channel="alpsdown")
+        agent.restart()
+        if sup is not None:
+            sup.on_recovered(
+                now + downtime_us, journaled=agent.last_restart_journaled
+            )
+        if self.on_restarted is not None:
+            self.on_restarted(now)
+        return Sleep(downtime_us, channel="alpsrestart")
 
 
 class SupervisedHostAlps:

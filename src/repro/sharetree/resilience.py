@@ -9,12 +9,14 @@ can leak subjects out of every cell or leave pids wedged in SIGSTOP.
 
 Three mechanisms, all schedule-invisible when no fault fires:
 
-**Per-cell supervision.**  Each cell's agent runs behind
-:class:`CellBehavior` — the PR 5 :class:`Supervisor` policy machine
-plus plane-level escalation.  An injected
-:class:`~repro.faults.plan.CellCrash` within the restart budget is a
-journaled restart with bounded, jittered backoff; past the budget the
-behavior *resumes every process the cell controlled first*
+**Per-cell supervision.**  Each cell's agent runs behind the agent's
+one supervised host,
+:class:`~repro.resilience.supervisor.SupervisedAlpsBehavior`, with the
+cell's :class:`Supervisor`, the plane's :meth:`PlaneResilience.crash_due`
+as its crash source and the plane's restarted/dead notifications.  An
+injected :class:`~repro.faults.plan.CellCrash` within the restart
+budget is a journaled restart with bounded, jittered backoff; past the
+budget the host *resumes every process the cell controlled first*
 (:meth:`~repro.alps.agent.AlpsAgent.shutdown`), stands the cell down,
 and marks it dead so the next plane tick re-homes its subtrees onto
 surviving cells via the existing LPT partition.
@@ -46,31 +48,23 @@ top of the existing seven (:mod:`repro.resilience.invariants`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.alps.subjects import ProcessSubject
-from repro.errors import (
-    MigrationTornError,
-    NoSuchProcessError,
-    RestartBudgetExhausted,
-    TransientReadError,
-)
+from repro.errors import MigrationTornError, NoSuchProcessError
 from repro.faults.plan import CellCrash, FaultPlan, MigrationTear
-from repro.kernel.actions import Action, Sleep
 from repro.kernel.signals import SIGCONT
 from repro.resilience.journal import MemoryJournal, WriteFaults
 from repro.resilience.supervisor import (
-    STAND_DOWN_SLEEP_US,
     RestartPolicy,
     SupervisedAlpsBehavior,
     Supervisor,
-    SupervisorState,
 )
 from repro.sim.rng import RngStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.alps.agent import AlpsAgent
-    from repro.kernel.kapi import KernelAPI
     from repro.kernel.process import Process
     from repro.sharetree.plane import ShardedAlpsPlane
 
@@ -116,65 +110,6 @@ class CellHealth:
     def state(self) -> str:
         """Render label: the supervisor state, or ``dead`` once marked."""
         return "dead" if self.dead else self.supervisor.state.value
-
-
-class CellBehavior(SupervisedAlpsBehavior):
-    """Cell-agent wrapper: PR 5 supervision plus plane escalation.
-
-    Identical to :class:`SupervisedAlpsBehavior` without an injector —
-    verbatim delegation, so supervision alone stays schedule-invisible —
-    except that crashes come from the plane's :class:`CellCrash`
-    schedule and budget exhaustion notifies the plane so the dead
-    cell's subtrees are re-homed (resume-all first: the agent's
-    ``shutdown`` releases every stopped pid before the cell goes dark).
-    """
-
-    __slots__ = ("resilience", "cell")
-
-    def __init__(
-        self,
-        agent: "AlpsAgent",
-        supervisor: Supervisor,
-        resilience: "PlaneResilience",
-        cell: int,
-    ) -> None:
-        super().__init__(agent, supervisor, injector=None)
-        self.resilience = resilience
-        self.cell = cell
-
-    def next_action(self, proc: "Process", kapi: "KernelAPI") -> Action:
-        sup = self.supervisor
-        if not self._bound:
-            self._bind(kapi)
-        if sup.state is SupervisorState.DEGRADED:
-            return Sleep(STAND_DOWN_SLEEP_US, channel="alpsdown")
-        now = kapi.now
-        crash = self.resilience.crash_due(self.cell, now)
-        if crash is not None:
-            try:
-                decision = sup.on_failure(now)
-            except RestartBudgetExhausted:
-                # Escalation: resume everything this cell controlled,
-                # stand down, and hand the subtrees to the plane.
-                resumed = self.agent.shutdown(kapi)
-                sup.stand_down(now, resumed=resumed)
-                self.resilience.note_cell_dead(
-                    self.cell, now, resumed=resumed
-                )
-                return Sleep(STAND_DOWN_SLEEP_US, channel="alpsdown")
-            self.agent.restart()
-            sup.on_recovered(
-                now + crash.downtime_us + decision.backoff_us,
-                journaled=self.agent.last_restart_journaled,
-            )
-            self.resilience.note_cell_restarted(self.cell, now)
-            return Sleep(
-                crash.downtime_us + decision.backoff_us,
-                channel="alpsrestart",
-            )
-        agent = self.agent
-        sup.heartbeat(now, agent.timer_slip_us)
-        return agent.next_action(proc, kapi)
 
 
 class PlaneResilience:
@@ -281,7 +216,13 @@ class PlaneResilience:
         agent = AlpsAgent(list(subjects), plane.config)
         agent.attach_journal(health.journal)
         agent.attach_sharetree(plane.tree)
-        behavior = CellBehavior(agent, health.supervisor, self, cell)
+        behavior = SupervisedAlpsBehavior(
+            agent,
+            health.supervisor,
+            crash_due=partial(self.crash_due, cell),
+            on_restarted=partial(self.note_cell_restarted, cell),
+            on_dead=partial(self.note_cell_dead, cell),
+        )
         proc = plane.kernel.spawn(f"alps-c{cell}", behavior)
         for subject in subjects:
             self.note_owner(subject.sid, cell)
@@ -579,7 +520,6 @@ class PlaneResilience:
 
 __all__ = [
     "COMMIT_KIND",
-    "CellBehavior",
     "CellHealth",
     "INTENT_KIND",
     "PlaneResilience",

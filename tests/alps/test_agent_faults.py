@@ -2,7 +2,8 @@
 crash-with-restart — driven by hand against the scriptable FakeKapi.
 
 Complements tests/faults/ (full simulations): here each recovery path
-is stepped through phase by phase so the exact bookkeeping is pinned.
+is stepped through activation by activation so the exact bookkeeping
+is pinned.
 """
 
 from __future__ import annotations
@@ -19,23 +20,34 @@ from tests.alps.test_agent_unit import FakeKapi, Q, make_agent
 def _walk_to_second_wake(agent, kapi):
     """INIT → wake1 → apply1 (everyone becomes eligible) → wake2.
 
-    After this the agent is MEASURING with every pid in ``_due``.
+    After this the agent's next activation runs the quantum step over
+    the due list wake 2 selected, which this returns with every pid.
     """
+    selected = []
+    due = agent.step.due
+
+    def recording_due():
+        got = due()
+        selected.append(got[0])
+        return got
+
+    agent.step.due = recording_due
     agent.next_action(None, kapi)  # init
     kapi.now = Q
     agent.next_action(None, kapi)  # wake 1 (nobody due yet)
     kapi.now += 1
     agent.next_action(None, kapi)  # apply 1
     kapi.now = 2 * Q
-    return agent.next_action(None, kapi)  # wake 2: all pids due
+    agent.next_action(None, kapi)  # wake 2: all pids due
+    return selected[-1]
 
 
 def test_death_between_begin_and_complete_quantum():
     """A pid dying after measurement selection but before the reads must
     not raise, not charge, and leave no stale per-pid state."""
     agent, kapi = make_agent((1, 1))
-    _walk_to_second_wake(agent, kapi)
-    assert any(100 in pids for _, pids in agent._due)
+    due = _walk_to_second_wake(agent, kapi)
+    assert any(100 in pids for _, pids in due)
     kapi.alive[100] = False  # dies mid-measurement
     kapi.now += 20
     act = agent.next_action(None, kapi)  # apply — must not raise

@@ -12,22 +12,25 @@ from repro.alps.config import AlpsConfig
 from repro.alps.step import measure_due
 from repro.alps.subjects import ProcessSubject
 from repro.errors import NoSuchProcessError, TransientReadError
+from tests.alps.test_agent_unit import FakeKapi
 
 Q = 10_000
 
 
-class RetryKapi:
-    """read_progress scripted per call (a running, unstopped pid);
-    everything else inert."""
+class RetryKapi(FakeKapi):
+    """read_progress scripted per call (a running, unstopped pid) while
+    the script lasts, the fake kernel's reading after it."""
 
     def __init__(self, script) -> None:
-        self.now = 0
+        super().__init__()
         self.script = list(script)
         self.calls = 0
 
     def read_progress(self, pid: int) -> tuple[int, bool, bool]:
         self.calls += 1
-        step = self.script.pop(0) if self.script else 0
+        if not self.script:
+            return super().read_progress(pid)
+        step = self.script.pop(0)
         if isinstance(step, Exception):
             raise step
         return step, False, False
@@ -50,10 +53,15 @@ def test_retry_read_succeeds_within_budget():
     assert agent.read_failures == 0
     # Each retry's CPU is owed to the next quantum, never free: a
     # quantum whose read needed two retries owes two reads' CPU.
+    agent.next_action(None, kapi)  # init
+    kapi.now = Q
+    agent.next_action(None, kapi)  # wake 1 (nobody due yet)
+    agent.next_action(None, kapi)  # apply 1: the subject becomes eligible
+    kapi.now = 2 * Q
+    agent.next_action(None, kapi)  # wake 2: pid 100 is due
+    assert agent.read_retries == 2
     kapi.script = [TransientReadError(100)] * 3 + [4321]
-    agent.core.begin_quantum()
-    agent._due = [(0, [100])]
-    agent._do_apply(kapi)
+    agent.next_action(None, kapi)  # apply 2: the quantum step reads 100
     assert agent.read_retries == 2 + 3
     assert agent._deferred_cost_us == 3 * agent.cfg.costs.measure_per_proc_us
 

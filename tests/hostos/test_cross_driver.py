@@ -72,15 +72,17 @@ def record_agent(shares):
     agent, kernel = cw.agent, cw.kernel
     quanta: list[tuple[int, list, dict, QuantumDecisions]] = []
     baselines: dict[int, int] = {}
-    apply, complete = agent._do_apply, agent.core.complete_quantum
+    quantum, complete = agent.step.quantum, agent.core.complete_quantum
 
-    def recording_apply(kapi):
+    def recording_quantum(due, now):
         if not quanta and not baselines:
             baselines.update(agent.step.last_read)
-        due = [(sid, list(pids)) for sid, pids in agent._due]
-        readings = {pid: pcb_stat(kernel, pid) for _, pids in due for pid in pids}
-        quanta.append((kapi.now, due, readings, None))
-        return apply(kapi)
+        recorded = [(sid, list(pids)) for sid, pids in due]
+        readings = {
+            pid: pcb_stat(kernel, pid) for _, pids in recorded for pid in pids
+        }
+        quanta.append((now, recorded, readings, None))
+        return quantum(due, now)
 
     def recording_complete(measurements):
         decisions = complete(measurements)
@@ -88,7 +90,7 @@ def record_agent(shares):
         quanta[-1] = (now, due, readings, decisions)
         return decisions
 
-    agent._do_apply = recording_apply
+    agent.step.quantum = recording_quantum
     agent.core.complete_quantum = recording_complete
     cw.engine.run_until(HORIZON_US)
     assert agent.rebaselines == 0 and agent.heals == 0

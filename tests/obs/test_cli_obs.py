@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -32,6 +33,33 @@ def test_obs_tail_prints_jsonl(capsys):
     events = [json.loads(line) for line in lines[:-1]]
     assert 0 < len(events) <= 5
     assert all("kind" in e and "t" in e for e in events)
+
+
+#: sha256 of ``obs tail --seconds 1 -n 5`` (five events and the
+#: summary), and of the same with ``--kind 'eligibility.*'``, as printed
+#: when the command still built every buffered event to print five.
+TAIL_DIGEST = "9f9daed4df21fc2d1654ae8881b32215ae21f4f9dfff3beead77db84d6417072"
+TAIL_KIND_DIGEST = (
+    "0d9572d3eb62adbafa0aa7410d1c9b06575ef9d666b1a95872c31adaf3324022"
+)
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [([], TAIL_DIGEST), (["--kind", "eligibility.*"], TAIL_KIND_DIGEST)],
+    ids=["all", "kind"],
+)
+def test_obs_tail_prints_the_same_last_events(extra, digest, capsys):
+    assert main(["obs", "tail", "--seconds", "1", "-n", "5", *extra]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 6
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_obs_tail_rejects_a_count_below_one(count):
+    with pytest.raises(SystemExit):
+        main(["obs", "tail", "--seconds", "0.1", "-n", count])
 
 
 def test_obs_tail_kind_filter(capsys):

@@ -39,6 +39,8 @@ def test_recent_is_bounded_and_ordered():
         rec.record("s", float(i), start_us=i)
     assert [s.duration_us for s in rec.recent(10)] == [2.0, 3.0, 4.0]
     assert [s.duration_us for s in rec.recent(2)] == [3.0, 4.0]
+    # No spans for a count below one, as EventLog.tail.
+    assert rec.recent(0) == [] and rec.recent(-2) == []
 
 
 def test_measure_records_wall_time():

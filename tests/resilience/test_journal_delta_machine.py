@@ -91,18 +91,19 @@ class DeltaJournalMachine(RuleBasedStateMachine):
         # Stalls the way the fault injector makes them: the agent's next
         # timer sleep runs long, its intended wake time stays put.
         self.pending_stall = 0
-        inner_sleep = self.agent._sleep_until_boundary
+        inner_next_action = self.agent.next_action
 
-        def sleep(now):
-            action = inner_sleep(now)
-            extra, self.pending_stall = self.pending_stall, 0
-            if extra:
-                action = Sleep(
-                    action.duration_us + extra * QUANTUM_US, action.channel
-                )
+        def next_action(proc, kapi):
+            action = inner_next_action(proc, kapi)
+            if type(action) is Sleep and action.channel == "alpstimer":
+                extra, self.pending_stall = self.pending_stall, 0
+                if extra:
+                    action = Sleep(
+                        action.duration_us + extra * QUANTUM_US, action.channel
+                    )
             return action
 
-        self.agent._sleep_until_boundary = sleep
+        self.agent.next_action = next_action
 
     # -- the mask -------------------------------------------------------
     def fate(self):
@@ -179,14 +180,14 @@ class DeltaJournalMachine(RuleBasedStateMachine):
     @rule()
     def crash(self):
         before = self.agent.journal_recoveries + self.agent.recovery_fallbacks
-        self.agent.restart()
+        recovered = self.agent.restart()
         after = self.agent.journal_recoveries + self.agent.recovery_fallbacks
         # Restart recovered exactly the expected state (or fell back
         # because nothing ever landed).
         if self.expected is None:
             assert after == before + 1 and not self.agent.last_restart_journaled
         else:
-            assert self.agent._recovered == self.expected
+            assert recovered == self.expected
 
     @invariant()
     def recovery_point_is_the_last_whole_append(self):
